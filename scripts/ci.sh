@@ -37,14 +37,24 @@ echo "== verifier + fuzz regression corpus =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   -R 'VerifyTest|RegressTest|FuzzTest'
 
+echo "== strict numeric CLI flags =="
+# Every numeric flag of the four CLIs parses through one strict helper:
+# trailing text or a fraction on an integer flag is a usage error (exit 2).
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+  -R 'ParseNumArgTest|DriverCliTest'
+rc=0
+"$BUILD_DIR"/src/driver/futharkcc --device-mem 12abc examples/kmeans.fut \
+  --run >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "--device-mem 12abc exited $rc, want 2"; exit 1; }
+
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
-# A deterministic 300-program sweep through the full pipeline (with the
-# IR verifier enabled after every pass) against the reference
-# interpreter.  Runs in every configuration, so the sanitized matrix leg
-# executes it under ASan+UBSan.  300 seeds keeps the leg under a minute;
-# the full 1..1200 sweep is clean and worth re-running by hand after
-# planner or flattening changes.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..300 \
+# A deterministic 3000-program sweep through the full pipeline (with the
+# IR verifier, the only pass-boundary IR check, enabled after every pass)
+# against the reference interpreter.  Runs in every configuration, so the
+# sanitized matrix leg executes it under ASan+UBSan.  The sweep takes
+# about 9 s single-threaded on a Xeon with the default (RelWithDebInfo)
+# build.
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 \
   --out "$BUILD_DIR"/fuzz-failures
 
 echo "== mem-plan leg: ablation fuzz + planned-vs-runtime peaks =="
@@ -189,9 +199,10 @@ echo "== shard leg: multi-device differential, fuzz and scaling =="
 # the 20-seed differential sweep at 1/2/4 devices (Sharded* legs).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   -R 'ShardVerifyTest|ShardPlanGolden|Sharded'
-# Fixed-seed differential fuzz through the sharded path: 150 seeds at
-# two devices, bit-identical to the reference interpreter.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..150 --devices 2 \
+# Fixed-seed differential fuzz through the sharded path: 3000 seeds at
+# two devices, bit-identical to the reference interpreter (about 9 s on
+# the default build).
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --devices 2 \
   --out "$BUILD_DIR"/fuzz-failures-shard
 # --print-shard-plan dumps the decomposition for a real program.
 "$BUILD_DIR"/src/driver/futharkcc --devices 4 --print-shard-plan \

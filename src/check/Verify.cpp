@@ -1003,18 +1003,16 @@ private:
       std::string Binding =
           S.Pat.empty() ? std::string("<empty pattern>")
                         : "binding '" + S.Pat[0].Name.str() + "'";
-      if (Opts.CheckConsumption) {
-        VName Hit;
-        if (consumedUse(*S.E, Hit))
-          return err(Binding, "use of " + Hit.str() +
-                                  " after it was consumed by an in-place "
-                                  "update");
-      }
+      VName Hit;
+      if (consumedUse(*S.E, Hit))
+        return err(Binding, "use of " + Hit.str() +
+                                " after it was consumed by an in-place "
+                                "update");
       auto Ts = checkExp(*S.E, Binding);
       if (!Ts)
         return Ts.getError();
       // Apply's return arity is derived from the callee, so every
-      // expression's arity is decidable here, unlike in Check.h.
+      // expression's arity is decidable here.
       if (Ts->size() != S.Pat.size())
         return err(Binding, std::string("pattern of arity ") +
                                 std::to_string(S.Pat.size()) +
@@ -1030,20 +1028,18 @@ private:
         if (auto Err = bind(S.Pat[I], Binding))
           return Err;
       }
-      if (Opts.CheckConsumption) {
-        if (const auto *U = expDynCast<UpdateExp>(S.E.get()))
-          Consumed.insert(U->Arr);
-        if (const auto *R = expDynCast<ReduceByIndexExp>(S.E.get()))
-          Consumed.insert(R->Dest);
-        if (const auto *K = expDynCast<KernelExp>(S.E.get()))
-          if (K->Op == KernelExp::OpKind::SegHist)
-            Consumed.insert(K->HistDest);
-      }
+      if (const auto *U = expDynCast<UpdateExp>(S.E.get()))
+        Consumed.insert(U->Arr);
+      if (const auto *R = expDynCast<ReduceByIndexExp>(S.E.get()))
+        Consumed.insert(R->Dest);
+      if (const auto *K = expDynCast<KernelExp>(S.E.get()))
+        if (K->Op == KernelExp::OpKind::SegHist)
+          Consumed.insert(K->HistDest);
     }
 
     std::vector<Type> Out;
     for (const SubExp &R : B.Result) {
-      if (Opts.CheckConsumption && R.isVar() && Consumed.count(R.getVar()))
+      if (R.isVar() && Consumed.count(R.getVar()))
         return err(Where, "result returns " + R.getVar().str() +
                               " after it was consumed by an in-place "
                               "update");
@@ -1058,16 +1054,10 @@ private:
 
 } // namespace
 
-MaybeError fut::verifyFun(const Program &P, const FunDef &F,
-                          const std::string &Pass,
-                          const VerifyOptions &Opts) {
-  return Verifier(P, Opts, Pass).verifyFunDef(F);
-}
-
 MaybeError fut::verifyProgram(const Program &P, const std::string &Pass,
                               const VerifyOptions &Opts) {
   for (const FunDef &F : P.Funs)
-    if (auto Err = verifyFun(P, F, Pass, Opts))
+    if (auto Err = Verifier(P, Opts, Pass).verifyFunDef(F))
       return Err;
   return MaybeError::success();
 }

@@ -5,14 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The IR verifier: a stronger companion to the structural checker in
-/// Check.h that re-derives the type of every expression bottom-up from
-/// binding annotations and rejects a program the moment any pass emits
-/// ill-typed code.  Where Check.h answers "is this tree shaped like IR",
-/// the verifier answers "does this tree still mean what its types claim":
+/// The IR verifier, the one checker run at every pass boundary (the
+/// "Typechecking" box of Fig 3).  It re-derives the type of every
+/// expression bottom-up from binding annotations and rejects a program the
+/// moment any pass emits ill-formed or ill-typed code.  It is independent
+/// of the frontend's type inference, so a buggy pass cannot smuggle bad
+/// code to the simulator.  It checks:
 ///
 ///   * SSA discipline: unique binding tags, every use dominated by its
 ///     binding, no dangling names (including inside symbolic dimensions),
+///   * arities: each pattern matches the number of values its expression
+///     produces, and each lambda the number of values it is applied to
+///     (including the stream fold's leading chunk-size parameter),
 ///   * bottom-up type agreement: the type derived for each expression must
 ///     match the pattern that binds it (element kind and rank exactly;
 ///     constant dimensions exactly; symbolic dimensions are wildcards since
@@ -22,7 +26,8 @@
 ///     against input outer dimensions,
 ///   * consumption sanity: an array consumed by an in-place update is not
 ///     observed again in the same body (the post-`uniq` discipline that
-///     later passes must preserve),
+///     later passes must preserve; direct consumption only, aliases are
+///     the uniqueness checker's job),
 ///   * post-flattening: no SOAC survives at host level (nested parallelism
 ///     must be gone), kernels never nest,
 ///   * kernel well-formedness: grid/thread-index agreement, layout
@@ -61,11 +66,6 @@ struct VerifyOptions {
   /// the ablation pipelines that deliberately leave reductions on the host
   /// (FlattenOptions::KernelizeReduce = false).
   bool AllowHostSOACs = false;
-
-  /// Enforce that an array consumed by an in-place update is not observed
-  /// again afterwards in the same body (direct consumption only; aliases
-  /// are the uniqueness checker's job).
-  bool CheckConsumption = true;
 };
 
 /// Verifies the whole program as left by \p Pass; returns the first
@@ -73,10 +73,6 @@ struct VerifyOptions {
 /// offending binding.
 MaybeError verifyProgram(const Program &P, const std::string &Pass,
                          const VerifyOptions &Opts = {});
-
-/// Verifies a single function (callees are looked up in \p P).
-MaybeError verifyFun(const Program &P, const FunDef &F,
-                     const std::string &Pass, const VerifyOptions &Opts = {});
 
 /// Verifies a static memory plan against the (flattened) program it was
 /// computed for, by independently re-deriving liveness and aliasing:

@@ -7,7 +7,6 @@
 #include "driver/Compiler.h"
 
 #include "ad/Vjp.h"
-#include "check/Check.h"
 #include "check/Verify.h"
 #include "ir/Printer.h"
 #include "parser/Desugar.h"
@@ -20,8 +19,8 @@
 using namespace fut;
 
 std::string fut::CompilerOptions::cacheCanonical() const {
-  // One line per knob, fixed order.  InternalChecks/VerifyIR and the test
-  // hooks are deliberately absent: they gate acceptance, not output.
+  // One line per knob, fixed order.  VerifyIR and the test hooks are
+  // deliberately absent: they gate acceptance, not output.
   std::ostringstream OS;
   OS << "uniq=" << CheckUniqueness << ";inline=" << Inline
      << ";fusion=" << EnableFusion << ";kernels=" << ExtractKernels
@@ -80,22 +79,12 @@ uint64_t fut::artifactCacheKey(const std::string &Source,
 ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
                                            const CompilerOptions &Opts) {
   trace::ScopedSpan CompileSpan("compile", "compiler");
-  auto Recheck = [&](const std::string &Phase) -> MaybeError {
-    if (!Opts.InternalChecks)
-      return MaybeError::success();
-    if (auto Err = checkProgram(P))
-      return CompilerError("internal error after " + Phase + ": " +
-                           Err.getError().Message);
-    return MaybeError::success();
-  };
-  // Each pass boundary: optional test-only corruption hook, the cheap
-  // structural recheck, then the type-rederiving verifier.
+  // Each pass boundary: optional test-only corruption hook, then the
+  // type-rederiving verifier.
   auto AfterPass = [&](const std::string &Pass,
                        bool Flattened) -> MaybeError {
     if (Opts.PostPassHook)
       Opts.PostPassHook(P, Pass);
-    if (auto Err = Recheck(Pass))
-      return Err;
     if (!Opts.VerifyIR)
       return MaybeError::success();
     trace::ScopedSpan Span("verify:" + Pass, "compiler");

@@ -36,13 +36,11 @@ struct CompilerOptions {
   bool Inline = true;
   bool EnableFusion = true;
   bool ExtractKernels = true;
-  /// Re-run the IR consistency checker after every phase (cheap; catches
-  /// pass bugs before they reach the simulator).
-  bool InternalChecks = true;
   /// Run the type-rederiving IR verifier (check/Verify.h) after every
-  /// pass; violations abort compilation with an ErrorKind::Verify
-  /// diagnostic naming the pass and the offending binding.  The --verify-ir
-  /// flag; on by default so tests and CI always compile under it.
+  /// pass, the only pass-boundary IR check; violations abort compilation
+  /// with an ErrorKind::Verify diagnostic naming the pass and the offending
+  /// binding.  The --verify-ir flag; on by default so tests and CI always
+  /// compile under it.
   bool VerifyIR = true;
 
   /// Run the static memory planner after locality and verify the plan

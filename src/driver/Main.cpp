@@ -30,6 +30,7 @@
 #include "interp/Interp.h"
 #include "ir/Printer.h"
 #include "parser/Desugar.h"
+#include "support/Utils.h"
 #include "trace/Trace.h"
 
 #include <cstdio>
@@ -170,22 +171,8 @@ int main(int argc, char **argv) {
   gpusim::ResilienceParams RP;
   std::vector<std::string> RunArgs;
 
-  // Flags taking a numeric argument share parsing; returns false (after
-  // printing usage) when the argument is missing or malformed.
-  auto NumArg = [&](int &I, double &Out) {
-    if (++I >= argc)
-      return false;
-    try {
-      Out = std::stod(argv[I]);
-    } catch (...) {
-      return false;
-    }
-    return true;
-  };
-
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    double N = 0;
     if (Run) {
       RunArgs.push_back(A);
     } else if (A == "--dump-ir") {
@@ -224,19 +211,14 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (A == "--devices") {
-      if (!NumArg(I, N) || N < 1) {
+      if (++I >= argc || !parseNumArg(argv[I], Opts.Devices) ||
+          Opts.Devices < 1) {
         usage();
         return 2;
       }
-      Opts.Devices = static_cast<int>(N);
     } else if (A.rfind("--devices=", 0) == 0) {
-      try {
-        Opts.Devices = std::stoi(A.substr(strlen("--devices=")));
-      } catch (...) {
-        usage();
-        return 2;
-      }
-      if (Opts.Devices < 1) {
+      if (!parseNumArg(A.substr(strlen("--devices=")), Opts.Devices) ||
+          Opts.Devices < 1) {
         usage();
         return 2;
       }
@@ -269,47 +251,40 @@ int main(int argc, char **argv) {
       }
       DP.CostModelName = Name;
     } else if (A == "--device-mem") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], DP.DeviceMemBytes)) {
         usage();
         return 2;
       }
-      DP.DeviceMemBytes = static_cast<int64_t>(N);
     } else if (A == "--watchdog") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], DP.WatchdogKernelCycles)) {
         usage();
         return 2;
       }
-      DP.WatchdogKernelCycles = N;
     } else if (A == "--watchdog-total") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], DP.WatchdogTotalCycles)) {
         usage();
         return 2;
       }
-      DP.WatchdogTotalCycles = N;
     } else if (A == "--fault-rate") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], RP.Faults.LaunchFailRate)) {
         usage();
         return 2;
       }
-      RP.Faults.LaunchFailRate = N;
     } else if (A == "--corrupt-rate") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], RP.Faults.CorruptRate)) {
         usage();
         return 2;
       }
-      RP.Faults.CorruptRate = N;
     } else if (A == "--fault-seed") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], RP.Faults.Seed)) {
         usage();
         return 2;
       }
-      RP.Faults.Seed = static_cast<uint64_t>(N);
     } else if (A == "--max-retries") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], RP.MaxRetries)) {
         usage();
         return 2;
       }
-      RP.MaxRetries = static_cast<int>(N);
     } else if (A == "--no-fallback") {
       RP.InterpFallback = false;
     } else if (A == "--sync") {

@@ -17,12 +17,12 @@
 #include "fuzz/GradFuzz.h"
 
 #include "gpusim/CostModel.h"
+#include "support/Utils.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 
 using namespace fut;
@@ -65,15 +65,8 @@ void usage() {
 
 bool parseRange(const std::string &S, uint64_t &Lo, uint64_t &Hi) {
   size_t Dots = S.find("..");
-  if (Dots == std::string::npos)
-    return false;
-  try {
-    Lo = std::stoull(S.substr(0, Dots));
-    Hi = std::stoull(S.substr(Dots + 2));
-  } catch (...) {
-    return false;
-  }
-  return Lo <= Hi;
+  return Dots != std::string::npos && parseNumArg(S.substr(0, Dots), Lo) &&
+         parseNumArg(S.substr(Dots + 2), Hi) && Lo <= Hi;
 }
 
 } // namespace
@@ -93,11 +86,11 @@ int main(int argc, char **argv) {
     };
     if (A == "--seed") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, Lo)) {
         usage();
         return 2;
       }
-      Lo = Hi = std::stoull(V);
+      Hi = Lo;
     } else if (A == "--seed-range") {
       const char *V = Next();
       if (!V || !parseRange(V, Lo, Hi)) {
@@ -111,12 +104,11 @@ int main(int argc, char **argv) {
       }
     } else if (A == "--count") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, Hi)) {
         usage();
         return 2;
       }
       Lo = 1;
-      Hi = std::stoull(V);
     } else if (A == "--out") {
       const char *V = Next();
       if (!V) {
@@ -145,20 +137,16 @@ int main(int argc, char **argv) {
     } else if (A == "--devices" || A.rfind("--devices=", 0) == 0) {
       const char *V =
           A == "--devices" ? Next() : A.c_str() + strlen("--devices=");
-      try {
-        if (!V || (Devices = std::stoi(V)) < 1)
-          throw std::invalid_argument("devices");
-      } catch (...) {
+      if (!V || !parseNumArg(V, Devices) || Devices < 1) {
         usage();
         return 2;
       }
     } else if (A == "--dump") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, DumpSeed) || DumpSeed < 0) {
         usage();
         return 2;
       }
-      DumpSeed = std::stoll(V);
     } else if (A == "-v") {
       Verbose = true;
     } else if (A == "--help" || A == "-h") {

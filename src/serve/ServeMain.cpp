@@ -25,6 +25,7 @@
 #include "interp/Interp.h"
 #include "parser/Desugar.h"
 #include "serve/Serve.h"
+#include "support/Utils.h"
 #include "trace/Trace.h"
 
 #include <cstdio>
@@ -134,56 +135,38 @@ int main(int argc, char **argv) {
   serve::ServeLimits Limits;
   uint64_t BaseSeed = 1;
 
-  auto NumArg = [&](int &I, double &Out) {
-    if (++I >= argc)
-      return false;
-    try {
-      Out = std::stod(argv[I]);
-    } catch (...) {
-      return false;
-    }
-    return true;
-  };
-
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    double N = 0;
     if (A == "--builtin") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], BuiltinN)) {
         usage();
         return 2;
       }
-      BuiltinN = static_cast<int>(N);
     } else if (A == "--requests") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], RequestsPerFile)) {
         usage();
         return 2;
       }
-      RequestsPerFile = static_cast<int>(N);
     } else if (A == "--arrival-gap") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], ArrivalGap)) {
         usage();
         return 2;
       }
-      ArrivalGap = N;
     } else if (A == "--queue-depth") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], SC.MaxQueueDepth)) {
         usage();
         return 2;
       }
-      SC.MaxQueueDepth = static_cast<size_t>(N);
     } else if (A == "--cache-entries") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], SC.MaxCacheEntries)) {
         usage();
         return 2;
       }
-      SC.MaxCacheEntries = static_cast<size_t>(N);
     } else if (A == "--compile-cycles") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], SC.CompileCycles)) {
         usage();
         return 2;
       }
-      SC.CompileCycles = N;
     } else if (A == "--device") {
       if (++I >= argc) {
         usage();
@@ -197,11 +180,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (A == "--device-mem") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], SC.Device.DeviceMemBytes)) {
         usage();
         return 2;
       }
-      SC.Device.DeviceMemBytes = static_cast<int64_t>(N);
     } else if (A == "--artifact-dir") {
       if (++I >= argc) {
         usage();
@@ -211,41 +193,35 @@ int main(int argc, char **argv) {
     } else if (A.rfind("--artifact-dir=", 0) == 0) {
       SC.ArtifactDir = A.substr(strlen("--artifact-dir="));
     } else if (A == "--deadline") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], Limits.DeadlineCycles)) {
         usage();
         return 2;
       }
-      Limits.DeadlineCycles = N;
     } else if (A == "--watchdog") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], Limits.WatchdogKernelCycles)) {
         usage();
         return 2;
       }
-      Limits.WatchdogKernelCycles = N;
     } else if (A == "--max-retries") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], Limits.MaxRetries)) {
         usage();
         return 2;
       }
-      Limits.MaxRetries = static_cast<int>(N);
     } else if (A == "--fault-rate") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], Limits.LaunchFailRate)) {
         usage();
         return 2;
       }
-      Limits.LaunchFailRate = N;
     } else if (A == "--corrupt-rate") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], Limits.CorruptRate)) {
         usage();
         return 2;
       }
-      Limits.CorruptRate = N;
     } else if (A == "--fault-seed") {
-      if (!NumArg(I, N)) {
+      if (++I >= argc || !parseNumArg(argv[I], BaseSeed)) {
         usage();
         return 2;
       }
-      BaseSeed = static_cast<uint64_t>(N);
     } else if (A == "--no-fallback") {
       Limits.AllowFallback = false;
     } else if (A == "--check") {

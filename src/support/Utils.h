@@ -5,17 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String-joining and hashing helpers shared across the compiler.
+/// String-joining, hashing and command-line number parsing helpers shared
+/// across the compiler and its tools.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FUTHARKCC_SUPPORT_UTILS_H
 #define FUTHARKCC_SUPPORT_UTILS_H
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace fut {
@@ -50,6 +58,37 @@ inline uint64_t fnv1a64(const std::string &S,
     H *= 0x100000001b3ULL;
   }
   return H;
+}
+
+/// Parses a numeric command-line argument into \p Out, strictly: the whole
+/// of \p S must be one finite number, with no surrounding text.  An
+/// integral \p Out also demands a whole value in its range; decimal digits
+/// are read exactly, and `1e9`-style doubles are accepted when they are
+/// whole.  On failure \p Out is left untouched.
+template <typename T> bool parseNumArg(const std::string &S, T &Out) {
+  const char *Begin = S.c_str(), *End = Begin + S.size();
+  if constexpr (std::is_integral_v<T>) {
+    T V;
+    auto [Ptr, Ec] = std::from_chars(Begin, End, V);
+    if (Ec == std::errc() && Ptr == End) {
+      Out = V;
+      return true;
+    }
+  }
+  if (S.empty() || std::isspace(static_cast<unsigned char>(S[0])))
+    return false;
+  char *Stop = nullptr;
+  errno = 0;
+  double D = std::strtod(Begin, &Stop);
+  if (Stop != End || errno == ERANGE || !std::isfinite(D))
+    return false;
+  if constexpr (std::is_integral_v<T>) {
+    const double Lim = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (D != std::floor(D) || D >= Lim || D < (std::is_signed_v<T> ? -Lim : 0))
+      return false;
+  }
+  Out = static_cast<T>(D);
+  return true;
 }
 
 /// A deterministic splitmix64-based PRNG used by tests and workload

@@ -16,6 +16,7 @@
 #include "tune/Tune.h"
 
 #include "gpusim/CostModel.h"
+#include "support/Utils.h"
 
 #include <cstdio>
 #include <cstring>
@@ -91,14 +92,13 @@ int main(int argc, char **argv) {
       O.Device.CostModelName = V;
     } else if (A == "--seed") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, O.Seed)) {
         usage();
         return 2;
       }
-      O.Seed = std::stoull(V);
     } else if (A == "--rounds") {
       const char *V = Next();
-      if (!V || (O.Rounds = std::stoi(V)) < 1) {
+      if (!V || !parseNumArg(V, O.Rounds) || O.Rounds < 1) {
         usage();
         return 2;
       }
@@ -111,18 +111,16 @@ int main(int argc, char **argv) {
       JsonPath = V;
     } else if (A == "--min-wins") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, MinWins)) {
         usage();
         return 2;
       }
-      MinWins = std::stoi(V);
     } else if (A == "--min-improvement") {
       const char *V = Next();
-      if (!V) {
+      if (!V || !parseNumArg(V, MinImprovement)) {
         usage();
         return 2;
       }
-      MinImprovement = std::stod(V);
     } else if (A == "--list") {
       for (const auto &B : bench::allBenchmarks())
         printf("%s\n", B.Name.c_str());

@@ -39,7 +39,7 @@ class UniquenessChecker {
 public:
   explicit UniquenessChecker(const Program &P) : P(P) {}
 
-  MaybeError checkFun(const FunDef &F) {
+  MaybeError checkFunction(const FunDef &F) {
     UniqState St;
     NameSet NonUniqueParams;
     for (const Param &Prm : F.Params) {
@@ -502,7 +502,7 @@ private:
 
 public:
   MaybeError checkNonUniqueParamConsumption(const FunDef &F) {
-    // Re-run with tracking (already folded into checkFun via Consumable
+    // Re-run with tracking (already folded into checkFunction via Consumable
     // flags); kept for interface symmetry.
     return MaybeError::success();
   }
@@ -511,7 +511,7 @@ public:
 } // namespace
 
 MaybeError fut::checkFunUniqueness(const Program &P, const FunDef &F) {
-  return UniquenessChecker(P).checkFun(F);
+  return UniquenessChecker(P).checkFunction(F);
 }
 
 MaybeError fut::checkProgramUniqueness(const Program &P) {

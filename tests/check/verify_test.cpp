@@ -17,11 +17,16 @@
 #include "check/Verify.h"
 
 #include "driver/Compiler.h"
+#include "fuzz/Fuzz.h"
 #include "ir/Builder.h"
 #include "parser/Desugar.h"
+#include "support/Utils.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <set>
 
 using namespace fut;
 using namespace fut::test;
@@ -29,6 +34,50 @@ using namespace fut::test;
 namespace {
 
 Type i32s() { return Type::scalar(ScalarKind::I32); }
+
+/// Verifies a hand-built malformed program and expects an ErrorKind::Verify
+/// diagnostic whose message contains \p Needle.
+void expectRejected(const Program &P, const std::string &Needle) {
+  auto Err = verifyProgram(P, "test-pass", {});
+  ASSERT_TRUE(static_cast<bool>(Err)) << "malformed program verified";
+  EXPECT_EQ(Err.getError().Kind, ErrorKind::Verify) << Err.getError().str();
+  EXPECT_NE(Err.getError().Message.find(Needle), std::string::npos)
+      << Err.getError().str();
+}
+
+/// Plants corruption number \p Kind in \p B, choosing the site from
+/// \p Pick: 0 returns a fresh never-bound name, 1 re-binds an earlier
+/// statement's name in a later statement, 2 drops the last name of a
+/// pattern.  Returns false when \p B has no site for that corruption.
+/// CorruptionNeedles[Kind] is what the verifier's diagnostic must say.
+const char *const CorruptionNeedles[] = {"unbound", "bound twice", "arity"};
+bool plantCorruption(Body &B, uint64_t Kind, uint64_t Pick,
+                     NameSource &Names) {
+  std::vector<Stm *> Bound;
+  for (Stm &S : B.Stms)
+    if (!S.Pat.empty())
+      Bound.push_back(&S);
+  switch (Kind) {
+  case 0:
+    if (B.Result.empty())
+      return false;
+    B.Result[Pick % B.Result.size()] = SubExp::var(Names.fresh("planted"));
+    return true;
+  case 1: {
+    if (Bound.size() < 2)
+      return false;
+    size_t Later = 1 + Pick % (Bound.size() - 1);
+    size_t Earlier = (Pick / Bound.size()) % Later;
+    Bound[Later]->Pat[0].Name = Bound[Earlier]->Pat[0].Name;
+    return true;
+  }
+  default:
+    if (Bound.empty())
+      return false;
+    Bound[Pick % Bound.size()]->Pat.pop_back();
+    return true;
+  }
+}
 
 } // namespace
 
@@ -44,31 +93,40 @@ TEST(VerifyTest, AcceptsFrontendOutput) {
 
 TEST(VerifyTest, AcceptsWholePipelineOutput) {
   // compileSource already verifies after every pass (VerifyIR defaults
-  // on); additionally verify the final flattened program explicitly.
-  NameSource NS;
-  auto C = compileSource(
+  // on); additionally verify the final flattened program explicitly, for a
+  // loop nest and for a stream_red with an in-place accumulator.
+  const char *Sources[] = {
       "fun main (a: [n][m]f32) (steps: i32): [n][m]f32 =\n"
       "  map (\\(row: [m]f32): [m]f32 ->\n"
       "         loop (r = row) for t < steps do\n"
       "           map (\\(x: f32): f32 -> x * 0.5) r)\n"
       "      a",
-      NS);
-  ASSERT_OK(C);
-  VerifyOptions VO;
-  VO.Flattened = true;
-  auto Err = verifyProgram(C->P, "final", VO);
-  EXPECT_FALSE(static_cast<bool>(Err)) << Err.getError().str();
+      "fun main (k: i32) (n: i32) (membership: [n]i32): [k]i32 =\n"
+      "  stream_red (map (+))\n"
+      "    (\\(acc: *[k]i32) (chunk: [chunksize]i32): [k]i32 ->\n"
+      "       loop (acc) for i < chunksize do\n"
+      "         let cl = chunk[i]\n"
+      "         in acc with [cl] <- acc[cl] + 1)\n"
+      "    (replicate k 0) membership",
+  };
+  for (const char *Src : Sources) {
+    NameSource NS;
+    auto C = compileSource(Src, NS);
+    ASSERT_OK(C);
+    VerifyOptions VO;
+    VO.Flattened = true;
+    auto Err = verifyProgram(C->P, "final", VO);
+    EXPECT_FALSE(static_cast<bool>(Err)) << Err.getError().str();
+  }
 }
 
 TEST(VerifyTest, BrokenRewriteCaughtAtPassBoundaryWithBindingName) {
   // Corrupt the program right after the simplify pass: re-declare the
   // first binding of main at the wrong rank.  The verifier must fail
   // compilation with an ErrorKind::Verify diagnostic naming both the pass
-  // and the binding.  Structural checks are disabled so the verifier is
-  // provably the layer that catches it.
+  // and the binding.
   NameSource NS;
   CompilerOptions Opts;
-  Opts.InternalChecks = false;
   std::string Corrupted;
   Opts.PostPassHook = [&](Program &P, const std::string &Pass) {
     if (Pass != "simplify" || !Corrupted.empty())
@@ -107,6 +165,128 @@ TEST(VerifyTest, DanglingOperandNamesTheBinding) {
       << Err.getError().str();
   EXPECT_NE(Err.getError().Message.find(R.str()), std::string::npos)
       << Err.getError().str();
+}
+
+TEST(VerifyTest, SeededCorruptionsCaughtAtEveryPassBoundary) {
+  // For each fuzz seed, plant one seeded corruption in main at one seeded
+  // boundary of the default pipeline (frontend through locality: eight
+  // boundaries) and demand that compilation fails right there with an
+  // ErrorKind::Verify diagnostic naming that pass and the corruption.
+  // Seeds whose chosen site does not exist (say, a one-statement body)
+  // plant nothing and must compile cleanly.
+  constexpr uint64_t Seeds = 300;
+  constexpr uint64_t Boundaries = 8;
+  int Applicable = 0;
+  std::set<std::string> PassesHit;
+  std::set<uint64_t> KindsHit;
+  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+    SplitMix64 Rng(Seed);
+    uint64_t Target = Rng.nextBelow(Boundaries);
+    uint64_t Kind = Rng.nextBelow(3);
+    uint64_t Pick = Rng.next();
+    NameSource NS;
+    CompilerOptions Opts;
+    uint64_t Boundary = 0;
+    std::string PlantedAt;
+    Opts.PostPassHook = [&](Program &P, const std::string &Pass) {
+      if (Boundary++ != Target)
+        return;
+      FunDef *F = P.findFun("main");
+      if (F && plantCorruption(F->FBody, Kind, Pick, NS))
+        PlantedAt = Pass;
+    };
+    auto C = compileSource(fuzz::generate(Seed).Source, NS, Opts);
+    ASSERT_GT(Boundary, Target) << "seed " << Seed << ": boundary unreached";
+    if (PlantedAt.empty()) {
+      EXPECT_TRUE(static_cast<bool>(C)) << "seed " << Seed << ": "
+                                        << C.getError().str();
+      continue;
+    }
+    ++Applicable;
+    PassesHit.insert(PlantedAt);
+    KindsHit.insert(Kind);
+    ASSERT_FALSE(static_cast<bool>(C))
+        << "seed " << Seed << ": corruption " << Kind << " planted after '"
+        << PlantedAt << "' got through";
+    EXPECT_EQ(C.getError().Kind, ErrorKind::Verify)
+        << "seed " << Seed << ": " << C.getError().str();
+    for (std::string Needle :
+         {"after pass '" + PlantedAt + "'",
+          std::string(CorruptionNeedles[Kind])})
+      EXPECT_NE(C.getError().Message.find(Needle), std::string::npos)
+          << "seed " << Seed << ": " << C.getError().str();
+  }
+  std::printf("planted a corruption in %d of %d seeds\n", Applicable,
+              static_cast<int>(Seeds));
+  EXPECT_GE(Applicable, 200);
+  EXPECT_EQ(PassesHit.size(), Boundaries);
+  EXPECT_EQ(KindsHit.size(), 3u);
+}
+
+TEST(VerifyTest, DoubleBindingDetected) {
+  NameSource NS;
+  VName X = NS.fresh("x");
+  BodyBuilder BB(NS);
+  BB.append({Param(X, i32s())}, subExpE(i32(1)));
+  BB.append({Param(X, i32s())}, subExpE(i32(2)));
+  expectRejected(singleFun({}, {i32s()}, BB.finish({SubExp::var(X)})),
+                 "bound twice");
+}
+
+TEST(VerifyTest, PatternArityMismatchDetected) {
+  NameSource NS;
+  VName C = NS.fresh("c");
+  BodyBuilder TB(NS), EB(NS), BB(NS);
+  Body Then = TB.finish({i32(1), i32(2)});
+  Body Else = EB.finish({i32(3), i32(4)});
+  // The if produces two values but the pattern binds one.
+  VName R = NS.fresh("r");
+  BB.append({Param(R, i32s())},
+            std::make_unique<IfExp>(SubExp::var(C), std::move(Then),
+                                    std::move(Else),
+                                    std::vector<Type>{i32s(), i32s()}));
+  expectRejected(singleFun({Param(C, Type::scalar(ScalarKind::Bool))},
+                           {i32s()}, BB.finish({SubExp::var(R)})),
+                 "arity");
+}
+
+TEST(VerifyTest, BadPermutationDetected) {
+  NameSource NS;
+  VName A = NS.fresh("a");
+  Type Sq = Type::array(ScalarKind::I32, {i32(2), i32(2)});
+  BodyBuilder BB(NS);
+  VName T = BB.bind("t", Sq,
+                    std::make_unique<RearrangeExp>(std::vector<int>{0, 0},
+                                                   A));
+  expectRejected(singleFun({Param(A, Sq)}, {Sq}, BB.finish({SubExp::var(T)})),
+                 "permutation");
+}
+
+TEST(VerifyTest, ScalarUsedAsArrayDetected) {
+  NameSource NS;
+  VName X = NS.fresh("x");
+  BodyBuilder BB(NS);
+  SubExp R = BB.index(X, {i32(0)}, i32s());
+  expectRejected(singleFun({Param(X, i32s())}, {i32s()}, BB.finish({R})),
+                 "scalar");
+}
+
+TEST(VerifyTest, ReduceOperatorArityDetected) {
+  NameSource NS;
+  VName Xs = NS.fresh("xs");
+  BodyBuilder BB(NS);
+  // A reduce whose operator takes one parameter instead of two.
+  VName P1 = NS.fresh("p");
+  BodyBuilder LB(NS);
+  Lambda Bad({Param(P1, i32s())}, LB.finish({SubExp::var(P1)}), {i32s()});
+  VName R = BB.bind("r", i32s(),
+                    std::make_unique<ReduceExp>(
+                        i32(4), std::move(Bad), std::vector<SubExp>{i32(0)},
+                        std::vector<VName>{Xs}));
+  expectRejected(
+      singleFun({Param(Xs, Type::array(ScalarKind::I32, {i32(4)}))},
+                {i32s()}, BB.finish({SubExp::var(R)})),
+      "parameters");
 }
 
 TEST(VerifyTest, ConsumedArrayObservedAgainDetected) {

@@ -98,7 +98,6 @@ TEST(ArtifactHash, CacheKeyIgnoresVerificationToggles) {
   // produces: toggling it must not split the cache.
   CompilerOptions NoVerify = Base;
   NoVerify.VerifyIR = false;
-  NoVerify.InternalChecks = false;
   EXPECT_EQ(KBase, artifactCacheKey(kPinned, NoVerify));
 }
 

@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sys/wait.h>
+
 using namespace fut;
 using namespace fut::test;
 
@@ -34,7 +38,30 @@ int countKernelsIn(const Body &B) {
   return N;
 }
 
+/// Runs the futharkcc binary with \p Args, discarding its output, and
+/// returns its exit code.
+int runCli(const std::string &Args) {
+  std::string Cmd =
+      std::string(FUTHARKCC_BIN) + " " + Args + " >/dev/null 2>&1";
+  int Status = std::system(Cmd.c_str());
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
 } // namespace
+
+TEST(DriverCliTest, MalformedNumericFlagsAreUsageErrors) {
+  std::string Prog = testing::TempDir() + "cli_inc.fut";
+  std::ofstream(Prog) << "fun main (x: i32): i32 = x + 1\n";
+  // Well-formed values run; an integer flag also takes 1e9-style doubles.
+  EXPECT_EQ(runCli("--device-mem 1e9 --devices 2 " + Prog + " --run 3"), 0);
+  EXPECT_EQ(runCli("--devices=2 --max-retries 3 " + Prog + " --run 3"), 0);
+  // Trailing text, and a fraction or sign an integer flag cannot hold,
+  // are usage errors.
+  for (const char *Bad : {"--device-mem 12abc", "--devices=2x",
+                          "--devices 2.9", "--max-retries 1.5",
+                          "--fault-rate 0.1x", "--fault-seed -1"})
+    EXPECT_EQ(runCli(std::string(Bad) + " " + Prog + " --run 3"), 2) << Bad;
+}
 
 TEST(DriverTest, FrontendErrorsPropagate) {
   NameSource NS;
@@ -122,9 +149,10 @@ TEST(DriverTest, AllConfigurationsAgreeSemantically) {
   }
 }
 
-TEST(DriverTest, InternalChecksCatchMalformedPasses) {
+TEST(DriverTest, VerifierCatchesMalformedPasses) {
   // Simulate a buggy pass by compiling, mangling the program, and
-  // re-entering the pipeline: the re-check must fire.
+  // re-entering the pipeline: the verifier must fire at the first
+  // boundary.
   NameSource NS;
   auto C = compileSource("fun main (x: i32): i32 = x + 1", NS);
   ASSERT_OK(C);
@@ -133,7 +161,8 @@ TEST(DriverTest, InternalChecksCatchMalformedPasses) {
   // Reference a bogus name.
   P.Funs[0].FBody.Result = {SubExp::var(VName("bogus", 999999))};
   auto Again = compileProgram(std::move(P), NS);
-  EXPECT_ERR_CONTAINS(Again, "internal error");
+  EXPECT_ERR_CONTAINS(Again, "after pass 'frontend'");
+  EXPECT_EQ(Again.getError().Kind, ErrorKind::Verify);
 }
 
 TEST(DriverTest, MultiFunctionProgramsInlineAndCompile) {

@@ -6,7 +6,7 @@
 
 #include "opt/Simplify.h"
 
-#include "check/Check.h"
+#include "check/Verify.h"
 #include "interp/Interp.h"
 #include "ir/Printer.h"
 #include "ir/Traversal.h"
@@ -321,7 +321,7 @@ TEST(SimplifyTest, CSEKeepsExistentialDimsBound) {
                       "  in s0 + s1",
                       NS);
   simplifyProgram(P, NS);
-  auto Err = checkProgram(P);
+  auto Err = verifyProgram(P, "simplify");
   EXPECT_FALSE(static_cast<bool>(Err)) << Err.getError().str();
   // The two concats merged into one; nothing dangles.
   EXPECT_EQ(countExps(P.Funs[0].FBody, ExpKind::Concat), 1);
