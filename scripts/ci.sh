@@ -47,6 +47,15 @@ rc=0
   --run >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "--device-mem 12abc exited $rc, want 2"; exit 1; }
 
+echo "== oracle hygiene: the kernel simulator shares no code with the interpreter =="
+# The reference interpreter is the oracle the simulator is checked
+# against, so KernelSim must not reach it, not even through a header.
+if ${CXX:-c++} -std=c++20 -Isrc -MM src/gpusim/KernelSim.cpp |
+    grep -q 'interp/Interp\.h'; then
+  echo "src/gpusim/KernelSim.cpp includes interp/Interp.h"
+  exit 1
+fi
+
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 # A deterministic 3000-program sweep through the full pipeline (with the
 # IR verifier, the only pass-boundary IR check, enabled after every pass)
@@ -244,13 +253,13 @@ echo "== histogram leg: lowering switch, atomic accounting, contention =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   -R 'HistLoweringTest|HistFaultsTest|ShardPlanGolden'
 # The default fuzz sweeps above exercise reduce_by_index under the local
-# lowering; these two re-run the corpus with the global-atomic strategy
-# forced (threshold 0), alone and through the two-device sharded path
-# with partial-histogram merges.  Bit-identical to the interpreter on
+# lowering; these two re-run the 3000-seed corpus with the global-atomic
+# strategy forced (threshold 0), alone and through the two-device sharded
+# path with partial-histogram merges.  Bit-identical to the interpreter on
 # every seed.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..150 --hist-global \
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --hist-global \
   --out "$BUILD_DIR"/fuzz-failures-hist
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..150 --hist-global \
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --hist-global \
   --devices 2 --out "$BUILD_DIR"/fuzz-failures-hist-shard
 # bench_histogram exits 1 itself unless the CGO'20 shapes verify against
 # the interpreter and beat their reference baselines, conflicts fall
@@ -294,12 +303,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   -R 'CostModelTest|TuneTest'
 # Differential fuzz with the pipeline model charged: whatever prices the
 # cycles, outputs stay bit-identical to the reference interpreter.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..300 \
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 \
   --cost-model pipeline --out "$BUILD_DIR"/fuzz-failures-pipeline
-# Cross-model agreement oracle over 150 seeds: both models on the same
+# Cross-model agreement oracle over 3000 seeds: both models on the same
 # compiled artifact must produce bit-identical outputs and exactly equal
 # model-independent counters (traffic, atomics, coalescing split).
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..150 --cross-model \
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --cross-model \
   --out "$BUILD_DIR"/fuzz-failures-crossmodel
 # bench_costmodel runs the sixteen-benchmark suite under both models,
 # asserts output/counter agreement per benchmark, and records the E16

@@ -7,6 +7,7 @@
 #include "fuzz/GradFuzz.h"
 
 #include "driver/Compiler.h"
+#include "interp/Interp.h"
 #include "parser/Desugar.h"
 #include "support/Utils.h"
 

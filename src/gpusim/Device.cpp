@@ -9,7 +9,9 @@
 #include "gpusim/BufferManager.h"
 #include "gpusim/CostModel.h"
 #include "gpusim/DeviceGroup.h"
+#include "gpusim/KernelSim.h"
 #include "gpusim/Timeline.h"
+#include "interp/Interp.h"
 #include "ir/Printer.h"
 #include "ir/Builder.h"
 #include "ir/Traversal.h"
@@ -89,1386 +91,6 @@ std::string CostReport::str() const {
   }
   return OS.str();
 }
-
-#define FUT_TRY(VAR, EXPR)                                                     \
-  auto VAR##OrErr = (EXPR);                                                    \
-  if (!VAR##OrErr)                                                             \
-    return VAR##OrErr.getError();                                              \
-  auto VAR = VAR##OrErr.take();
-
-#define FUT_CHECK(EXPR)                                                        \
-  do {                                                                         \
-    if (auto Err = (EXPR))                                                     \
-      return Err.getError();                                                   \
-  } while (false)
-
-namespace {
-
-int64_t elemBytes(ScalarKind K) {
-  switch (K) {
-  case ScalarKind::Bool:
-    return 1;
-  case ScalarKind::I32:
-  case ScalarKind::F32:
-    return 4;
-  case ScalarKind::I64:
-  case ScalarKind::F64:
-    return 8;
-  }
-  return 4;
-}
-
-/// A view into a global input array: the input index plus leading indices
-/// already applied, and an optional slice of the next dimension.
-struct GlobalView {
-  int InputIdx = -1;
-  std::vector<int64_t> Prefix;
-  int64_t SliceOff = 0;
-  bool Sliced = false;
-  int64_t SliceLen = 0;
-  int64_t SliceStride = 1;
-};
-
-/// A thread-local value: either an ordinary Value (private memory /
-/// registers) or a view of global memory.
-struct TValue {
-  bool IsView = false;
-  Value V;
-  GlobalView View;
-
-  TValue() = default;
-  TValue(Value V) : V(std::move(V)) {}
-  static TValue view(GlobalView G) {
-    TValue T;
-    T.IsView = true;
-    T.View = std::move(G);
-    return T;
-  }
-};
-
-using TEnv = NameMap<TValue>;
-
-/// Simulates one kernel launch: executes every thread, tracks per-warp
-/// global-memory coalescing, and produces the kernel's result values.
-class KernelSim {
-  const DeviceParams &P;
-  const KernelExp &K;
-  const NameMap<Value> &HostEnv;
-  CostReport &Cost;
-
-  std::vector<Value> InputVals;
-  std::vector<uint64_t> InputBase;
-  std::vector<bool> InputTiled;
-  std::vector<std::vector<int>> InputPerm;
-
-  /// The current thread's global access trace (addresses, in order).
-  std::vector<uint64_t> *Trace = nullptr;
-
-  /// Warp-level execution profile (CostModel.h), collected as warps
-  /// retire; model-independent, so it is gathered unconditionally.
-  KernelProfile Prof;
-  /// ComputeOps snapshot at each open lane's start; lane op counts are
-  /// the snapshot deltas (threads run sequentially, so the ops charged
-  /// between two lane starts belong to the earlier lane).
-  std::vector<int64_t> LaneOpsStart;
-
-  int ReduceFnOps = 0;
-
-  /// Remaining device-memory budget for this kernel's results, in bytes;
-  /// negative means unlimited.  Checked as results materialise so a
-  /// runaway kernel fails with DeviceOOM instead of growing host vectors
-  /// unboundedly.
-  int64_t OutBudgetBytes = -1;
-  int64_t OutBytesSoFar = 0;
-
-  /// Sharded launch window over the outer grid dimension; OuterCount < 0
-  /// means the whole grid (the single-device default).
-  int64_t OuterOffset = 0;
-  int64_t OuterCount = -1;
-
-public:
-  KernelSim(const DeviceParams &P, const KernelExp &K,
-            const NameMap<Value> &HostEnv, CostReport &Cost,
-            int64_t OutBudgetBytes = -1)
-      : P(P), K(K), HostEnv(HostEnv), Cost(Cost),
-        OutBudgetBytes(OutBudgetBytes) {}
-
-  ErrorOr<std::vector<Value>> run();
-
-  /// Restricts this launch to outer-grid indices [Off, Off + Count) of a
-  /// sharded kernel.  Thread-index values and output-write addresses stay
-  /// global (so coalescing behaves as on the real shard), but only the
-  /// local rows are simulated and materialised — the caller concatenates
-  /// the per-device results along the outer dimension.
-  void setOuterRange(int64_t Off, int64_t Count) {
-    OuterOffset = Off;
-    OuterCount = Count;
-  }
-
-  /// Bytes of results this launch materialised (valid after run()).
-  int64_t outBytes() const { return OutBytesSoFar; }
-
-  /// Warp-level execution profile of this launch (valid after run()).
-  const KernelProfile &profile() const { return Prof; }
-
-private:
-  //===-- Setup -----------------------------------------------------------===//
-
-  MaybeError resolveInputs() {
-    uint64_t Base = 1ULL << 40;
-    for (const KernelExp::KInput &In : K.Inputs) {
-      auto It = HostEnv.find(In.Arr);
-      if (It == HostEnv.end())
-        return CompilerError("kernel input " + In.Arr.str() +
-                             " is not bound on the host");
-      InputVals.push_back(It->second);
-      InputBase.push_back(Base);
-      Base += static_cast<uint64_t>(It->second.numElems() + 64) *
-              elemBytes(It->second.elemKind());
-      InputTiled.push_back(In.Tiled);
-      InputPerm.push_back(In.LayoutPerm);
-    }
-    return MaybeError::success();
-  }
-
-  ErrorOr<int64_t> resolveInt(const SubExp &S) const {
-    if (S.isConst())
-      return S.getConst().asInt64();
-    auto It = HostEnv.find(S.getVar());
-    if (It == HostEnv.end())
-      return CompilerError("kernel size " + S.getVar().str() +
-                           " is not bound on the host");
-    return It->second.getScalar().asInt64();
-  }
-
-  //===-- Global memory ---------------------------------------------------===//
-
-  const Value &inputOf(const GlobalView &G) const {
-    return InputVals[G.InputIdx];
-  }
-
-  std::vector<int64_t> viewShape(const GlobalView &G) const {
-    const Value &In = inputOf(G);
-    std::vector<int64_t> Shape(In.shape().begin() + G.Prefix.size(),
-                               In.shape().end());
-    if (G.Sliced && !Shape.empty())
-      Shape[0] = G.SliceLen;
-    return Shape;
-  }
-
-  /// Reads one element of a view (full index), charging the access.
-  ErrorOr<PrimValue> readView(const GlobalView &G,
-                              const std::vector<int64_t> &Idx) {
-    const Value &In = inputOf(G);
-    std::vector<int64_t> Full = G.Prefix;
-    bool First = true;
-    for (int64_t I : Idx) {
-      Full.push_back(First && G.Sliced ? I * G.SliceStride + G.SliceOff
-                                       : I);
-      First = false;
-    }
-    if (!In.inBounds(Full))
-      return CompilerError("global read out of bounds");
-    chargeGlobal(G.InputIdx, Full, In);
-    return In.at(Full);
-  }
-
-  void chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
-                    const Value &In) {
-    if (InputTiled[InputIdx]) {
-      ++Cost.LocalAccesses;
-      ++Cost.TiledElementTouches;
-      Cost.TiledElementBytes += elemBytes(In.elemKind());
-      return;
-    }
-    // Storage address under the layout permutation.
-    const std::vector<int> &Perm = InputPerm[InputIdx];
-    uint64_t Off = 0;
-    if (Perm.size() == Full.size()) {
-      for (size_t D = 0; D < Perm.size(); ++D)
-        Off = Off * static_cast<uint64_t>(In.shape()[Perm[D]]) +
-              static_cast<uint64_t>(Full[Perm[D]]);
-    } else {
-      Off = static_cast<uint64_t>(In.flatIndex(Full));
-    }
-    uint64_t Addr =
-        InputBase[InputIdx] + Off * elemBytes(In.elemKind());
-    ++Cost.GlobalAccesses;
-    if (Trace)
-      Trace->push_back(Addr);
-  }
-
-  /// Charges a synthetic global write (kernel outputs).
-  void chargeWrite(uint64_t Addr) {
-    ++Cost.GlobalAccesses;
-    if (Trace)
-      Trace->push_back(Addr);
-  }
-
-  /// Accounts one materialised result value against the device-memory
-  /// budget.  Scalars count as one element: per-thread scalar results are
-  /// exactly the elements of the assembled output array, so the running
-  /// total matches the final outputs' footprint.
-  MaybeError chargeOutput(const Value &V) {
-    OutBytesSoFar += V.numElems() * elemBytes(V.elemKind());
-    if (OutBudgetBytes < 0)
-      return MaybeError::success();
-    if (OutBytesSoFar > OutBudgetBytes)
-      return CompilerError::deviceOOM(
-          "device out of memory materialising kernel results: " +
-          std::to_string(OutBytesSoFar) + " bytes needed, " +
-          std::to_string(OutBudgetBytes) + " free");
-    return MaybeError::success();
-  }
-
-  /// Charges \p N accesses to a thread-private array of \p ArrElems
-  /// elements.  Arrays too large for registers/private memory spill to
-  /// global memory with poor locality (roughly one transaction per two
-  /// accesses).
-  void chargePrivate(int64_t N, int64_t ArrElems) {
-    if (ArrElems > P.PrivateSpillElems) {
-      Cost.GlobalAccesses += N;
-      // Spilled traffic is address-scattered by construction.
-      Cost.GlobalTransactions += (N + 1) / 2;
-      Cost.ScatteredTransactions += (N + 1) / 2;
-      return;
-    }
-    Cost.PrivateAccesses += N;
-  }
-
-  /// Materialises a view into private memory, charging all reads.
-  ErrorOr<Value> force(const TValue &T) {
-    if (!T.IsView)
-      return T.V;
-    const GlobalView &G = T.View;
-    std::vector<int64_t> Shape = viewShape(G);
-    int64_t N = 1;
-    for (int64_t D : Shape)
-      N *= D;
-    if (Shape.empty()) {
-      FUT_TRY(V, readView(G, {}));
-      return Value::scalar(V);
-    }
-    std::vector<PrimValue> Data;
-    Data.reserve(N);
-    std::vector<int64_t> Idx(Shape.size(), 0);
-    for (int64_t F = 0; F < N; ++F) {
-      FUT_TRY(V, readView(G, Idx));
-      Data.push_back(V);
-      for (int D = static_cast<int>(Shape.size()) - 1; D >= 0; --D) {
-        if (++Idx[D] < Shape[D])
-          break;
-        Idx[D] = 0;
-      }
-    }
-    Cost.PrivateAccesses += N;
-    return Value::array(inputOf(G).elemKind(), std::move(Shape),
-                        std::move(Data));
-  }
-
-  //===-- Thread evaluation ------------------------------------------------===//
-
-  ErrorOr<TValue> evalSubExp(const SubExp &S, const TEnv &Env) {
-    if (S.isConst())
-      return TValue(Value::scalar(S.getConst()));
-    auto It = Env.find(S.getVar());
-    if (It != Env.end())
-      return It->second;
-    auto H = HostEnv.find(S.getVar());
-    if (H != HostEnv.end())
-      return TValue(H->second);
-    return CompilerError("unbound variable " + S.getVar().str() +
-                         " in kernel");
-  }
-
-  ErrorOr<PrimValue> evalScalar(const SubExp &S, const TEnv &Env) {
-    FUT_TRY(T, evalSubExp(S, Env));
-    if (T.IsView)
-      return CompilerError("expected a scalar, found a view");
-    if (!T.V.isScalar())
-      return CompilerError("expected a scalar");
-    return T.V.getScalar();
-  }
-
-  ErrorOr<std::vector<TValue>> evalBody(const Body &B, TEnv Env) {
-    for (const Stm &S : B.Stms) {
-      FUT_TRY(Vals, evalExp(*S.E, Env));
-      if (Vals.size() != S.Pat.size())
-        return CompilerError("pattern arity mismatch in kernel body");
-      for (size_t I = 0; I < Vals.size(); ++I)
-        Env[S.Pat[I].Name] = std::move(Vals[I]);
-    }
-    std::vector<TValue> Out;
-    for (const SubExp &R : B.Result) {
-      FUT_TRY(V, evalSubExp(R, Env));
-      Out.push_back(std::move(V));
-    }
-    return Out;
-  }
-
-  ErrorOr<std::vector<Value>> evalLambdaT(const Lambda &L,
-                                          std::vector<Value> Args,
-                                          const TEnv &Env) {
-    TEnv Inner = Env;
-    if (Args.size() != L.Params.size())
-      return CompilerError("kernel lambda arity mismatch");
-    for (size_t I = 0; I < Args.size(); ++I)
-      Inner[L.Params[I].Name] = TValue(std::move(Args[I]));
-    FUT_TRY(Res, evalBody(L.B, std::move(Inner)));
-    std::vector<Value> Out;
-    for (TValue &T : Res) {
-      FUT_TRY(V, force(T));
-      Out.push_back(std::move(V));
-    }
-    return Out;
-  }
-
-  /// Reads row I of a (private or view) array value, charging reads.
-  ErrorOr<Value> rowOf(const TValue &T, int64_t I) {
-    if (T.IsView) {
-      GlobalView G = T.View;
-      int64_t Real = G.Sliced ? I * G.SliceStride + G.SliceOff : I;
-      G.Prefix.push_back(Real);
-      G.Sliced = false;
-      G.SliceStride = 1;
-      std::vector<int64_t> Shape = viewShape(G);
-      if (Shape.empty()) {
-        FUT_TRY(V, readView(G, {}));
-        return Value::scalar(V);
-      }
-      return force(TValue::view(G));
-    }
-    if (!T.V.isArray() || I < 0 || I >= T.V.outerSize())
-      return CompilerError("row read out of bounds in kernel");
-    chargePrivate(T.V.rowElems(), T.V.numElems());
-    return T.V.row(I);
-  }
-
-  ErrorOr<int64_t> outerSizeOf(const TValue &T) {
-    if (T.IsView) {
-      std::vector<int64_t> Shape = viewShape(T.View);
-      if (Shape.empty())
-        return CompilerError("scalar view has no outer size");
-      return Shape[0];
-    }
-    if (!T.V.isArray())
-      return CompilerError("scalar has no outer size");
-    return T.V.outerSize();
-  }
-
-  ErrorOr<std::vector<TValue>> evalExp(const Exp &E, TEnv &Env);
-
-  //===-- Per-kernel-kind driving ------------------------------------------===//
-
-  ErrorOr<std::vector<Value>> runThreadBody();
-  ErrorOr<std::vector<Value>> runSegmented();
-  ErrorOr<std::vector<Value>> runSegHist();
-
-  /// Opens a new lane of the current warp: snapshots the op counter so
-  /// the lane's compute work can be attributed at warp close.  Call
-  /// exactly once per WarpTraces lane.
-  void beginLane() { LaneOpsStart.push_back(Cost.ComputeOps); }
-
-  /// Merges the per-thread traces of one warp into transactions and
-  /// closes the warp's profile entry (issue slots after divergence
-  /// serialisation, coalescer-queue overflow).
-  void mergeWarp(std::vector<std::vector<uint64_t>> &WarpTraces) {
-    size_t MaxLen = 0;
-    for (const auto &T : WarpTraces)
-      MaxLen = std::max(MaxLen, T.size());
-    std::vector<uint64_t> Segs;
-    for (size_t I = 0; I < MaxLen; ++I) {
-      Segs.clear();
-      int64_t Lanes = 0;
-      for (const auto &T : WarpTraces)
-        if (I < T.size()) {
-          Segs.push_back(T[I] / static_cast<uint64_t>(P.SegmentBytes));
-          ++Lanes;
-        }
-      std::sort(Segs.begin(), Segs.end());
-      Segs.erase(std::unique(Segs.begin(), Segs.end()), Segs.end());
-      int64_t Tx = static_cast<int64_t>(Segs.size());
-      Cost.GlobalTransactions += Tx;
-      // A time-step whose accesses merged into fewer segments than active
-      // lanes coalesced; one segment per lane means no merging happened.
-      if (Tx < Lanes)
-        Cost.CoalescedTransactions += Tx;
-      else
-        Cost.ScatteredTransactions += Tx;
-      ++Prof.MemSteps;
-      Prof.CoalescerExcessTx +=
-          std::max<int64_t>(0, Tx - P.CoalescerQueueDepth);
-    }
-    for (auto &T : WarpTraces)
-      T.clear();
-
-    if (LaneOpsStart.empty())
-      return;
-    ++Prof.Warps;
-    int64_t MinOps = INT64_MAX, MaxOps = 0, SumOps = 0;
-    for (size_t I = 0; I < LaneOpsStart.size(); ++I) {
-      int64_t End = I + 1 < LaneOpsStart.size() ? LaneOpsStart[I + 1]
-                                                : Cost.ComputeOps;
-      int64_t Ops = End - LaneOpsStart[I];
-      MinOps = std::min(MinOps, Ops);
-      MaxOps = std::max(MaxOps, Ops);
-      SumOps += Ops;
-    }
-    Prof.LaneOps += SumOps;
-    // The converged prefix issues once warp-wide; the divergent remainder
-    // serialises per lane.  Uniform warps issue exactly MaxOps slots.
-    int64_t LaneCount = static_cast<int64_t>(LaneOpsStart.size());
-    Prof.WarpIssueOps += SumOps - (LaneCount - 1) * MinOps;
-    if (MaxOps != MinOps)
-      ++Prof.DivergentWarps;
-    LaneOpsStart.clear();
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// Thread-level expression evaluation
-//===----------------------------------------------------------------------===//
-
-ErrorOr<std::vector<TValue>> KernelSim::evalExp(const Exp &E, TEnv &Env) {
-  ++Cost.ComputeOps;
-
-  auto One = [](TValue V) {
-    std::vector<TValue> Out;
-    Out.push_back(std::move(V));
-    return Out;
-  };
-
-  switch (E.kind()) {
-  case ExpKind::SubExpE: {
-    FUT_TRY(V, evalSubExp(expCast<SubExpExp>(&E)->Val, Env));
-    return One(std::move(V));
-  }
-
-  case ExpKind::BinOpE: {
-    const auto *X = expCast<BinOpExp>(&E);
-    FUT_TRY(A, evalScalar(X->A, Env));
-    FUT_TRY(B, evalScalar(X->B, Env));
-    FUT_TRY(R, evalBinOp(X->Op, A, B));
-    return One(TValue(Value::scalar(R)));
-  }
-
-  case ExpKind::UnOpE: {
-    const auto *X = expCast<UnOpExp>(&E);
-    FUT_TRY(A, evalScalar(X->A, Env));
-    FUT_TRY(R, evalUnOp(X->Op, A));
-    return One(TValue(Value::scalar(R)));
-  }
-
-  case ExpKind::ConvOpE: {
-    const auto *X = expCast<ConvOpExp>(&E);
-    FUT_TRY(A, evalScalar(X->A, Env));
-    return One(TValue(Value::scalar(evalConvOp(X->Op, A))));
-  }
-
-  case ExpKind::If: {
-    const auto *X = expCast<IfExp>(&E);
-    FUT_TRY(C, evalScalar(X->Cond, Env));
-    return evalBody(C.getBool() ? X->Then : X->Else, Env);
-  }
-
-  case ExpKind::Index: {
-    const auto *X = expCast<IndexExp>(&E);
-    FUT_TRY(T, evalSubExp(SubExp::var(X->Arr), Env));
-    std::vector<int64_t> Idx;
-    for (const SubExp &S : X->Indices) {
-      FUT_TRY(I, evalScalar(S, Env));
-      Idx.push_back(I.asInt64());
-    }
-    if (T.IsView) {
-      GlobalView G = T.View;
-      // Apply indices one by one (the first may hit the slice window).
-      for (int64_t I : Idx) {
-        if (G.Sliced && (I < 0 || I >= G.SliceLen))
-          return CompilerError(E.Loc, "index out of slice bounds");
-        int64_t Real = G.Sliced ? I * G.SliceStride + G.SliceOff : I;
-        G.Prefix.push_back(Real);
-        G.Sliced = false;
-        G.SliceStride = 1;
-      }
-      if (G.Prefix.size() ==
-          static_cast<size_t>(inputOf(G).rank())) {
-        std::vector<int64_t> Full = G.Prefix;
-        G.Prefix.clear();
-        if (!inputOf(G).inBounds(Full))
-          return CompilerError(E.Loc, "global read out of bounds");
-        chargeGlobal(G.InputIdx, Full, inputOf(G));
-        return One(TValue(Value::scalar(inputOf(G).at(Full))));
-      }
-      return One(TValue::view(G));
-    }
-    if (!T.V.inBounds(Idx))
-      return CompilerError(E.Loc, "index out of bounds in kernel");
-    if (Idx.size() == T.V.shape().size()) {
-      chargePrivate(1, T.V.numElems());
-      return One(TValue(Value::scalar(T.V.at(Idx))));
-    }
-    Value Sliced = T.V.slice(Idx);
-    chargePrivate(Sliced.numElems(), T.V.numElems());
-    return One(TValue(std::move(Sliced)));
-  }
-
-  case ExpKind::Slice: {
-    const auto *X = expCast<SliceExp>(&E);
-    FUT_TRY(T, evalSubExp(SubExp::var(X->Arr), Env));
-    FUT_TRY(Off, evalScalar(X->Offset, Env));
-    FUT_TRY(Len, evalScalar(X->Len, Env));
-    FUT_TRY(Str, evalScalar(X->Stride, Env));
-    int64_t O = Off.asInt64(), L = Len.asInt64(), SS = Str.asInt64();
-    FUT_TRY(N, outerSizeOf(T));
-    if (O < 0 || L < 0 || SS <= 0 || (L > 0 && O + (L - 1) * SS >= N))
-      return CompilerError(E.Loc, "slice out of bounds in kernel");
-    if (T.IsView && !T.View.Sliced) {
-      GlobalView G = T.View;
-      G.SliceOff = O;
-      G.Sliced = true;
-      G.SliceLen = L;
-      G.SliceStride = SS;
-      return One(TValue::view(G));
-    }
-    FUT_TRY(V, force(T));
-    std::vector<int64_t> Shape = V.shape();
-    Shape[0] = L;
-    int64_t RowElems = V.rowElems();
-    std::vector<PrimValue> Data;
-    Data.reserve(L * RowElems);
-    for (int64_t I = 0; I < L; ++I) {
-      int64_t Row = O + I * SS;
-      Data.insert(Data.end(), V.flat().begin() + Row * RowElems,
-                  V.flat().begin() + (Row + 1) * RowElems);
-    }
-    chargePrivate(L * RowElems, V.numElems());
-    return One(TValue(Value::array(V.elemKind(), std::move(Shape),
-                                   std::move(Data))));
-  }
-
-  case ExpKind::Update: {
-    const auto *X = expCast<UpdateExp>(&E);
-    FUT_TRY(T, evalSubExp(SubExp::var(X->Arr), Env));
-    FUT_TRY(A, force(T));
-    Env.erase(X->Arr); // consumed; keeps the in-place update O(1)
-    std::vector<int64_t> Idx;
-    for (const SubExp &S : X->Indices) {
-      FUT_TRY(I, evalScalar(S, Env));
-      Idx.push_back(I.asInt64());
-    }
-    FUT_TRY(VT, evalSubExp(X->Value, Env));
-    FUT_TRY(V, force(VT));
-    if (!A.inBounds(Idx))
-      return CompilerError(E.Loc, "update out of bounds in kernel");
-    if (Idx.size() == A.shape().size()) {
-      A.flatMut()[A.flatIndex(Idx)] = V.getScalar();
-      chargePrivate(1, A.numElems());
-    } else {
-      int64_t Inner = V.numElems();
-      int64_t Off = 0;
-      for (size_t I = 0; I < Idx.size(); ++I)
-        Off = Off * A.shape()[I] + Idx[I];
-      Off *= Inner;
-      auto &Flat = A.flatMut();
-      for (int64_t I = 0; I < Inner; ++I)
-        Flat[Off + I] = V.flat()[I];
-      chargePrivate(Inner, A.numElems());
-    }
-    return One(TValue(std::move(A)));
-  }
-
-  case ExpKind::Iota: {
-    const auto *X = expCast<IotaExp>(&E);
-    FUT_TRY(N, evalScalar(X->N, Env));
-    int64_t Len = N.asInt64();
-    if (Len < 0)
-      return CompilerError(E.Loc, "iota of negative length");
-    std::vector<PrimValue> Data;
-    Data.reserve(Len);
-    for (int64_t I = 0; I < Len; ++I)
-      Data.push_back(X->Elem == ScalarKind::I64
-                         ? PrimValue::makeI64(I)
-                         : PrimValue::makeI32(static_cast<int32_t>(I)));
-    chargePrivate(Len, Len);
-    return One(TValue(Value::array(X->Elem, {Len}, std::move(Data))));
-  }
-
-  case ExpKind::Replicate: {
-    const auto *X = expCast<ReplicateExp>(&E);
-    FUT_TRY(N, evalScalar(X->N, Env));
-    int64_t Len = N.asInt64();
-    FUT_TRY(T, evalSubExp(X->Val, Env));
-    FUT_TRY(V, force(T));
-    if (Len < 0)
-      return CompilerError(E.Loc, "replicate of negative count");
-    Value Out;
-    if (V.isScalar()) {
-      Out = Value::filledArray(V.getScalar().kind(), {Len}, V.getScalar());
-    } else {
-      std::vector<int64_t> Shape;
-      Shape.push_back(Len);
-      Shape.insert(Shape.end(), V.shape().begin(), V.shape().end());
-      std::vector<PrimValue> Data;
-      Data.reserve(Len * V.numElems());
-      for (int64_t I = 0; I < Len; ++I)
-        Data.insert(Data.end(), V.flat().begin(), V.flat().end());
-      Out = Value::array(V.elemKind(), std::move(Shape), std::move(Data));
-    }
-    chargePrivate(Out.numElems(), Out.numElems());
-    return One(TValue(std::move(Out)));
-  }
-
-  case ExpKind::Rearrange: {
-    const auto *X = expCast<RearrangeExp>(&E);
-    FUT_TRY(T, evalSubExp(SubExp::var(X->Arr), Env));
-    FUT_TRY(A, force(T));
-    int Rank = A.rank();
-    std::vector<int64_t> NewShape(Rank);
-    for (int I = 0; I < Rank; ++I)
-      NewShape[I] = A.shape()[X->Perm[I]];
-    std::vector<PrimValue> Data(A.numElems());
-    std::vector<int64_t> OutIdx(Rank, 0), SrcIdx(Rank, 0);
-    for (int64_t F = 0; F < A.numElems(); ++F) {
-      for (int I = 0; I < Rank; ++I)
-        SrcIdx[X->Perm[I]] = OutIdx[I];
-      Data[F] = A.at(SrcIdx);
-      for (int I = Rank - 1; I >= 0; --I) {
-        if (++OutIdx[I] < NewShape[I])
-          break;
-        OutIdx[I] = 0;
-      }
-    }
-    chargePrivate(2 * A.numElems(), A.numElems());
-    return One(TValue(Value::array(A.elemKind(), std::move(NewShape),
-                                   std::move(Data))));
-  }
-
-  case ExpKind::Reshape: {
-    const auto *X = expCast<ReshapeExp>(&E);
-    FUT_TRY(T, evalSubExp(SubExp::var(X->Arr), Env));
-    FUT_TRY(A, force(T));
-    std::vector<int64_t> Shape;
-    for (const SubExp &S : X->NewShape) {
-      FUT_TRY(D, evalScalar(S, Env));
-      Shape.push_back(D.asInt64());
-    }
-    std::vector<PrimValue> Data = A.flat();
-    return One(TValue(Value::array(A.elemKind(), std::move(Shape),
-                                   std::move(Data))));
-  }
-
-  case ExpKind::Concat: {
-    const auto *X = expCast<ConcatExp>(&E);
-    std::vector<Value> Parts;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(T, evalSubExp(SubExp::var(N), Env));
-      FUT_TRY(V, force(T));
-      Parts.push_back(std::move(V));
-    }
-    FUT_TRY(R, concatValues(Parts));
-    chargePrivate(R.numElems(), R.numElems());
-    return One(TValue(std::move(R)));
-  }
-
-  case ExpKind::Copy: {
-    FUT_TRY(T, evalSubExp(SubExp::var(expCast<CopyExp>(&E)->Arr), Env));
-    FUT_TRY(V, force(T));
-    if (V.isArray()) {
-      chargePrivate(V.numElems(), V.numElems());
-      std::vector<PrimValue> Data = V.flat();
-      std::vector<int64_t> Shape = V.shape();
-      V = Value::array(V.elemKind(), std::move(Shape), std::move(Data));
-    }
-    return One(TValue(std::move(V)));
-  }
-
-  case ExpKind::Loop: {
-    const auto *X = expCast<LoopExp>(&E);
-    FUT_TRY(BoundV, evalScalar(X->Bound, Env));
-    int64_t Bound = BoundV.asInt64();
-    std::vector<TValue> Merge;
-    for (const SubExp &S : X->MergeInit) {
-      FUT_TRY(V, evalSubExp(S, Env));
-      Merge.push_back(std::move(V));
-    }
-    ScalarKind IK = BoundV.kind();
-    for (int64_t I = 0; I < Bound; ++I) {
-      TEnv Inner = Env;
-      Inner[X->IndexVar] = TValue(Value::scalar(
-          IK == ScalarKind::I64
-              ? PrimValue::makeI64(I)
-              : PrimValue::makeI32(static_cast<int32_t>(I))));
-      for (size_t J = 0; J < X->MergeParams.size(); ++J)
-        Inner[X->MergeParams[J].Name] = Merge[J];
-      FUT_TRY(Next, evalBody(X->LoopBody, std::move(Inner)));
-      Merge = std::move(Next);
-    }
-    return Merge;
-  }
-
-  case ExpKind::Map: {
-    const auto *X = expCast<MapExp>(&E);
-    FUT_TRY(WV, evalScalar(X->Width, Env));
-    int64_t W = WV.asInt64();
-    std::vector<TValue> Arrays;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(T, evalSubExp(SubExp::var(N), Env));
-      Arrays.push_back(std::move(T));
-    }
-    size_t NumRes = X->Fn.RetTypes.size();
-    std::vector<std::vector<Value>> Cols(NumRes);
-    for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args;
-      for (const TValue &A : Arrays) {
-        FUT_TRY(R, rowOf(A, I));
-        Args.push_back(std::move(R));
-      }
-      FUT_TRY(Res, evalLambdaT(X->Fn, std::move(Args), Env));
-      for (size_t J = 0; J < NumRes; ++J)
-        Cols[J].push_back(std::move(Res[J]));
-    }
-    std::vector<TValue> Out;
-    for (size_t J = 0; J < NumRes; ++J) {
-      if (W == 0) {
-        Out.push_back(TValue(
-            Value::array(X->Fn.RetTypes[J].elemKind(), {0}, {})));
-        continue;
-      }
-      FUT_TRY(Col, assembleArray(Cols[J]));
-      chargePrivate(Col.numElems(), Col.numElems());
-      Out.push_back(TValue(std::move(Col)));
-    }
-    return Out;
-  }
-
-  case ExpKind::Reduce:
-  case ExpKind::Scan: {
-    // Sequential in-thread reduction / scan.
-    SubExp Width;
-    const Lambda *Fn;
-    const std::vector<SubExp> *Neutral;
-    const std::vector<VName> *Arrays;
-    bool IsScan = E.kind() == ExpKind::Scan;
-    if (IsScan) {
-      const auto *X = expCast<ScanExp>(&E);
-      Width = X->Width;
-      Fn = &X->Fn;
-      Neutral = &X->Neutral;
-      Arrays = &X->Arrays;
-    } else {
-      const auto *X = expCast<ReduceExp>(&E);
-      Width = X->Width;
-      Fn = &X->Fn;
-      Neutral = &X->Neutral;
-      Arrays = &X->Arrays;
-    }
-    FUT_TRY(WV, evalScalar(Width, Env));
-    int64_t W = WV.asInt64();
-    std::vector<Value> Acc;
-    for (const SubExp &S : *Neutral) {
-      FUT_TRY(T, evalSubExp(S, Env));
-      FUT_TRY(V, force(T));
-      Acc.push_back(std::move(V));
-    }
-    std::vector<TValue> Ins;
-    for (const VName &N : *Arrays) {
-      FUT_TRY(T, evalSubExp(SubExp::var(N), Env));
-      Ins.push_back(std::move(T));
-    }
-    std::vector<std::vector<Value>> Cols(Acc.size());
-    for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args = Acc;
-      for (const TValue &A : Ins) {
-        FUT_TRY(R, rowOf(A, I));
-        Args.push_back(std::move(R));
-      }
-      FUT_TRY(Res, evalLambdaT(*Fn, std::move(Args), Env));
-      Acc = std::move(Res);
-      if (IsScan)
-        for (size_t J = 0; J < Acc.size(); ++J)
-          Cols[J].push_back(Acc[J]);
-    }
-    std::vector<TValue> Out;
-    if (!IsScan) {
-      for (Value &A : Acc)
-        Out.push_back(TValue(std::move(A)));
-      return Out;
-    }
-    for (size_t J = 0; J < Cols.size(); ++J) {
-      if (W == 0) {
-        Out.push_back(
-            TValue(Value::array(Fn->RetTypes[J].elemKind(), {0}, {})));
-        continue;
-      }
-      FUT_TRY(Col, assembleArray(Cols[J]));
-      chargePrivate(Col.numElems(), Col.numElems());
-      Out.push_back(TValue(std::move(Col)));
-    }
-    return Out;
-  }
-
-  case ExpKind::Stream: {
-    // Sequentialised in-thread stream, run with chunk size one — the
-    // paper's "efficient sequentialisation with asymptotically reduced
-    // per-thread memory footprint" (Section 4.1): all per-chunk arrays
-    // are singletons, so nothing spills.
-    const auto *X = expCast<StreamExp>(&E);
-    FUT_TRY(WV, evalScalar(X->Width, Env));
-    int64_t W = WV.asInt64();
-
-    std::vector<Value> AccInit;
-    for (const SubExp &S : X->AccInit) {
-      FUT_TRY(T, evalSubExp(S, Env));
-      FUT_TRY(V, force(T));
-      AccInit.push_back(std::move(V));
-    }
-    std::vector<TValue> Ins;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(T, evalSubExp(SubExp::var(N), Env));
-      Ins.push_back(std::move(T));
-    }
-
-    PrimValue One1 = WV.kind() == ScalarKind::I64 ? PrimValue::makeI64(1)
-                                                  : PrimValue::makeI32(1);
-    size_t NumMapped = X->FoldFn.RetTypes.size() - X->NumAccs;
-    std::vector<std::vector<Value>> MappedElems(NumMapped);
-    std::vector<Value> Accs = AccInit;
-    static const Program Empty;
-    Interpreter RedI(Empty);
-
-    for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args;
-      Args.push_back(Value::scalar(One1));
-      const std::vector<Value> &ChunkAccs =
-          X->Form == StreamExp::FormKind::Seq ? Accs : AccInit;
-      if (X->Form != StreamExp::FormKind::Par)
-        for (const Value &A : ChunkAccs)
-          Args.push_back(A);
-      for (const TValue &A : Ins) {
-        FUT_TRY(Row, rowOf(A, I));
-        if (Row.isScalar()) {
-          Args.push_back(Value::array(Row.getScalar().kind(), {1},
-                                      {Row.getScalar()}));
-        } else {
-          std::vector<int64_t> Shape;
-          Shape.push_back(1);
-          Shape.insert(Shape.end(), Row.shape().begin(),
-                       Row.shape().end());
-          std::vector<PrimValue> Data = Row.flat();
-          Args.push_back(Value::array(Row.elemKind(), std::move(Shape),
-                                      std::move(Data)));
-        }
-      }
-      FUT_TRY(Res, evalLambdaT(X->FoldFn, std::move(Args), Env));
-      std::vector<Value> ChunkAccOut(Res.begin(),
-                                     Res.begin() + X->NumAccs);
-      switch (X->Form) {
-      case StreamExp::FormKind::Par:
-        break;
-      case StreamExp::FormKind::Seq:
-        Accs = std::move(ChunkAccOut);
-        break;
-      case StreamExp::FormKind::Red: {
-        std::vector<Value> CArgs = Accs;
-        for (Value &V : ChunkAccOut)
-          CArgs.push_back(std::move(V));
-        FUT_TRY(Comb, RedI.evalLambda(X->ReduceFn, CArgs, {}));
-        Accs = std::move(Comb);
-        ++Cost.ComputeOps;
-        break;
-      }
-      }
-      for (size_t J = 0; J < NumMapped; ++J)
-        MappedElems[J].push_back(Res[X->NumAccs + J].row(0));
-    }
-
-    std::vector<TValue> Out;
-    for (Value &A : Accs)
-      Out.push_back(TValue(std::move(A)));
-    for (size_t J = 0; J < NumMapped; ++J) {
-      if (W == 0) {
-        Out.push_back(TValue(Value::array(
-            X->FoldFn.RetTypes[X->NumAccs + J].elemKind(), {0}, {})));
-        continue;
-      }
-      FUT_TRY(Col, assembleArray(MappedElems[J]));
-      chargePrivate(Col.numElems(), Col.numElems());
-      Out.push_back(TValue(std::move(Col)));
-    }
-    return Out;
-  }
-
-  default:
-    return CompilerError(E.Loc,
-                         std::string("expression kind '") +
-                             expKindName(E.kind()) +
-                             "' is not executable inside a kernel");
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel driving
-//===----------------------------------------------------------------------===//
-
-ErrorOr<std::vector<Value>> KernelSim::run() {
-  FUT_CHECK(resolveInputs());
-  ReduceFnOps = static_cast<int>(K.ReduceFn.B.Stms.size()) + 1;
-  if (K.Op == KernelExp::OpKind::ThreadBody)
-    return runThreadBody();
-  if (K.Op == KernelExp::OpKind::SegHist)
-    return runSegHist();
-  return runSegmented();
-}
-
-ErrorOr<std::vector<Value>> KernelSim::runThreadBody() {
-  std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
-    Grid.push_back(G);
-  }
-  // A sharded launch covers only [OuterOffset, OuterOffset + OuterCount)
-  // of the outer grid dimension; addresses and thread-index values stay
-  // global so per-shard coalescing matches the unsharded access pattern.
-  int64_t OuterTotal = Grid.empty() ? 1 : Grid[0];
-  if (OuterCount >= 0 && !Grid.empty())
-    Grid[0] = OuterCount;
-  int64_t Threads = 1;
-  for (int64_t G : Grid)
-    Threads *= G;
-  int64_t InnerElems = 1;
-  for (size_t I = 1; I < Grid.size(); ++I)
-    InnerElems *= Grid[I];
-  int64_t GlobalThreads = OuterTotal * InnerElems;
-  int64_t ThreadOffset = OuterOffset * InnerElems;
-
-  TEnv Base;
-  for (size_t I = 0; I < K.Inputs.size(); ++I) {
-    GlobalView G;
-    G.InputIdx = static_cast<int>(I);
-    Base[K.Inputs[I].Arr] = TValue::view(G);
-  }
-
-  size_t NumRes = K.RetTypes.size();
-  std::vector<std::vector<Value>> PerThread(NumRes);
-  std::vector<std::vector<uint64_t>> WarpTraces;
-
-  std::vector<int64_t> Idx(Grid.size(), 0);
-  for (int64_t T = 0; T < Threads; ++T) {
-    WarpTraces.emplace_back();
-    Trace = &WarpTraces.back();
-    beginLane();
-
-    TEnv Env = Base;
-    for (size_t I = 0; I < Grid.size(); ++I)
-      Env[K.ThreadIndices[I]] = TValue(Value::scalar(PrimValue::makeI32(
-          static_cast<int32_t>(Idx[I] + (I == 0 ? OuterOffset : 0)))));
-
-    int64_t GlobalT = T + ThreadOffset;
-    FUT_TRY(Res, evalBody(K.ThreadBody, std::move(Env)));
-    if (Res.size() != NumRes)
-      return CompilerError("kernel thread result arity mismatch");
-    for (size_t J = 0; J < NumRes; ++J) {
-      FUT_TRY(V, force(Res[J]));
-      FUT_CHECK(chargeOutput(V));
-      // Charge the output writes: row-major per thread, or with the
-      // thread index innermost when results are stored transposed.  The
-      // global thread id keeps shard-boundary addresses exact.
-      uint64_t OutBase = (2ULL << 50) + (static_cast<uint64_t>(J) << 44);
-      int64_t Elems = V.numElems();
-      for (int64_t EIdx = 0; EIdx < Elems; ++EIdx) {
-        uint64_t Off = K.TransposedOutputs
-                           ? static_cast<uint64_t>(EIdx) *
-                                     static_cast<uint64_t>(GlobalThreads) +
-                                 static_cast<uint64_t>(GlobalT)
-                           : static_cast<uint64_t>(GlobalT * Elems + EIdx);
-        chargeWrite(OutBase + Off * elemBytes(V.elemKind()));
-      }
-      PerThread[J].push_back(std::move(V));
-    }
-
-    if (WarpTraces.size() == static_cast<size_t>(P.WarpSize) ||
-        T == Threads - 1) {
-      Trace = nullptr;
-      mergeWarp(WarpTraces);
-      WarpTraces.clear();
-    }
-
-    for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-      if (++Idx[I] < Grid[I])
-        break;
-      Idx[I] = 0;
-    }
-  }
-  Trace = nullptr;
-
-  // Assemble results.
-  std::vector<Value> Out;
-  for (size_t J = 0; J < NumRes; ++J) {
-    if (Threads == 0) {
-      Out.push_back(Value::array(K.RetTypes[J].elemKind(), Grid, {}));
-      continue;
-    }
-    FUT_TRY(Flat, assembleArray(PerThread[J]));
-    std::vector<int64_t> Shape = Grid;
-    const Value &First = PerThread[J][0];
-    if (First.isArray())
-      Shape.insert(Shape.end(), First.shape().begin(),
-                   First.shape().end());
-    std::vector<PrimValue> Data = Flat.flat();
-    Out.push_back(Value::array(Flat.elemKind(), std::move(Shape),
-                               std::move(Data)));
-  }
-  return Out;
-}
-
-ErrorOr<std::vector<Value>> KernelSim::runSegmented() {
-  std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
-    Grid.push_back(G);
-  }
-  // Sharded window over the outer (segment) dimension; segment-index
-  // values handed to the thread body stay global.
-  if (OuterCount >= 0 && !Grid.empty())
-    Grid[0] = OuterCount;
-  int64_t NumSegs = 1;
-  for (int64_t G : Grid)
-    NumSegs *= G;
-  FUT_TRY(SegSize, resolveInt(K.SegSize));
-
-  TEnv Base;
-  for (size_t I = 0; I < K.Inputs.size(); ++I) {
-    GlobalView G;
-    G.InputIdx = static_cast<int>(I);
-    Base[K.Inputs[I].Arr] = TValue::view(G);
-  }
-
-  // Evaluate the neutral elements on the host environment.
-  std::vector<Value> NeutralVals;
-  for (const SubExp &N : K.Neutral) {
-    if (N.isConst()) {
-      NeutralVals.push_back(Value::scalar(N.getConst()));
-    } else {
-      auto It = HostEnv.find(N.getVar());
-      if (It == HostEnv.end())
-        return CompilerError("kernel neutral element is unbound");
-      NeutralVals.push_back(It->second);
-    }
-  }
-
-  // For evaluating the reduction operator on plain values.
-  static const Program Empty;
-  Interpreter RedInterp(Empty);
-
-  bool IsScan = K.Op == KernelExp::OpKind::SegScan;
-  size_t NumRes = K.Neutral.size();
-  std::vector<std::vector<Value>> PerSeg(NumRes);
-  std::vector<std::vector<uint64_t>> WarpTraces;
-  int64_t LaneInWarp = 0;
-
-  // Thread mapping: with a grid, one thread handles one whole segment
-  // sequentially (warps span consecutive segments — the layout-sensitive
-  // case the coalescing transformation targets); a gridless kernel is a
-  // single large reduction/scan parallelised within the segment.
-  bool ThreadPerSegment = !Grid.empty();
-
-  std::vector<int64_t> Idx(Grid.size(), 0);
-  for (int64_t Seg = 0; Seg < NumSegs; ++Seg) {
-    std::vector<Value> Acc = NeutralVals;
-    std::vector<std::vector<Value>> ScanCols(NumRes);
-
-    if (ThreadPerSegment) {
-      WarpTraces.emplace_back();
-      Trace = &WarpTraces.back();
-      beginLane();
-    }
-
-    for (int64_t S = 0; S < SegSize; ++S) {
-      if (!ThreadPerSegment) {
-        WarpTraces.emplace_back();
-        Trace = &WarpTraces.back();
-        beginLane();
-      }
-
-      TEnv Env = Base;
-      for (size_t I = 0; I < Grid.size(); ++I)
-        Env[K.ThreadIndices[I]] = TValue(Value::scalar(PrimValue::makeI32(
-            static_cast<int32_t>(Idx[I] + (I == 0 ? OuterOffset : 0)))));
-      Env[K.SegIndex] = TValue(Value::scalar(
-          PrimValue::makeI32(static_cast<int32_t>(S))));
-
-      FUT_TRY(Res, evalBody(K.ThreadBody, std::move(Env)));
-      std::vector<Value> Elems;
-      for (TValue &T : Res) {
-        FUT_TRY(V, force(T));
-        Elems.push_back(std::move(V));
-      }
-
-      std::vector<Value> Args = Acc;
-      for (Value &V : Elems)
-        Args.push_back(std::move(V));
-      FUT_TRY(Comb, RedInterp.evalLambda(K.ReduceFn, Args, {}));
-      Acc = std::move(Comb);
-      Cost.ComputeOps += ReduceFnOps;
-      if (IsScan)
-        for (size_t J = 0; J < NumRes; ++J)
-          ScanCols[J].push_back(Acc[J]);
-
-      if (!ThreadPerSegment && ++LaneInWarp == P.WarpSize) {
-        Trace = nullptr;
-        mergeWarp(WarpTraces);
-        WarpTraces.clear();
-        LaneInWarp = 0;
-      }
-    }
-
-    if (ThreadPerSegment && ++LaneInWarp == P.WarpSize) {
-      Trace = nullptr;
-      mergeWarp(WarpTraces);
-      WarpTraces.clear();
-      LaneInWarp = 0;
-    }
-
-    // The tree combine within the segment costs an extra log factor,
-    // already roughly covered by charging the operator per element; the
-    // result writes go to global memory.
-    for (size_t J = 0; J < NumRes; ++J) {
-      if (IsScan) {
-        if (SegSize == 0) {
-          PerSeg[J].push_back(
-              Value::array(NeutralVals[J].elemKind(), {0}, {}));
-        } else {
-          FUT_TRY(Col, assembleArray(ScanCols[J]));
-          FUT_CHECK(chargeOutput(Col));
-          Cost.GlobalAccesses += Col.numElems();
-          int64_t Tx = (Col.numElems() * elemBytes(Col.elemKind()) +
-                        P.SegmentBytes - 1) /
-                       P.SegmentBytes;
-          Cost.GlobalTransactions += Tx;
-          Cost.CoalescedTransactions += Tx; // contiguous result write
-          PerSeg[J].push_back(std::move(Col));
-        }
-      } else {
-        FUT_CHECK(chargeOutput(Acc[J]));
-        Cost.GlobalAccesses += Acc[J].numElems();
-        int64_t Tx = (Acc[J].numElems() * elemBytes(Acc[J].elemKind()) +
-                      P.SegmentBytes - 1) /
-                     P.SegmentBytes;
-        Cost.GlobalTransactions += Tx;
-        Cost.CoalescedTransactions += Tx; // contiguous result write
-        PerSeg[J].push_back(Acc[J]);
-      }
-    }
-
-    for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-      if (++Idx[I] < Grid[I])
-        break;
-      Idx[I] = 0;
-    }
-  }
-  if (!WarpTraces.empty()) {
-    Trace = nullptr;
-    mergeWarp(WarpTraces);
-  }
-
-  // Assemble.
-  std::vector<Value> Out;
-  for (size_t J = 0; J < NumRes; ++J) {
-    if (Grid.empty()) {
-      Out.push_back(std::move(PerSeg[J][0]));
-      continue;
-    }
-    if (NumSegs == 0) {
-      Out.push_back(Value::array(K.RetTypes[J].elemKind(), Grid, {}));
-      continue;
-    }
-    FUT_TRY(Flat, assembleArray(PerSeg[J]));
-    std::vector<int64_t> Shape = Grid;
-    const Value &First = PerSeg[J][0];
-    if (First.isArray())
-      Shape.insert(Shape.end(), First.shape().begin(),
-                   First.shape().end());
-    std::vector<PrimValue> Data = Flat.flat();
-    Out.push_back(Value::array(Flat.elemKind(), std::move(Shape),
-                               std::move(Data)));
-  }
-  return Out;
-}
-
-ErrorOr<std::vector<Value>> KernelSim::runSegHist() {
-  // One thread per input element; a sharded launch covers only the
-  // [OuterOffset, OuterOffset + OuterCount) element window.  Device 0 (or
-  // the only device) folds into the destination itself; other shards fold
-  // into a neutral-filled partial the caller merges with the operator.
-  std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
-    Grid.push_back(G);
-  }
-  if (OuterCount >= 0 && !Grid.empty())
-    Grid[0] = OuterCount;
-  int64_t Threads = 1;
-  for (int64_t G : Grid)
-    Threads *= G;
-
-  FUT_TRY(W, resolveInt(K.HistWidth));
-  auto DIt = HostEnv.find(K.HistDest);
-  if (DIt == HostEnv.end())
-    return CompilerError("histogram destination " + K.HistDest.str() +
-                         " is not bound on the host");
-  const Value &Dest = DIt->second;
-  if (!Dest.isArray() || Dest.outerSize() != W)
-    return CompilerError("histogram destination has wrong outer size");
-  ScalarKind EK = Dest.elemKind();
-  int64_t EB = elemBytes(EK);
-
-  PrimValue NeutralPV;
-  if (K.Neutral.size() != 1)
-    return CompilerError("seghist kernel needs exactly one neutral element");
-  if (K.Neutral[0].isConst()) {
-    NeutralPV = K.Neutral[0].getConst();
-  } else {
-    auto It = HostEnv.find(K.Neutral[0].getVar());
-    if (It == HostEnv.end())
-      return CompilerError("kernel neutral element is unbound");
-    NeutralPV = It->second.getScalar();
-  }
-
-  std::vector<PrimValue> Bins;
-  if (OuterOffset == 0) {
-    Bins = Dest.flat();
-    // Priming the bins reads the whole destination once, coalesced.
-    int64_t InitTx = (W * EB + P.SegmentBytes - 1) / P.SegmentBytes;
-    Cost.GlobalAccesses += W;
-    Cost.GlobalTransactions += InitTx;
-    Cost.CoalescedTransactions += InitTx;
-  } else {
-    Bins.assign(static_cast<size_t>(W), NeutralPV);
-  }
-
-  // Lowering strategy (bit-identical results either way, different cost
-  // profile): narrow histograms keep a subhistogram per workgroup in local
-  // memory and merge once at the end; wide ones use global atomics whose
-  // cost grows with same-segment conflicts inside a warp batch.
-  const bool UseLocal = W <= P.HistLocalWidthMax;
-  int64_t NumGroups =
-      (Threads + P.WorkgroupSize - 1) / std::max(1, P.WorkgroupSize);
-
-  static const Program Empty;
-  Interpreter RedInterp(Empty);
-
-  TEnv Base;
-  for (size_t I = 0; I < K.Inputs.size(); ++I) {
-    GlobalView G;
-    G.InputIdx = static_cast<int>(I);
-    Base[K.Inputs[I].Arr] = TValue::view(G);
-  }
-
-  // Global-atomic strategy: batch the destination segments one warp's
-  // updates hit; unique segments each cost a transaction, extra lanes on
-  // an already-hit segment serialise as conflicts.
-  std::vector<int64_t> WarpSegs;
-  auto FlushAtomics = [&] {
-    if (WarpSegs.empty())
-      return;
-    int64_t Lanes = static_cast<int64_t>(WarpSegs.size());
-    std::sort(WarpSegs.begin(), WarpSegs.end());
-    int64_t Unique = std::unique(WarpSegs.begin(), WarpSegs.end()) -
-                     WarpSegs.begin();
-    Cost.AtomicTransactions += Unique;
-    Cost.AtomicConflicts += Lanes - Unique;
-    WarpSegs.clear();
-  };
-
-  // Local-subhistogram strategy: the simulator knows which scratchpad bin
-  // every lane updates, so bank conflicts are observable on this path —
-  // lanes of one warp batch whose bins share a bank serialise.  Profile
-  // only (the pipeline cost model charges it); the roofline charge stays
-  // the plain scratchpad access count.
-  std::vector<int64_t> WarpBanks;
-  auto FlushBanks = [&] {
-    if (WarpBanks.empty())
-      return;
-    int64_t Lanes = static_cast<int64_t>(WarpBanks.size());
-    std::sort(WarpBanks.begin(), WarpBanks.end());
-    int64_t Unique = std::unique(WarpBanks.begin(), WarpBanks.end()) -
-                     WarpBanks.begin();
-    Prof.BankConflictExtra += Lanes - Unique;
-    WarpBanks.clear();
-  };
-
-  std::vector<std::vector<uint64_t>> WarpTraces;
-  std::vector<int64_t> Idx(Grid.size(), 0);
-  for (int64_t T = 0; T < Threads; ++T) {
-    WarpTraces.emplace_back();
-    Trace = &WarpTraces.back();
-    beginLane();
-
-    TEnv Env = Base;
-    for (size_t I = 0; I < Grid.size(); ++I)
-      Env[K.ThreadIndices[I]] = TValue(Value::scalar(PrimValue::makeI32(
-          static_cast<int32_t>(Idx[I] + (I == 0 ? OuterOffset : 0)))));
-
-    FUT_TRY(Res, evalBody(K.ThreadBody, std::move(Env)));
-    if (Res.size() != 2)
-      return CompilerError("seghist thread result arity mismatch");
-    FUT_TRY(BinV, force(Res[0]));
-    FUT_TRY(Val, force(Res[1]));
-    if (!BinV.isScalar() || !Val.isScalar())
-      return CompilerError("seghist thread body must produce (bin, value)");
-    int64_t Bin = BinV.getScalar().asInt64();
-    // The value is computed before the bounds check (matching the
-    // interpreter); out-of-range bins update nothing.
-    if (Bin >= 0 && Bin < W) {
-      std::vector<Value> Args{Value::scalar(Bins[Bin]), Val};
-      FUT_TRY(Comb, RedInterp.evalLambda(K.ReduceFn, Args, {}));
-      if (Comb.size() != 1 || !Comb[0].isScalar())
-        return CompilerError("seghist operator must produce one scalar");
-      Bins[static_cast<size_t>(Bin)] = Comb[0].getScalar();
-      Cost.ComputeOps += ReduceFnOps;
-      if (UseLocal) {
-        Cost.LocalAccesses += 2; // scratchpad read-modify-write
-        WarpBanks.push_back(Bin % std::max(1, P.LocalMemBanks));
-      } else {
-        WarpSegs.push_back(Bin * EB / P.SegmentBytes);
-      }
-    }
-
-    if (WarpTraces.size() == static_cast<size_t>(P.WarpSize) ||
-        T == Threads - 1) {
-      Trace = nullptr;
-      mergeWarp(WarpTraces);
-      WarpTraces.clear();
-      FlushAtomics();
-      FlushBanks();
-    }
-
-    for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-      if (++Idx[I] < Grid[I])
-        break;
-      Idx[I] = 0;
-    }
-  }
-  Trace = nullptr;
-  FlushAtomics();
-  FlushBanks();
-
-  // Local strategy: each workgroup flushes its subhistogram into the
-  // global one with a coalesced atomic pass over all W bins (consecutive
-  // lanes hit consecutive bins, so there are no same-segment conflicts).
-  if (UseLocal && Threads > 0) {
-    int64_t MergeTx = (W * EB + P.SegmentBytes - 1) / P.SegmentBytes;
-    Cost.AtomicTransactions += NumGroups * MergeTx;
-  }
-
-  Value OutV = Value::array(EK, {W}, std::move(Bins));
-  FUT_CHECK(chargeOutput(OutV));
-  std::vector<Value> Out;
-  Out.push_back(std::move(OutV));
-  return Out;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Device
@@ -2193,16 +815,15 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
             continue;
           CostReport KCost;
           int64_t OutBudget = MemCap > 0 ? MemCap - Mgr.liveBytes() : -1;
-          KernelSim Sim(P, K, Env, KCost, OutBudget);
-          Sim.setOuterRange(Cuts[D].first, Len);
-          auto Res = Sim.run();
-          if (!Res)
-            return Res; // evaluation errors / mid-kernel OOM: not transient
-          SumOutBytes += Sim.outBytes();
+          auto Sim = simulateKernel(P, K, Env, KCost, OutBudget,
+                                    Cuts[D].first, Len);
+          if (!Sim) // evaluation errors / mid-kernel OOM: not transient
+            return Sim.getError();
+          SumOutBytes += Sim->OutBytes;
           // Per-device working set: aligned inputs contribute their row
           // block, broadcast inputs their full size, plus this device's
           // output block.
-          int64_t WS = Sim.outBytes();
+          int64_t WS = Sim->OutBytes;
           for (const KernelExp::KInput &In : K.Inputs) {
             int64_t B = InputBytes(In.Arr);
             const shard::ShardInput *SI = KS->findInput(In.Arr);
@@ -2212,13 +833,13 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
               WS += B;
           }
           DG.noteWorkingSet(D, WS);
-          LaunchPrice LP = PriceLaunch(KCost, Sim.profile());
+          LaunchPrice LP = PriceLaunch(KCost, Sim->Profile);
           double KTime = LP.Selected;
           ActiveDevs.push_back(D);
-          DevVals.push_back(Res.take());
+          DevVals.push_back(std::move(Sim->Outputs));
           KTimes.push_back(KTime);
           KPrices.push_back(LP);
-          KProfs.push_back(Sim.profile());
+          KProfs.push_back(Sim->Profile);
           KCosts.push_back(KCost);
           MaxKTime = std::max(MaxKTime, KTime);
         }
@@ -2415,10 +1036,9 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       trace::ScopedSpan KSpan(SpanName, "device", trace::kComputeEngineTid);
       CostReport KCost;
       int64_t OutBudget = MemCap > 0 ? MemCap - Mgr.liveBytes() : -1;
-      KernelSim Sim(P, K, Env, KCost, OutBudget);
-      auto Res = Sim.run();
-      if (!Res)
-        return Res; // evaluation errors and mid-kernel OOM are not transient
+      auto Sim = simulateKernel(P, K, Env, KCost, OutBudget);
+      if (!Sim) // evaluation errors and mid-kernel OOM are not transient
+        return Sim.getError();
 
       // Transient demand of this launch: the inputs are still live while
       // the results materialise, so capacity must briefly hold both.  The
@@ -2426,7 +1046,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       // overlap — the serving layer's admission reservations are taken
       // from the demand peak, which does.
       Cost.PeakDemandBytes =
-          std::max(Cost.PeakDemandBytes, Mgr.liveBytes() + Sim.outBytes());
+          std::max(Cost.PeakDemandBytes, Mgr.liveBytes() + Sim->OutBytes);
 
       // Tiled traffic: each staged element is read once per tile from
       // global memory (coalesced), instead of once per thread.  The byte
@@ -2438,7 +1058,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           static_cast<double>(KCost.TiledElementBytes) /
           std::max(1, P.tileWidth()) / P.SegmentBytes;
 
-      LaunchPrice LP = PriceLaunch(KCost, Sim.profile());
+      LaunchPrice LP = PriceLaunch(KCost, Sim->Profile);
       double KTime = LP.Selected;
 
       // A kernel over its cycle budget is killed deterministically; the
@@ -2467,7 +1087,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
 
       Cost.KernelCycles += KTime;
       ++Cost.KernelLaunches;
-      ChargeModelTotals(LP, Sim.profile());
+      ChargeModelTotals(LP, Sim->Profile);
       ScheduledCmd KC = TL.kernel(DepsReady, P.LaunchCycles,
                                   P.PipelinedLaunchFraction,
                                   KTime - P.LaunchCycles);
@@ -2533,7 +1153,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       // check is made here against the lump sum, the per-name bindings
       // happen in OnBind once the interpreter has bound the pattern.
       int64_t OutBytes = 0;
-      for (const Value &V : *Res)
+      for (const Value &V : Sim->Outputs)
         if (V.isArray())
           OutBytes += V.numElems() * elemBytes(V.elemKind());
       if (!Mgr.wouldFit(OutBytes))
@@ -2544,7 +1164,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
             std::to_string(MemCap) + " free (" +
             std::to_string(P.ReservedBytes) +
             " reserved by co-tenants)");
-      return Res;
+      return std::move(Sim->Outputs);
     }
   };
 

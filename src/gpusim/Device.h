@@ -32,7 +32,7 @@
 #define FUTHARKCC_GPUSIM_DEVICE_H
 
 #include "gpusim/Faults.h"
-#include "interp/Interp.h"
+#include "interp/Value.h"
 #include "ir/IR.h"
 #include "mem/MemPlan.h"
 #include "shard/ShardPlan.h"
@@ -45,6 +45,21 @@
 
 namespace fut {
 namespace gpusim {
+
+/// Bytes one element of kind \p K occupies in device memory.
+inline int64_t elemBytes(ScalarKind K) {
+  switch (K) {
+  case ScalarKind::Bool:
+    return 1;
+  case ScalarKind::I32:
+  case ScalarKind::F32:
+    return 4;
+  case ScalarKind::I64:
+  case ScalarKind::F64:
+    return 8;
+  }
+  return 4;
+}
 
 struct DeviceParams {
   std::string Name = "gtx780";

@@ -1,0 +1,64 @@
+//===- KernelSim.h - One simulated kernel launch ----------------*- C++ -*-===//
+//
+// Part of futharkcc, a C++ reproduction of the PLDI'17 Futhark compiler.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The device side of a kernel launch: every thread of a KernelExp runs as
+/// a sequential program over per-thread registers and private memory (the
+/// paper's Section 4.1/5 code generation), with each global-memory access
+/// traced per lane so warps can be merged into coalesced or scattered
+/// transactions.
+///
+/// The kernel body is resolved once per launch into a form whose names are
+/// dense frame-slot indices; all threads then run in one reused frame.  The
+/// resolved form and the frame live only as long as the launch.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef FUTHARKCC_GPUSIM_KERNELSIM_H
+#define FUTHARKCC_GPUSIM_KERNELSIM_H
+
+#include "gpusim/CostModel.h"
+#include "gpusim/Device.h"
+#include "interp/Value.h"
+#include "ir/IR.h"
+#include "support/Error.h"
+
+#include <cstdint>
+#include <vector>
+
+namespace fut {
+namespace gpusim {
+
+/// What one simulated launch produced.
+struct KernelLaunch {
+  /// The kernel's result arrays.
+  std::vector<Value> Outputs;
+  /// Bytes of results the launch materialised.
+  int64_t OutBytes = 0;
+  /// Warp-level execution profile (model-independent; see CostModel.h).
+  KernelProfile Profile;
+};
+
+/// Simulates one launch of \p K, reading kernel inputs and free names from
+/// \p HostEnv and charging every access and operation to \p Cost.
+///
+/// \p OutBudgetBytes bounds the results the launch may materialise
+/// (negative: unlimited); exceeding it is a DeviceOOM error.  A sharded
+/// launch passes the outer-grid window [OuterOffset, OuterOffset +
+/// OuterCount): thread-index values and output-write addresses stay global
+/// (so coalescing behaves as on the real shard), but only the local rows
+/// are simulated and materialised.  OuterCount < 0 means the whole grid.
+ErrorOr<KernelLaunch> simulateKernel(const DeviceParams &P,
+                                     const KernelExp &K,
+                                     const NameMap<Value> &HostEnv,
+                                     CostReport &Cost, int64_t OutBudgetBytes,
+                                     int64_t OuterOffset = 0,
+                                     int64_t OuterCount = -1);
+
+} // namespace gpusim
+} // namespace fut
+
+#endif // FUTHARKCC_GPUSIM_KERNELSIM_H

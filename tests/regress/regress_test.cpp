@@ -12,9 +12,16 @@
 /// reference interpreter — so a regression reports exactly like the
 /// original fuzzer failure.
 ///
+/// A case whose header carries `-- error: <message>` is one both sides
+/// must reject: the reference interpreter and the device must fail with
+/// exactly that message and the same error kind.
+///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Compiler.h"
 #include "fuzz/Fuzz.h"
+#include "interp/Interp.h"
+#include "parser/Desugar.h"
 
 #include "TestUtil.h"
 
@@ -50,6 +57,41 @@ std::string slurp(const std::filesystem::path &P) {
   return SS.str();
 }
 
+/// The message of a `-- error:` header line, or empty.
+std::string expectedError(const std::string &Contents) {
+  const std::string Tag = "-- error: ";
+  std::stringstream SS(Contents);
+  std::string Line;
+  while (std::getline(SS, Line))
+    if (Line.rfind(Tag, 0) == 0)
+      return Line.substr(Tag.size());
+  return "";
+}
+
+/// Requires the reference interpreter and the device to reject the case
+/// with \p Msg and the same error kind.
+void expectBothReject(const FuzzCase &C, const std::string &Msg) {
+  NameSource RefNames;
+  auto RefProg = frontend(C.Source, RefNames);
+  ASSERT_TRUE(static_cast<bool>(RefProg)) << RefProg.getError().str();
+  InterpOptions IO;
+  IO.ConsumeOnUpdate = true;
+  Interpreter I(*RefProg, IO);
+  auto Ref = I.run(C.Args);
+  ASSERT_FALSE(static_cast<bool>(Ref)) << "the reference accepted the case";
+  EXPECT_EQ(Ref.getError().Message, Msg);
+
+  NameSource Names;
+  auto Compiled = compileSource(C.Source, Names);
+  ASSERT_TRUE(static_cast<bool>(Compiled)) << Compiled.getError().str();
+  DeviceRunOptions RO;
+  RO.MemPlan = &Compiled->MemPlan;
+  auto R = runOnDevice(Compiled->P, C.Args, RO);
+  ASSERT_FALSE(static_cast<bool>(R)) << "the device accepted the case";
+  EXPECT_EQ(R.getError().Message, Msg);
+  EXPECT_EQ(R.getError().Kind, Ref.getError().Kind);
+}
+
 } // namespace
 
 TEST(RegressTest, CorpusIsNonEmpty) {
@@ -63,8 +105,14 @@ TEST(RegressTest, EveryCaseParsesAndAgrees) {
   for (const auto &Path : caseFiles()) {
     SCOPED_TRACE(Path.filename().string());
     FuzzCase C;
-    ASSERT_TRUE(loadRegressionFile(slurp(Path), C))
+    std::string Contents = slurp(Path);
+    ASSERT_TRUE(loadRegressionFile(Contents, C))
         << Path << ": malformed regression file (needs an '-- args:' line)";
+    std::string Msg = expectedError(Contents);
+    if (!Msg.empty()) {
+      expectBothReject(C, Msg);
+      continue;
+    }
     Outcome O = runSourceDifferential(C.Source, C.Args);
     EXPECT_TRUE(O.Ok) << Path << ":\n" << O.Message;
   }

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Differential.h"
+#include "interp/Interp.h"
 #include "parser/Desugar.h"
 #include "serve/Serve.h"
 

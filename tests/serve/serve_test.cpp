@@ -17,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "interp/Interp.h"
 #include "serve/Serve.h"
 
 #include <gtest/gtest.h>
