@@ -20,24 +20,24 @@
 #include "ir/Prim.h"
 
 #include <cassert>
+#include <variant>
 #include <vector>
 
 namespace fut {
 
 /// An operand: either a primitive constant or a variable.  Also used for
-/// array dimensions, which are always of kind i64 when symbolic.
+/// array dimensions, which are always of kind i64 when symbolic.  Stored as
+/// a variant: operands are the most numerous IR objects, and a cached
+/// artifact holds thousands of them.
 class SubExp {
-  bool IsConst = true;
-  PrimValue ConstVal;
-  VName VarName;
+  std::variant<PrimValue, VName> Val{PrimValue::makeI64(0)};
 
 public:
-  SubExp() : ConstVal(PrimValue::makeI64(0)) {}
+  SubExp() = default;
 
   static SubExp constant(PrimValue V) {
     SubExp S;
-    S.IsConst = true;
-    S.ConstVal = V;
+    S.Val = V;
     return S;
   }
   static SubExp intConst(int64_t V) {
@@ -45,38 +45,38 @@ public:
   }
   static SubExp var(VName N) {
     SubExp S;
-    S.IsConst = false;
-    S.VarName = std::move(N);
+    S.Val = std::move(N);
     return S;
   }
 
-  bool isConst() const { return IsConst; }
-  bool isVar() const { return !IsConst; }
+  bool isConst() const { return Val.index() == 0; }
+  bool isVar() const { return !isConst(); }
 
   const PrimValue &getConst() const {
-    assert(IsConst && "not a constant");
-    return ConstVal;
+    assert(isConst() && "not a constant");
+    return *std::get_if<PrimValue>(&Val);
   }
   const VName &getVar() const {
-    assert(!IsConst && "not a variable");
-    return VarName;
+    assert(!isConst() && "not a variable");
+    return *std::get_if<VName>(&Val);
   }
 
   bool operator==(const SubExp &Other) const {
-    if (IsConst != Other.IsConst)
+    if (isConst() != Other.isConst())
       return false;
-    return IsConst ? ConstVal == Other.ConstVal : VarName == Other.VarName;
+    return isConst() ? getConst() == Other.getConst()
+                     : getVar() == Other.getVar();
   }
   bool operator!=(const SubExp &Other) const { return !(*this == Other); }
 
   size_t hash() const {
-    size_t Seed = IsConst ? ConstVal.hash() : VNameHash()(VarName);
-    hashCombine(Seed, IsConst ? 17u : 31u);
+    size_t Seed = isConst() ? getConst().hash() : VNameHash()(getVar());
+    hashCombine(Seed, isConst() ? 17u : 31u);
     return Seed;
   }
 
   std::string str() const {
-    return IsConst ? ConstVal.str() : VarName.str();
+    return isConst() ? getConst().str() : getVar().str();
   }
 };
 
@@ -88,13 +88,13 @@ using Dim = SubExp;
 /// return types.
 class Type {
   ScalarKind Elem = ScalarKind::I32;
-  std::vector<Dim> Shape;
   bool Unique = false;
+  std::vector<Dim> Shape;
 
 public:
   Type() = default;
   Type(ScalarKind Elem, std::vector<Dim> Shape = {}, bool Unique = false)
-      : Elem(Elem), Shape(std::move(Shape)), Unique(Unique) {}
+      : Elem(Elem), Unique(Unique), Shape(std::move(Shape)) {}
 
   static Type scalar(ScalarKind K) { return Type(K); }
   static Type array(ScalarKind K, std::vector<Dim> Shape, bool Unique = false) {
