@@ -75,38 +75,6 @@ double run(const char *Src, const char *Name) {
   return R->Cost.TotalCycles;
 }
 
-/// Runs Src under the static plan and under the --no-mem-plan runtime
-/// manager and prints the observed plan-mode peak (with the plan's
-/// static bound) against the runtime peak; cycles must agree.
-void comparePeaks(const char *Src, const char *Name) {
-  NameSource NS;
-  auto C = compileSource(Src, NS);
-  if (!C)
-    return;
-  int64_t N = 65536, K = 32;
-  SplitMix64 Rng(42);
-  std::vector<int64_t> Member(N);
-  for (auto &M : Member)
-    M = static_cast<int64_t>(Rng.nextBelow(K));
-  std::vector<Value> Args = {Value::scalar(PrimValue::makeI32(K)),
-                             Value::scalar(PrimValue::makeI32(N)),
-                             makeIntVectorValue(ScalarKind::I32, Member)};
-  gpusim::DeviceParams Planned = gpusim::DeviceParams::gtx780();
-  Planned.AsyncTimeline = false;
-  gpusim::DeviceParams Runtime = Planned;
-  Runtime.UseMemPlan = false;
-  auto RP = gpusim::Device(Planned).runMain(C->P, Args);
-  auto RR = gpusim::Device(Runtime).runMain(C->P, Args);
-  if (!RP || !RR)
-    return;
-  printf("%-28s plan %10lld bytes (bound %10lld)   runtime %10lld "
-         "bytes   (cycles identical: %s)\n",
-         Name, (long long)RP->Cost.PeakDeviceBytes,
-         (long long)RP->Cost.PlannedPeakBytes,
-         (long long)RR->Cost.PeakDeviceBytes,
-         RP->Cost.TotalCycles == RR->Cost.TotalCycles ? "yes" : "NO");
-}
-
 } // namespace
 
 int main() {
@@ -121,8 +89,5 @@ int main() {
          B / C);
   printf("sequential host loop (4a) vs stream_red (4c):     %.1fx slower\n",
          A / C);
-  printf("\nstatic memory plan vs runtime manager (--no-mem-plan):\n");
-  comparePeaks(Fig4b, "Fig 4b (map + reduce)");
-  comparePeaks(Fig4c, "Fig 4c (stream_red)");
   return 0;
 }

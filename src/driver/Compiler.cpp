@@ -24,7 +24,7 @@ std::string fut::CompilerOptions::cacheCanonical() const {
   std::ostringstream OS;
   OS << "uniq=" << CheckUniqueness << ";inline=" << Inline
      << ";fusion=" << EnableFusion << ";kernels=" << ExtractKernels
-     << ";memplan=" << PlanMemory << ";cse=" << Simplify.EnableCSE
+     << ";cse=" << Simplify.EnableCSE
      << ";hoist=" << Simplify.EnableHoisting
      << ";rounds=" << Simplify.MaxRounds
      << ";chunks=" << Flatten.StreamChunks
@@ -158,18 +158,16 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
     if (auto Err = AfterPass("locality", true))
       return Err;
 
-    if (Opts.PlanMemory) {
-      {
-        trace::ScopedSpan Span("pass:memplan", "compiler");
-        R.MemPlan = mem::planMemory(P);
-      }
-      if (Opts.PostPlanHook)
-        Opts.PostPlanHook(R.MemPlan);
-      if (Opts.VerifyIR) {
-        trace::ScopedSpan Span("verify:memplan", "compiler");
-        if (auto Err = verifyMemoryPlan(P, R.MemPlan, "memplan"))
-          return Err;
-      }
+    {
+      trace::ScopedSpan Span("pass:memplan", "compiler");
+      R.MemPlan = mem::planMemory(P);
+    }
+    if (Opts.PostPlanHook)
+      Opts.PostPlanHook(R.MemPlan);
+    if (Opts.VerifyIR) {
+      trace::ScopedSpan Span("verify:memplan", "compiler");
+      if (auto Err = verifyMemoryPlan(P, R.MemPlan, "memplan"))
+        return Err;
     }
 
     {

@@ -43,11 +43,6 @@ struct CompilerOptions {
   /// compile under it.
   bool VerifyIR = true;
 
-  /// Run the static memory planner after locality and verify the plan
-  /// (flattened pipelines only).  Off under --no-mem-plan, where the
-  /// runtime buffer manager decides every allocation dynamically.
-  bool PlanMemory = true;
-
   /// Number of simulated devices the program will be sharded across (the
   /// --devices flag).  The shard plan is always computed for flattened
   /// pipelines (so it can be printed and verified), but only a value > 1

@@ -60,9 +60,6 @@ void usage() {
           "  --no-interchange   disable map-loop interchange (G7)\n"
           "  --verify-ir        re-derive and check IR types after every\n"
           "                     pass (default; --no-verify-ir disables)\n"
-          "  --no-mem-plan      skip the static memory planner; the\n"
-          "                     runtime buffer manager decides every device\n"
-          "                     allocation dynamically (ablation)\n"
           "  --print-mem-plan   dump the static memory plan (slab layout,\n"
           "                     aliases, live ranges) after compilation\n"
           "  --vjp <f>          differentiate <f> (reverse-mode AD): adds\n"
@@ -191,9 +188,6 @@ int main(int argc, char **argv) {
       Opts.VerifyIR = true;
     } else if (A == "--no-verify-ir") {
       Opts.VerifyIR = false;
-    } else if (A == "--no-mem-plan") {
-      Opts.PlanMemory = false;
-      DP.UseMemPlan = false;
     } else if (A == "--print-mem-plan") {
       PrintMemPlan = true;
     } else if (A == "--print-shard-plan") {
@@ -416,8 +410,7 @@ int main(int argc, char **argv) {
     DeviceRunOptions RO;
     RO.Device = DP;
     RO.Resilience = RP;
-    if (Opts.PlanMemory)
-      RO.MemPlan = &C->MemPlan;
+    RO.MemPlan = &C->MemPlan;
     if (Opts.Devices > 1) {
       RO.Shards = &C->Shards;
       RO.Devices = Opts.Devices;

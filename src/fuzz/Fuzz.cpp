@@ -323,8 +323,7 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
     return Fail("compilation failed: " + C.getError().str());
   DeviceRunOptions RO;
   RO.Device = DP;
-  if (DP.UseMemPlan)
-    RO.MemPlan = &C->MemPlan;
+  RO.MemPlan = &C->MemPlan;
   if (Devices > 1) {
     RO.Shards = &C->Shards;
     RO.Devices = Devices;
@@ -395,8 +394,7 @@ Outcome fut::fuzz::runCrossModel(const FuzzCase &C,
     DeviceRunOptions RO;
     RO.Device = DP;
     RO.Device.CostModelName = Model;
-    if (DP.UseMemPlan)
-      RO.MemPlan = &Compiled->MemPlan;
+    RO.MemPlan = &Compiled->MemPlan;
     if (Devices > 1) {
       RO.Shards = &Compiled->Shards;
       RO.Devices = Devices;
@@ -486,8 +484,8 @@ ShrinkResult fut::fuzz::shrink(const Plan &P, uint64_t Seed,
   Plan Cur = P;
 
   // Candidates rerun under the same device configuration the failure was
-  // found with, so mode-specific failures (--no-mem-plan ablation sweeps,
-  // --devices sharding sweeps) keep failing while they shrink.
+  // found with, so mode-specific failures (--hist-global sweeps, --devices
+  // sharding sweeps) keep failing while they shrink.
   auto Fails = [&](const Plan &Cand, std::string &Msg) {
     ++SR.Attempts;
     Outcome O = runDifferential(renderPlan(Cand, Seed), DP, Devices);

@@ -116,12 +116,11 @@ struct Outcome {
 /// optimisation) and the full pipeline + simulated device, comparing
 /// bit-for-bit.  Typed runtime errors must agree in kind and message;
 /// any compile or verifier error is a failure (generated programs are
-/// well-typed by construction).  \p DP selects the simulated device —
-/// the --no-mem-plan sweep passes a configuration with UseMemPlan off to
-/// pin the ablation path against the same oracle.  \p Devices > 1 routes
-/// the device leg through the sharded path (compiled with a shard plan,
-/// executed on a DeviceGroup); results must stay bit-identical to the
-/// reference at any device count.
+/// well-typed by construction).  \p DP selects the simulated device (the
+/// --hist-global and --cost-model sweeps pass non-default ones).
+/// \p Devices > 1 routes the device leg through the sharded path
+/// (compiled with a shard plan, executed on a DeviceGroup); results must
+/// stay bit-identical to the reference at any device count.
 Outcome runDifferential(const FuzzCase &C,
                         const gpusim::DeviceParams &DP =
                             gpusim::DeviceParams::gtx780(),
@@ -151,10 +150,10 @@ Outcome runCrossModel(const FuzzCase &C,
 /// Greedy shrink: repeatedly re-render with one step removed (then with a
 /// shorter array / zeroed inputs) while the differential failure persists.
 /// \p DP and \p Devices must be the device configuration the failure was
-/// found under — a --no-mem-plan ablation failure only reproduces with
-/// the planner off, and a sharding failure only with the same device
-/// count, so shrinking under the default parameters would see nothing to
-/// shrink.
+/// found under — a --hist-global failure only reproduces with the
+/// global-atomic lowering, and a sharding failure only with the same
+/// device count, so shrinking under the default parameters would see
+/// nothing to shrink.
 struct ShrinkResult {
   Plan MinimalPlan;
   FuzzCase Minimal;

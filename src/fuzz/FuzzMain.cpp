@@ -40,8 +40,6 @@ void usage() {
           "  --out <dir>         where to write minimized .fut failures\n"
           "                      (default: fuzz-failures)\n"
           "  --no-shrink         report raw failures without minimizing\n"
-          "  --no-mem-plan       run the device side with the static\n"
-          "                      memory planner disabled (ablation sweep)\n"
           "  --devices <n>       run the device side sharded across n\n"
           "                      simulated devices (default 1)\n"
           "  --hist-global       force the global-atomic histogram\n"
@@ -118,8 +116,6 @@ int main(int argc, char **argv) {
       OutDir = V;
     } else if (A == "--no-shrink") {
       Shrink = false;
-    } else if (A == "--no-mem-plan") {
-      DP.UseMemPlan = false;
     } else if (A == "--hist-global") {
       DP.HistLocalWidthMax = 0;
     } else if (A == "--cost-model" || A.rfind("--cost-model=", 0) == 0) {

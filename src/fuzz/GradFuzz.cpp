@@ -319,8 +319,7 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
   VArgs.push_back(Value::scalar(PrimValue::makeF64(1.0)));
   DeviceRunOptions RO;
   RO.Device = DP;
-  if (DP.UseMemPlan)
-    RO.MemPlan = &Compiled->MemPlan;
+  RO.MemPlan = &Compiled->MemPlan;
   auto R = runOnDevice(Compiled->P, VArgs, RO, "main_vjp");
   if (!R)
     return Fail("device vjp run failed: " + R.getError().str());

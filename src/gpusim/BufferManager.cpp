@@ -97,8 +97,7 @@ int DeviceBufferManager::planSlot(const VName &N, bool &Hoisted) {
         return K1;
     }
   }
-  // Rebinding a name that still holds a half releases in place — the
-  // same release-then-alloc a rebind performs in runtime mode.
+  // Rebinding a name that still holds a half releases it in place.
   auto NIt = NameToAlloc.find(N);
   if (NIt != NameToAlloc.end()) {
     if (Occupant(K0) == NIt->second)
@@ -127,154 +126,77 @@ void DeviceBufferManager::vacate(int Slot) {
   It->second.OccId = -1;
 }
 
-void DeviceBufferManager::freeRange(int64_t Offset, int64_t Bytes) {
-  if (Bytes <= 0)
-    return;
-  auto Next = FreeRanges.lower_bound(Offset);
-  if (Next != FreeRanges.begin()) {
-    auto Prev = std::prev(Next);
-    if (Prev->first + Prev->second == Offset) {
-      // Coalesce with the range ending where this one starts — and, when
-      // the release plugs a hole exactly, with the following range too.
-      Prev->second += Bytes;
-      if (Next != FreeRanges.end() &&
-          Prev->first + Prev->second == Next->first) {
-        Prev->second += Next->second;
-        FreeRanges.erase(Next);
-      }
-      return;
-    }
-  }
-  if (Next != FreeRanges.end() && Offset + Bytes == Next->first) {
-    int64_t Merged = Bytes + Next->second;
-    FreeRanges.erase(Next);
-    FreeRanges[Offset] = Merged;
-    return;
-  }
-  FreeRanges[Offset] = Bytes;
-}
-
 void DeviceBufferManager::dropRef(int Id) {
   Alloc &A = Allocs[Id];
   if (--A.Refs > 0)
     return;
   if (A.DeviceValid) {
-    if (planMode()) {
-      auto It = Slots.find(A.Slot);
-      if (It != Slots.end() && It->second.OccId == Id)
-        vacate(A.Slot);
-    } else {
-      LiveBytesNow = std::max<int64_t>(0, LiveBytesNow - A.Bytes);
-      FreedBytesTotal += A.Bytes;
-      freeRange(A.Offset, A.Bytes);
-    }
+    auto It = Slots.find(A.Slot);
+    if (It != Slots.end() && It->second.OccId == Id)
+      vacate(A.Slot);
   }
   A.DeviceValid = false;
 }
 
 bool DeviceBufferManager::bind(const VName &N, int64_t Bytes,
                                double ReadyAt) {
-  if (planMode()) {
-    bool Hoisted = false;
-    int Slot = planSlot(N, Hoisted);
-    SlotState &SS = Slots[Slot];
+  bool Hoisted = false;
+  int Slot = planSlot(N, Hoisted);
+  SlotState &SS = Slots[Slot];
 
-    // Capacity pre-check, simulating (without committing) the release of
-    // N's previous binding and the eviction of this half's stale
-    // occupant: the plan's whole point is that reused storage is not
-    // double-charged — while a hoisted slab's other half stays charged.
-    auto Old = NameToAlloc.find(N);
-    int OldId = Old != NameToAlloc.end() ? Old->second : -1;
-    int64_t Projected = LiveBytesNow + Bytes;
-    bool OldVacates = false;
-    if (OldId >= 0) {
-      const Alloc &OA = Allocs[OldId];
-      auto OIt = Slots.find(OA.Slot);
-      OldVacates = OA.Refs == 1 && OA.DeviceValid &&
-                   OIt != Slots.end() && OIt->second.OccId == OldId;
-      if (OldVacates)
-        Projected -= OA.Bytes;
-    }
-    if (SS.OccId >= 0 && !(OldVacates && Allocs[OldId].Slot == Slot))
-      Projected -= Allocs[SS.OccId].Bytes;
-    if (Capacity > 0 && Projected > Capacity)
-      return false;
-
-    if (OldId >= 0) {
-      NameToAlloc.erase(Old);
-      dropRef(OldId);
-    }
-    if (SS.OccId >= 0)
-      vacate(Slot);
-    if (SS.EverUsed) {
-      if (Hoisted)
-        ++HoistedAllocCount;
-      else if (!(SS.LastName == N))
-        ++ReusedBlockCount;
-    }
-
-    Alloc A;
-    A.Bytes = Bytes;
-    A.Refs = 1;
-    A.DeviceValid = true;
-    A.ReadyAt = ReadyAt;
-    A.Slot = Slot;
-    Allocs.push_back(A);
-    int Id = static_cast<int>(Allocs.size()) - 1;
-    NameToAlloc[N] = Id;
-    SS.OccId = Id;
-    SS.EverUsed = true;
-    SS.Hoisted = Hoisted;
-    SS.LastName = N;
-    SS.MaxBytes = std::max(SS.MaxBytes, Bytes);
-    LiveBytesNow += Bytes;
-    if (Slot < 0) {
-      ImplicitLiveBytes += Bytes;
-      ImplicitPeakBytes = std::max(ImplicitPeakBytes, ImplicitLiveBytes);
-    }
-    PeakBytesSeen = std::max(PeakBytesSeen, LiveBytesNow);
-    return true;
-  }
-
-  if (Capacity > 0 && LiveBytesNow + Bytes > Capacity)
-    return false;
+  // Capacity pre-check, simulating (without committing) the release of
+  // N's previous binding and the eviction of this half's stale
+  // occupant: the plan's whole point is that reused storage is not
+  // double-charged — while a hoisted slab's other half stays charged.
   auto Old = NameToAlloc.find(N);
-  if (Old != NameToAlloc.end()) {
-    int OldId = Old->second;
+  int OldId = Old != NameToAlloc.end() ? Old->second : -1;
+  int64_t Projected = LiveBytesNow + Bytes;
+  bool OldVacates = false;
+  if (OldId >= 0) {
+    const Alloc &OA = Allocs[OldId];
+    auto OIt = Slots.find(OA.Slot);
+    OldVacates = OA.Refs == 1 && OA.DeviceValid &&
+                 OIt != Slots.end() && OIt->second.OccId == OldId;
+    if (OldVacates)
+      Projected -= OA.Bytes;
+  }
+  if (SS.OccId >= 0 && !(OldVacates && Allocs[OldId].Slot == Slot))
+    Projected -= Allocs[SS.OccId].Bytes;
+  if (Capacity > 0 && Projected > Capacity)
+    return false;
+
+  if (OldId >= 0) {
     NameToAlloc.erase(Old);
     dropRef(OldId);
   }
-  // Serve the allocation from the best-fitting coalesced free range;
-  // otherwise bump the arena top.  The simulator's byte accounting is
-  // identical either way — the ranges exist so reuse statistics reflect
-  // a real allocator's behaviour under fragmentation.
-  auto Best = FreeRanges.end();
-  for (auto It = FreeRanges.begin(); It != FreeRanges.end(); ++It)
-    if (It->second >= Bytes &&
-        (Best == FreeRanges.end() || It->second < Best->second))
-      Best = It;
-  int64_t Off;
-  if (Best != FreeRanges.end()) {
-    ++FreeListHitCount;
-    FreeListReusedBytesTotal += Bytes;
-    Off = Best->first;
-    int64_t Sz = Best->second;
-    FreeRanges.erase(Best);
-    if (Sz > Bytes)
-      FreeRanges[Off + Bytes] = Sz - Bytes;
-  } else {
-    Off = ArenaTop;
-    ArenaTop += Bytes;
+  if (SS.OccId >= 0)
+    vacate(Slot);
+  if (SS.EverUsed) {
+    if (Hoisted)
+      ++HoistedAllocCount;
+    else if (!(SS.LastName == N))
+      ++ReusedBlockCount;
   }
+
   Alloc A;
   A.Bytes = Bytes;
   A.Refs = 1;
   A.DeviceValid = true;
   A.ReadyAt = ReadyAt;
-  A.Offset = Off;
+  A.Slot = Slot;
   Allocs.push_back(A);
-  NameToAlloc[N] = static_cast<int>(Allocs.size()) - 1;
+  int Id = static_cast<int>(Allocs.size()) - 1;
+  NameToAlloc[N] = Id;
+  SS.OccId = Id;
+  SS.EverUsed = true;
+  SS.Hoisted = Hoisted;
+  SS.LastName = N;
+  SS.MaxBytes = std::max(SS.MaxBytes, Bytes);
   LiveBytesNow += Bytes;
+  if (Slot < 0) {
+    ImplicitLiveBytes += Bytes;
+    ImplicitPeakBytes = std::max(ImplicitPeakBytes, ImplicitLiveBytes);
+  }
   PeakBytesSeen = std::max(PeakBytesSeen, LiveBytesNow);
   return true;
 }
@@ -342,15 +264,9 @@ void DeviceBufferManager::invalidateDevice(const VName &N) {
   Alloc &A = Allocs[It->second];
   if (!A.DeviceValid)
     return;
-  if (planMode()) {
-    auto SIt = Slots.find(A.Slot);
-    if (SIt != Slots.end() && SIt->second.OccId == It->second)
-      vacate(A.Slot);
-  } else {
-    LiveBytesNow = std::max<int64_t>(0, LiveBytesNow - A.Bytes);
-    FreedBytesTotal += A.Bytes;
-    freeRange(A.Offset, A.Bytes);
-  }
+  auto SIt = Slots.find(A.Slot);
+  if (SIt != Slots.end() && SIt->second.OccId == It->second)
+    vacate(A.Slot);
   A.DeviceValid = false;
 }
 

@@ -25,28 +25,19 @@
 /// re-upload — and a ready-time on the simulated timeline, which is the
 /// dependency the two-engine scheduler (Timeline.h) respects.
 ///
-/// The manager runs in one of two modes:
-///
-///  * Plan mode (the default, setPlan): byte accounting *executes* the
-///    compiler's static memory plan (mem/MemPlan.h).  Each name maps to
-///    its planned slab, and occupancy is tracked per (slab, double-buffer
-///    half): a flat slab holds one occupant, a hoisted slab holds two —
-///    the carried generation in one half stays charged while the new one
-///    is written to the other, exactly the concurrency the plan sized the
-///    slab at 2x for.  A binding whose storage the plan reuses (a
-///    consumed input's block, a rebound name's own half, a coloured
-///    temporary) evicts only that half's stale occupancy instead of
-///    double-charging.  Residency and timeline state (refcounts,
-///    DeviceValid, ReadyAt) are byte-for-byte the same state machine as
-///    runtime mode, so simulated cycles never depend on the mode — only
-///    the byte counters do.
-///
-///  * Runtime mode (--no-mem-plan, no plan set): the legacy dynamic
-///    arena.  Released blocks become offset-aware free ranges; adjacent
-///    free ranges coalesce on release (the historical size-only free list
-///    could never merge fragments, so interleaved alloc/free patterns
-///    missed reuse).  An allocation served from a free range counts as a
-///    free-list hit.
+/// Byte accounting *executes* the compiler's static memory plan
+/// (mem/MemPlan.h).  Each name maps to its planned slab, and occupancy is
+/// tracked per (slab, double-buffer half): a flat slab holds one
+/// occupant, a hoisted slab holds two — the carried generation in one
+/// half stays charged while the new one is written to the other, exactly
+/// the concurrency the plan sized the slab at 2x for.  A binding whose
+/// storage the plan reuses (a consumed input's block, a rebound name's
+/// own half, a coloured temporary) evicts only that half's stale
+/// occupancy instead of double-charging.  Names the plan does not cover
+/// (or every name, without a plan) get an implicit slot of their own.
+/// Residency and timeline state (refcounts, DeviceValid, ReadyAt) never
+/// depend on the plan, so simulated cycles don't either — only the byte
+/// counters do.
 ///
 /// The manager is pure accounting: array contents always live in host
 /// interpreter Values.  Renamings the simulator cannot see (loop merge
@@ -63,7 +54,6 @@
 #include "mem/MemPlan.h"
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -96,14 +86,13 @@ class DeviceBufferManager {
     int Refs = 0;
     bool DeviceValid = true;
     double ReadyAt = 0; ///< Simulated time the device copy is usable.
-    int64_t Offset = 0; ///< Runtime mode: arena offset of the block.
-    int Slot = 0;       ///< Plan mode: slab occupied (keys Slots).
+    int Slot = 0;       ///< Slab half occupied (keys Slots).
   };
 
-  /// Plan mode: one (slab, half)'s occupancy.  At most one allocation's
-  /// bytes are charged per half; binding a new tenant into a half evicts
-  /// its stale occupancy (the plan proved the lifetimes disjoint or
-  /// aliasable), while the other half of a hoisted slab stays charged.
+  /// One (slab, half)'s occupancy.  At most one allocation's bytes are
+  /// charged per half; binding a new tenant into a half evicts its stale
+  /// occupancy (the plan proved the lifetimes disjoint or aliasable),
+  /// while the other half of a hoisted slab stays charged.
   struct SlotState {
     int OccId = -1; ///< Occupant allocation, -1 when vacant.
     bool EverUsed = false;
@@ -117,10 +106,10 @@ class DeviceBufferManager {
   std::vector<Alloc> Allocs;
   NameMap<int> NameToAlloc;
 
-  /// Plan execution state (null Plan = runtime mode).  Slots is keyed by
-  /// a composite slot id: planned slab S, half H -> 2*S + H (flat slabs
-  /// only use half 0); names the plan doesn't cover get negative ids.
-  const mem::FunPlan *Plan = nullptr;
+  /// Plan execution state.  Slots is keyed by a composite slot id:
+  /// planned slab S, half H -> 2*S + H (flat slabs only use half 0); names
+  /// the plan doesn't cover get negative ids.
+  const mem::FunPlan *Plan;
   std::unordered_map<int, SlotState> Slots;
   NameMap<int> ImplicitSlot; ///< Names the plan doesn't cover.
   int NextImplicitSlot = -1; ///< Implicit slabs grow downwards.
@@ -129,29 +118,19 @@ class DeviceBufferManager {
   int64_t ImplicitLiveBytes = 0; ///< Live bytes in implicit (unplanned)
   int64_t ImplicitPeakBytes = 0; ///< slots, and their high-water mark.
 
-  /// Runtime-mode arena: offset -> size of free ranges, kept maximal
-  /// (adjacent ranges are coalesced on release), plus the bump pointer.
-  std::map<int64_t, int64_t> FreeRanges;
-  int64_t ArenaTop = 0;
-
   int64_t LiveBytesNow = 0;
   int64_t PeakBytesSeen = 0;
   int64_t FreedBytesTotal = 0;
-  int64_t FreeListHitCount = 0;
-  int64_t FreeListReusedBytesTotal = 0;
 
   void dropRef(int Id);
-  void freeRange(int64_t Offset, int64_t Bytes);
   int planSlot(const VName &N, bool &Hoisted);
   void vacate(int Slot);
 
 public:
-  explicit DeviceBufferManager(int64_t Capacity) : Capacity(Capacity) {}
-
-  /// Switches to plan-execution mode for one function's plan (null keeps
-  /// runtime mode).  Must be called before any allocation.
-  void setPlan(const mem::FunPlan *FP) { Plan = FP; }
-  bool planMode() const { return Plan != nullptr; }
+  /// Executes \p Plan, one function's memory plan; null gives every name
+  /// its own implicit slot.
+  DeviceBufferManager(int64_t Capacity, const mem::FunPlan *Plan)
+      : Capacity(Capacity), Plan(Plan) {}
 
   /// True when \p Bytes more would still fit.
   bool wouldFit(int64_t Bytes) const {
@@ -193,19 +172,17 @@ public:
   int64_t liveBytes() const { return LiveBytesNow; }
   int64_t peakBytes() const { return PeakBytesSeen; }
   int64_t freedBytes() const { return FreedBytesTotal; }
-  int64_t freeListHits() const { return FreeListHitCount; }
-  int64_t freeListReusedBytes() const { return FreeListReusedBytesTotal; }
-  /// Plan mode: rebinds served by a hoisted double-buffered slab.
+  /// Rebinds served by a hoisted double-buffered slab.
   int64_t hoistedAllocs() const { return HoistedAllocCount; }
-  /// Plan mode: slab occupancies taken over from a different array.
+  /// Slab occupancies taken over from a different array.
   int64_t reusedBlocks() const { return ReusedBlockCount; }
-  /// Plan mode: the plan-derived residency bound — the sum of every slab
-  /// half the run actually materialised, charged at its planned static
-  /// extent (widest observed tenant for symbolically sized slabs), plus
-  /// the peak of allocations the plan does not cover.  An upper bound on
+  /// The plan-derived residency bound — the sum of every slab half the
+  /// run actually materialised, charged at its planned static extent
+  /// (widest observed tenant for symbolically sized slabs), plus the peak
+  /// of allocations the plan does not cover.  An upper bound on
   /// peakBytes() by construction, and genuinely static for fully
   /// statically shaped programs: it reflects the arena layout, not the
-  /// moment-to-moment live counter.  0 in runtime mode.
+  /// moment-to-moment live counter.  0 without a plan.
   int64_t plannedPeakBytes() const;
 };
 

@@ -69,7 +69,6 @@ std::string CostReport::str() const {
      << " computebusy=" << static_cast<int64_t>(ComputeEngineBusy)
      << " peakbytes=" << PeakDeviceBytes << " peakdemand=" << PeakDemandBytes
      << " freedbytes=" << FreedBytes
-     << " freelisthits=" << FreeListHits
      << " plannedpeak=" << PlannedPeakBytes << " hoisted=" << HoistedAllocs
      << " reused=" << ReusedBlocks;
   // Printed only under a non-default model, so default cost lines stay
@@ -178,8 +177,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
   // On a shared (multi-tenant) device the run only sees the capacity left
   // after co-resident tenants' admission reservations.
   const int64_t MemCap = P.effectiveMemBytes();
-  DeviceBufferManager Mgr(MemCap);
-  Mgr.setPlan(MPlan);
+  DeviceBufferManager Mgr(MemCap, MPlan);
   LivenessInfo Liveness(Prog);
 
   auto &TS = trace::TraceSession::global();
@@ -237,15 +235,12 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
   auto SyncMemStats = [&] {
     Cost.PeakDeviceBytes = Mgr.peakBytes();
     Cost.FreedBytes = Mgr.freedBytes();
-    Cost.FreeListHits = Mgr.freeListHits();
-    if (Mgr.planMode()) {
-      // The plan-derived bound, not the live counter peakBytes() already
-      // feeds into PeakDeviceBytes: asserting observed <= planned is a
-      // genuine cross-check of the static layout against residency.
-      Cost.PlannedPeakBytes = Mgr.plannedPeakBytes();
-      Cost.HoistedAllocs = Mgr.hoistedAllocs();
-      Cost.ReusedBlocks = Mgr.reusedBlocks();
-    }
+    // The plan-derived bound, not the live counter peakBytes() already
+    // feeds into PeakDeviceBytes: asserting observed <= planned is a
+    // genuine cross-check of the static layout against residency.
+    Cost.PlannedPeakBytes = Mgr.plannedPeakBytes();
+    Cost.HoistedAllocs = Mgr.hoistedAllocs();
+    Cost.ReusedBlocks = Mgr.reusedBlocks();
   };
 
   // Simulated end of the most recent kernel command: the ready-time of
@@ -1235,17 +1230,11 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
   CostReport Cost;
   FaultPlan Plan(R.Faults);
   // Resolve the memory plan: the compiler's artifact when provided, a
-  // locally computed one otherwise, none under --no-mem-plan.
+  // locally computed one otherwise.
   mem::MemoryPlan LocalPlan;
-  const mem::FunPlan *FP = nullptr;
-  if (P.UseMemPlan) {
-    if (MemPlan) {
-      FP = MemPlan->forFun(Fun);
-    } else {
-      LocalPlan = mem::planMemory(Prog);
-      FP = LocalPlan.forFun(Fun);
-    }
-  }
+  if (!MemPlan)
+    LocalPlan = mem::planMemory(Prog);
+  const mem::FunPlan *FP = (MemPlan ? *MemPlan : LocalPlan).forFun(Fun);
   // Resolve the shard plan: only consulted with more than one device, and
   // only for functions the compiler actually planned.
   const shard::FunShardPlan *SP = nullptr;

@@ -205,16 +205,6 @@ public:
   /// issued to an idle device still pays the full launch cost.
   double PipelinedLaunchFraction = 0.5;
 
-  /// When true (the default), device allocation executes the compiler's
-  /// static memory plan (mem/MemPlan.h): every kernel input/output lives
-  /// at its planned slab, consumed arrays alias their source's block, and
-  /// loop-carried arrays occupy hoisted double-buffered slabs.  When
-  /// false (the --no-mem-plan ablation) the legacy runtime
-  /// best-fit/refcounting manager decides every allocation dynamically.
-  /// Simulated cycles are identical either way; only byte accounting and
-  /// the reuse counters differ.
-  bool UseMemPlan = true;
-
   /// A GTX 780 Ti-like configuration (the default).
   static DeviceParams gtx780();
   /// A FirePro W8100-like configuration: comparable bandwidth, slightly
@@ -278,8 +268,7 @@ struct CostReport {
   double OverlapSavedCycles = 0;
 
   /// Device buffer-manager accounting: high-water mark of live device
-  /// bytes, bytes released by liveness/rebinding, and allocations served
-  /// from the free-list of released blocks.
+  /// bytes, and bytes released by liveness/rebinding.
   int64_t PeakDeviceBytes = 0;
   /// High-water mark of transient demand: live bytes at a kernel launch
   /// plus the results that launch materialised while its inputs were
@@ -288,13 +277,12 @@ struct CostReport {
   /// controller reserves for packed tenants.
   int64_t PeakDemandBytes = 0;
   int64_t FreedBytes = 0;
-  int64_t FreeListHits = 0;
 
-  /// Memory-plan execution accounting (zero under --no-mem-plan): the
-  /// plan-derived residency bound (every materialised slab half at its
-  /// planned extent — observed PeakDeviceBytes never exceeds it), rebinds
-  /// served in place by hoisted double-buffered loop slabs, and slab
-  /// occupancies taken over from a dead or consumed array (static reuse).
+  /// Memory-plan execution accounting: the plan-derived residency bound
+  /// (every materialised slab half at its planned extent — observed
+  /// PeakDeviceBytes never exceeds it), rebinds served in place by
+  /// hoisted double-buffered loop slabs, and slab occupancies taken over
+  /// from a dead or consumed array (static reuse).
   int64_t PlannedPeakBytes = 0;
   int64_t HoistedAllocs = 0;
   int64_t ReusedBlocks = 0;
@@ -352,9 +340,9 @@ struct RunResult {
 class Device {
   DeviceParams P;
   ResilienceParams R;
-  /// Compiler-provided memory plan; when null and UseMemPlan is set, the
-  /// device plans the program itself before running (so directly
-  /// constructed Devices — tests, benches — still execute a plan).
+  /// Compiler-provided memory plan; when null, the device plans the
+  /// program itself before running (so directly constructed Devices —
+  /// tests, benches — still execute a plan).
   const mem::MemoryPlan *MemPlan = nullptr;
   /// Compiler-provided shard plan plus the device count to execute it on;
   /// with Devices <= 1 (or no plan) execution is single-device and

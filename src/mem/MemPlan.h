@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The post-flattening memory-planning stage: instead of leaving every
-/// device allocation decision to the runtime buffer manager, the compiler
-/// computes per-program liveness over device arrays, builds an
-/// interference relation, and assigns every kernel input/output a static
-/// (slab, offset, bytes) position in an arena layout.  Three placement
+/// The post-flattening memory-planning stage: rather than leaving device
+/// allocation to a runtime allocator, the compiler computes per-program
+/// liveness over device arrays, builds an interference relation, and
+/// assigns every kernel input/output a static (slab, offset, bytes)
+/// position in an arena layout.  Three placement
 /// rules carry the paper's memory story (Sections 3 and 6):
 ///
 ///  * consumed-in-place arrays alias their source's slab — a kernel whose
@@ -24,10 +24,9 @@
 /// The plan is an artifact of compilation: driver/Compiler runs
 /// planMemory after locality, check/Verify re-derives the liveness and
 /// alias relations to reject unsound plans, and gpusim's buffer manager
-/// *executes* the plan (the legacy best-fit/refcounting manager survives
-/// only as the --no-mem-plan ablation).  The analyses are exposed
-/// separately so the verifier and tests never trust the planner's own
-/// bookkeeping.
+/// *executes* the plan — it is the simulator's only device-memory model.
+/// The analyses are exposed separately so the verifier and tests never
+/// trust the planner's own bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 

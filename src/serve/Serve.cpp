@@ -212,10 +212,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
     // never the memory an in-flight run reads.
     std::shared_ptr<const CompileResult> Artifact = E->Artifact;
     DeviceRunOptions RO = makeRunOptions(Req, Reservation, Solo);
-    if (Req.Compile.PlanMemory)
-      RO.MemPlan = &Artifact->MemPlan;
-    else
-      RO.Device.UseMemPlan = false;
+    RO.MemPlan = &Artifact->MemPlan;
     auto R = runOnDevice(Artifact->P, Req.Args, RO, Req.Fun);
     if (R) {
       Duration += R->Cost.TotalCycles;

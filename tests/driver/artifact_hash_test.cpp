@@ -75,8 +75,6 @@ TEST(ArtifactHash, CacheKeySeparatesSemanticOptions) {
   NoFusion.EnableFusion = false;
   CompilerOptions NoKernels = Base;
   NoKernels.ExtractKernels = false;
-  CompilerOptions NoPlan = Base;
-  NoPlan.PlanMemory = false;
   CompilerOptions NoTiling = Base;
   NoTiling.Locality.EnableTiling = false;
   CompilerOptions NoInterchange = Base;
@@ -84,7 +82,6 @@ TEST(ArtifactHash, CacheKeySeparatesSemanticOptions) {
 
   EXPECT_NE(KBase, artifactCacheKey(kPinned, NoFusion));
   EXPECT_NE(KBase, artifactCacheKey(kPinned, NoKernels));
-  EXPECT_NE(KBase, artifactCacheKey(kPinned, NoPlan));
   EXPECT_NE(KBase, artifactCacheKey(kPinned, NoTiling));
   EXPECT_NE(KBase, artifactCacheKey(kPinned, NoInterchange));
   EXPECT_NE(KBase, artifactCacheKey("fun main: i32 = 1\n", Base));
@@ -102,17 +99,20 @@ TEST(ArtifactHash, CacheKeyIgnoresVerificationToggles) {
 }
 
 TEST(ArtifactHash, FingerprintCoversTheMemoryPlan) {
-  // Same source, planning on vs off: the artifacts differ (one carries a
-  // plan) and so must the fingerprints.
-  NameSource N1, N2;
-  CompilerOptions WithPlan;
-  CompilerOptions NoPlan;
-  NoPlan.PlanMemory = false;
-  auto A = compileSource(kPinned, N1, WithPlan);
-  auto B = compileSource(kPinned, N2, NoPlan);
+  // The plan is part of the artifact: perturbing one slab's extent must
+  // change the fingerprint, and restoring it must bring the original back.
+  NameSource N;
+  auto A = compileSource(kPinned, N);
   ASSERT_TRUE(static_cast<bool>(A)) << A.getError().str();
-  ASSERT_TRUE(static_cast<bool>(B)) << B.getError().str();
-  EXPECT_NE(A->fingerprint(), B->fingerprint());
+  ASSERT_FALSE(A->MemPlan.Funs.empty());
+  ASSERT_FALSE(A->MemPlan.Funs[0].Slabs.empty());
+  const uint64_t Original = A->fingerprint();
+  int64_t &Bytes = A->MemPlan.Funs[0].Slabs[0].Bytes;
+  const int64_t Saved = Bytes;
+  Bytes += 8;
+  EXPECT_NE(A->fingerprint(), Original);
+  Bytes = Saved;
+  EXPECT_EQ(A->fingerprint(), Original);
 }
 
 } // namespace

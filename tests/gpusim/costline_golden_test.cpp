@@ -112,7 +112,7 @@ const Golden kPipeline[] = {
      "local=196608 private=786624 ops=984960 hostops=4 bytes=795392 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=7524 "
      "copybusy=0 computebusy=29622 peakbytes=795008 peakdemand=795008 "
-     "freedbytes=795008 freelisthits=0 plannedpeak=795776 hoisted=0 "
+     "freedbytes=795008 plannedpeak=795776 hoisted=0 "
      "reused=0 costmodel=pipeline rooflinecycles=29846 "
      "pipelinecycles=37122 warps=9 divergentwarps=0 coalescerexcess=0 "
      "bankconflictextra=0",
@@ -123,7 +123,7 @@ const Golden kPipeline[] = {
      "private=0 ops=262142 hostops=1 bytes=196608 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=2499 copybusy=0 "
      "computebusy=9250 peakbytes=196608 peakdemand=196608 freedbytes=0 "
-     "freelisthits=0 plannedpeak=196608 hoisted=0 reused=0 "
+     "plannedpeak=196608 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=11743 pipelinecycles=11750 "
      "warps=256 divergentwarps=2 coalescerexcess=0 bankconflictextra=0",
      0x6dc614d3f45fb854ULL},
@@ -133,7 +133,7 @@ const Golden kPipeline[] = {
      "private=0 ops=2979072 hostops=27 bytes=73728 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=57683 copybusy=0 "
      "computebusy=83849 peakbytes=73920 peakdemand=73920 "
-     "freedbytes=407616 freelisthits=0 plannedpeak=73920 hoisted=11 "
+     "freedbytes=407616 plannedpeak=73920 hoisted=11 "
      "reused=0 costmodel=pipeline rooflinecycles=141168 "
      "pipelinecycles=141349 warps=3492 divergentwarps=2304 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -144,7 +144,7 @@ const Golden kPipeline[] = {
      "local=110592 private=176128 ops=716800 hostops=8 bytes=163940 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=10040 "
      "copybusy=0 computebusy=49688 peakbytes=491540 peakdemand=491540 "
-     "freedbytes=245760 freelisthits=0 plannedpeak=573540 hoisted=0 "
+     "freedbytes=245760 plannedpeak=573540 hoisted=0 "
      "reused=0 costmodel=pipeline rooflinecycles=33054 "
      "pipelinecycles=59688 warps=258 divergentwarps=0 coalescerexcess=0 "
      "bankconflictextra=0",
@@ -154,7 +154,7 @@ const Golden kPipeline[] = {
      "(coalesced=351, scattered=0) gaccess=10368 local=222336 private=0 "
      "ops=1578240 hostops=1 bytes=10752 retries=0 retrycycles=0 "
      "faults=0 wdkills=0 overlapsaved=0 copybusy=0 computebusy=6294 "
-     "peakbytes=10752 peakdemand=10752 freedbytes=0 freelisthits=0 "
+     "peakbytes=10752 peakdemand=10752 freedbytes=0 "
      "plannedpeak=10752 hoisted=0 reused=0 costmodel=pipeline "
      "rooflinecycles=5770 pipelinecycles=6294 warps=36 divergentwarps=0 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -165,7 +165,7 @@ const Golden kPipeline[] = {
      "private=3276800 ops=10524672 hostops=1 bytes=524288 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=2499 copybusy=0 "
      "computebusy=15198 peakbytes=524288 peakdemand=524288 freedbytes=0 "
-     "freelisthits=0 plannedpeak=524288 hoisted=0 reused=0 "
+     "plannedpeak=524288 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=17597 pipelinecycles=17698 "
      "warps=64 divergentwarps=0 coalescerexcess=0 bankconflictextra=0",
      0xb082f5fa897f2d35ULL},
@@ -175,7 +175,7 @@ const Golden kPipeline[] = {
      "private=0 ops=802816 hostops=28 bytes=131168 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=27700 copybusy=6 "
      "computebusy=41825 peakbytes=196608 peakdemand=196608 "
-     "freedbytes=458752 freelisthits=0 plannedpeak=196608 hoisted=0 "
+     "freedbytes=458752 plannedpeak=196608 hoisted=0 "
      "reused=1 costmodel=pipeline rooflinecycles=69305 "
      "pipelinecycles=69325 warps=6656 divergentwarps=0 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -186,7 +186,7 @@ const Golden kPipeline[] = {
      "private=0 ops=3358594 hostops=130 bytes=1064960 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=158532 copybusy=0 "
      "computebusy=185216 peakbytes=1064960 peakdemand=1081344 "
-     "freedbytes=1032192 freelisthits=0 plannedpeak=1081344 hoisted=62 "
+     "freedbytes=1032192 plannedpeak=1081344 hoisted=62 "
      "reused=0 costmodel=pipeline rooflinecycles=342631 "
      "pipelinecycles=342716 warps=8192 divergentwarps=126 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -197,7 +197,7 @@ const Golden kPipeline[] = {
      "local=0 private=75264 ops=1260288 hostops=45 bytes=36864 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=80311 "
      "copybusy=0 computebusy=121426 peakbytes=36960 peakdemand=36960 "
-     "freedbytes=261792 freelisthits=0 plannedpeak=37344 hoisted=7 "
+     "freedbytes=261792 plannedpeak=37344 hoisted=7 "
      "reused=0 costmodel=pipeline rooflinecycles=201310 "
      "pipelinecycles=201426 warps=2376 divergentwarps=768 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -208,7 +208,7 @@ const Golden kPipeline[] = {
      "private=8192 ops=2262592 hostops=51 bytes=65536 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=127892 copybusy=0 "
      "computebusy=150082 peakbytes=65792 peakdemand=65792 "
-     "freedbytes=1182464 freelisthits=0 plannedpeak=98560 hoisted=11 "
+     "freedbytes=1182464 plannedpeak=98560 hoisted=11 "
      "reused=2 costmodel=pipeline rooflinecycles=274049 "
      "pipelinecycles=277582 warps=6194 divergentwarps=1536 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -219,7 +219,7 @@ const Golden kPipeline[] = {
      "private=1089536 ops=2920448 hostops=5 bytes=128 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=2508 copybusy=0 "
      "computebusy=8996 peakbytes=16512 peakdemand=16512 freedbytes=128 "
-     "freelisthits=0 plannedpeak=16512 hoisted=0 reused=0 "
+     "plannedpeak=16512 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=11471 pipelinecycles=11496 "
      "warps=256 divergentwarps=0 coalescerexcess=0 bankconflictextra=0",
      0x97f40aca400d9dfcULL},
@@ -229,7 +229,7 @@ const Golden kPipeline[] = {
      "private=4194304 ops=7348224 hostops=1 bytes=34816 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=0 copybusy=0 "
      "computebusy=8649 peakbytes=34816 peakdemand=34816 freedbytes=0 "
-     "freelisthits=0 plannedpeak=34816 hoisted=0 reused=0 "
+     "plannedpeak=34816 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=8588 pipelinecycles=8649 "
      "warps=128 divergentwarps=0 coalescerexcess=0 bankconflictextra=0",
      0xb69ff68fc1d45c1fULL},
@@ -239,7 +239,7 @@ const Golden kPipeline[] = {
      "private=589824 ops=1982464 hostops=2 bytes=65536 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=0 copybusy=0 "
      "computebusy=5989 peakbytes=65536 peakdemand=65536 freedbytes=0 "
-     "freelisthits=0 plannedpeak=65536 hoisted=0 reused=0 "
+     "plannedpeak=65536 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=5968 pipelinecycles=5989 "
      "warps=256 divergentwarps=0 coalescerexcess=0 bankconflictextra=0",
      0x4345ccc87949d687ULL},
@@ -249,7 +249,7 @@ const Golden kPipeline[] = {
      "private=0 ops=938240 hostops=23 bytes=32768 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=47652 copybusy=0 "
      "computebusy=58218 peakbytes=32896 peakdemand=32896 "
-     "freedbytes=148608 freelisthits=0 plannedpeak=32896 hoisted=9 "
+     "freedbytes=148608 plannedpeak=32896 hoisted=9 "
      "reused=0 costmodel=pipeline rooflinecycles=105632 "
      "pipelinecycles=105718 warps=1300 divergentwarps=1280 "
      "coalescerexcess=0 bankconflictextra=0",
@@ -260,7 +260,7 @@ const Golden kPipeline[] = {
      "private=0 ops=4278873 hostops=4 bytes=36864 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=2508 copybusy=0 "
      "computebusy=10405 peakbytes=37248 peakdemand=37248 freedbytes=0 "
-     "freelisthits=0 plannedpeak=37248 hoisted=0 reused=0 "
+     "plannedpeak=37248 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=12090 pipelinecycles=12905 "
      "warps=291 divergentwarps=249 coalescerexcess=0 "
      "bankconflictextra=0",
@@ -271,7 +271,7 @@ const Golden kPipeline[] = {
      "private=4128768 ops=9439488 hostops=1 bytes=15360 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=0 copybusy=0 "
      "computebusy=16574 peakbytes=15360 peakdemand=15360 freedbytes=0 "
-     "freelisthits=0 plannedpeak=15360 hoisted=0 reused=0 "
+     "plannedpeak=15360 hoisted=0 reused=0 "
      "costmodel=pipeline rooflinecycles=9609 pipelinecycles=16574 "
      "warps=24 divergentwarps=0 coalescerexcess=0 bankconflictextra=0",
      0x6ae4059edb49a7ccULL},
@@ -285,7 +285,7 @@ const Golden kTwoDevices[] = {
      "local=196608 private=786624 ops=984960 hostops=4 bytes=1590976 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=31567 "
      "copybusy=99448 computebusy=28988 peakbytes=795008 "
-     "peakdemand=795008 freedbytes=795008 freelisthits=0 "
+     "peakdemand=795008 freedbytes=795008 "
      "plannedpeak=795776 hoisted=0 reused=0 devices=2 shardedlaunches=2 "
      "interdevbytes=795584 interdevcycles=99448 devpeaks=794816,794816",
      0x53fc10bcaf67d98fULL},
@@ -295,7 +295,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=262142 hostops=1 bytes=360448 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=13986 "
      "copybusy=20480 computebusy=11743 peakbytes=196608 "
-     "peakdemand=196608 freedbytes=0 freelisthits=0 plannedpeak=196608 "
+     "peakdemand=196608 freedbytes=0 plannedpeak=196608 "
      "hoisted=0 reused=0 devices=2 shardedlaunches=1 "
      "interdevbytes=163840 interdevcycles=20480 devpeaks=180224,180224",
      0x6dc614d3f45fb854ULL},
@@ -305,7 +305,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=2979072 hostops=27 bytes=73728 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=57684 copybusy=0 "
      "computebusy=83668 peakbytes=73920 peakdemand=73920 "
-     "freedbytes=407616 freelisthits=0 plannedpeak=73920 hoisted=11 "
+     "freedbytes=407616 plannedpeak=73920 hoisted=11 "
      "reused=0 devices=2 shardedlaunches=0 interdevbytes=0 "
      "interdevcycles=0 devpeaks=0,0",
      0x4d1d02af79aa661aULL},
@@ -315,7 +315,7 @@ const Golden kTwoDevices[] = {
      "local=110592 private=176128 ops=716800 hostops=8 bytes=737480 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=71110 "
      "copybusy=71692 computebusy=33779 peakbytes=491540 "
-     "peakdemand=491540 freedbytes=245760 freelisthits=0 "
+     "peakdemand=491540 freedbytes=245760 "
      "plannedpeak=573540 hoisted=0 reused=0 devices=2 shardedlaunches=4 "
      "interdevbytes=573540 interdevcycles=71692 devpeaks=327760,327760",
      0xc574dbd969975ce3ULL},
@@ -325,7 +325,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=1578240 hostops=1 bytes=16896 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=6153 copybusy=768 "
      "computebusy=9234 peakbytes=10752 peakdemand=10752 freedbytes=0 "
-     "freelisthits=0 plannedpeak=10752 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=10752 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=6144 interdevcycles=768 "
      "devpeaks=8448,8448",
      0x764d443fdbc0cb69ULL},
@@ -335,7 +335,7 @@ const Golden kTwoDevices[] = {
      "private=3276800 ops=10524672 hostops=1 bytes=786432 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=17527 "
      "copybusy=32768 computebusy=17597 peakbytes=524288 "
-     "peakdemand=524288 freedbytes=0 freelisthits=0 plannedpeak=524288 "
+     "peakdemand=524288 freedbytes=0 plannedpeak=524288 "
      "hoisted=0 reused=0 devices=2 shardedlaunches=1 "
      "interdevbytes=262144 interdevcycles=32768 devpeaks=393216,393216",
      0xb082f5fa897f2d35ULL},
@@ -345,7 +345,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=802816 hostops=28 bytes=163936 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=33007 copybusy=4102 "
      "computebusy=46805 peakbytes=196608 peakdemand=196608 "
-     "freedbytes=458752 freelisthits=0 plannedpeak=196608 hoisted=0 "
+     "freedbytes=458752 plannedpeak=196608 hoisted=0 "
      "reused=1 devices=2 shardedlaunches=1 interdevbytes=32768 "
      "interdevcycles=4096 devpeaks=98304,98304",
      0x8e71adc5f8dc2e0dULL},
@@ -356,7 +356,7 @@ const Golden kTwoDevices[] = {
      "bytes=2113536 retries=0 retrycycles=0 faults=0 wdkills=0 "
      "overlapsaved=166083 copybusy=131072 computebusy=185131 "
      "peakbytes=1064960 peakdemand=1081344 freedbytes=1032192 "
-     "freelisthits=0 plannedpeak=1081344 hoisted=62 reused=0 devices=2 "
+     "plannedpeak=1081344 hoisted=62 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=1048576 interdevcycles=131072 "
      "devpeaks=1056768,1056768",
      0xf81570c2ea1aa422ULL},
@@ -366,7 +366,7 @@ const Golden kTwoDevices[] = {
      "local=0 private=75264 ops=1260288 hostops=45 bytes=36864 "
      "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=80312 "
      "copybusy=0 computebusy=121310 peakbytes=36960 peakdemand=36960 "
-     "freedbytes=261792 freelisthits=0 plannedpeak=37344 hoisted=7 "
+     "freedbytes=261792 plannedpeak=37344 hoisted=7 "
      "reused=0 devices=2 shardedlaunches=0 interdevbytes=0 "
      "interdevcycles=0 devpeaks=0,0",
      0xe5874ada4ac8d918ULL},
@@ -377,7 +377,7 @@ const Golden kTwoDevices[] = {
      "bytes=98304 retries=0 retrycycles=0 faults=0 wdkills=0 "
      "overlapsaved=137090 copybusy=4096 computebusy=149049 "
      "peakbytes=65792 peakdemand=65792 freedbytes=1182464 "
-     "freelisthits=0 plannedpeak=98560 hoisted=11 reused=2 devices=2 "
+     "plannedpeak=98560 hoisted=11 reused=2 devices=2 "
      "shardedlaunches=1 interdevbytes=32768 interdevcycles=4096 "
      "devpeaks=49152,49152",
      0xc13f4c5f3aca404bULL},
@@ -387,7 +387,7 @@ const Golden kTwoDevices[] = {
      "private=1089536 ops=2920448 hostops=5 bytes=41344 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=12345 copybusy=5152 "
      "computebusy=13907 peakbytes=16512 peakdemand=16512 freedbytes=128 "
-     "freelisthits=0 plannedpeak=16512 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=16512 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=41216 interdevcycles=5152 "
      "devpeaks=41216,41216",
      0x97f40aca400d9dfcULL},
@@ -397,7 +397,7 @@ const Golden kTwoDevices[] = {
      "private=4194304 ops=7348224 hostops=1 bytes=36864 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=7050 copybusy=256 "
      "computebusy=13076 peakbytes=34816 peakdemand=34816 freedbytes=0 "
-     "freelisthits=0 plannedpeak=34816 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=34816 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=2048 interdevcycles=256 "
      "devpeaks=18432,18432",
      0xb69ff68fc1d45c1fULL},
@@ -407,7 +407,7 @@ const Golden kTwoDevices[] = {
      "private=589824 ops=1982464 hostops=2 bytes=65632 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=5496 copybusy=12 "
      "computebusy=10968 peakbytes=65536 peakdemand=65536 freedbytes=0 "
-     "freelisthits=0 plannedpeak=65536 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=65536 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=96 interdevcycles=12 "
      "devpeaks=32864,32864",
      0x4345ccc87949d687ULL},
@@ -417,7 +417,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=938240 hostops=23 bytes=32768 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=47652 copybusy=0 "
      "computebusy=58131 peakbytes=32896 peakdemand=32896 "
-     "freedbytes=148608 freelisthits=0 plannedpeak=32896 hoisted=9 "
+     "freedbytes=148608 plannedpeak=32896 hoisted=9 "
      "reused=0 devices=2 shardedlaunches=0 interdevbytes=0 "
      "interdevcycles=0 devpeaks=0,0",
      0x4d30d01bf9088156ULL},
@@ -427,7 +427,7 @@ const Golden kTwoDevices[] = {
      "private=0 ops=4278873 hostops=4 bytes=36864 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=13552 copybusy=0 "
      "computebusy=17091 peakbytes=37248 peakdemand=37248 freedbytes=0 "
-     "freelisthits=0 plannedpeak=37248 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=37248 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=2 interdevbytes=0 interdevcycles=0 "
      "devpeaks=18624,18624",
      0xc0a9391aa6c95ca8ULL},
@@ -437,7 +437,7 @@ const Golden kTwoDevices[] = {
      "private=4128768 ops=9439488 hostops=1 bytes=24576 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=8456 copybusy=1152 "
      "computebusy=12305 peakbytes=15360 peakdemand=15360 freedbytes=0 "
-     "freelisthits=0 plannedpeak=15360 hoisted=0 reused=0 devices=2 "
+     "plannedpeak=15360 hoisted=0 reused=0 devices=2 "
      "shardedlaunches=1 interdevbytes=9216 interdevcycles=1152 "
      "devpeaks=12288,12288",
      0x6ae4059edb49a7ccULL},
@@ -451,7 +451,7 @@ const Golden kKmeansExample =
      "private=28672 ops=294948 hostops=7 bytes=0 retries=0 "
      "retrycycles=0 faults=0 wdkills=0 overlapsaved=12548 copybusy=0 "
      "computebusy=20524 peakbytes=114712 peakdemand=114712 "
-     "freedbytes=114712 freelisthits=0 plannedpeak=114712 hoisted=0 "
+     "freedbytes=114712 plannedpeak=114712 hoisted=0 "
      "reused=1",
      0xcee6815e76080144ULL};
 
