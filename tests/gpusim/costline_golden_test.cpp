@@ -14,6 +14,10 @@
 ///    per-lane observable the kernel simulator feeds them;
 ///  * the default (roofline) model sharded over two devices.
 ///
+/// A few benchmarks are also pinned on the launch paths those two tables
+/// never take: the --sync timeline, fixed-seed fault injection on one and
+/// two devices, and a watchdog kill that falls back to the interpreter.
+///
 /// The goldens were produced before the kernel simulator's evaluator was
 /// rewritten and must never be regenerated to make a simulator change
 /// pass: simulated cycles change only on purpose.
@@ -74,16 +78,18 @@ uint64_t hashOutputs(const std::vector<Value> &Outs) {
 }
 
 /// Compiles \p Src and runs its main exactly as `futharkcc --run` does
-/// with the given cost model and device count.
+/// with the given cost model and device count.  \p RO carries any further
+/// device and resilience settings (--sync, fault injection, watchdog);
+/// \p WantFallback says whether the run must end on the interpreter.
 void expectGolden(const std::string &Src, const std::vector<Value> &Args,
-                  const char *Model, int Devices, const Golden &G) {
+                  const char *Model, int Devices, const Golden &G,
+                  DeviceRunOptions RO = {}, bool WantFallback = false) {
   SCOPED_TRACE(G.Name);
   NameSource NS;
   CompilerOptions CO;
   CO.Devices = Devices;
   auto C = compileSource(Src, NS, CO);
   ASSERT_TRUE(static_cast<bool>(C)) << C.getError().str();
-  DeviceRunOptions RO;
   RO.Device.CostModelName = Model;
   RO.MemPlan = &C->MemPlan;
   if (Devices > 1) {
@@ -92,6 +98,7 @@ void expectGolden(const std::string &Src, const std::vector<Value> &Args,
   }
   auto R = runOnDevice(C->P, Args, RO);
   ASSERT_TRUE(static_cast<bool>(R)) << R.getError().str();
+  EXPECT_EQ(R->InterpFallback, WantFallback);
   std::string Line = R->Cost.str();
   uint64_t Hash = hashOutputs(R->Outputs);
   EXPECT_EQ(Line, G.Line);
@@ -455,12 +462,157 @@ const Golden kKmeansExample =
      "reused=1",
      0xcee6815e76080144ULL};
 
+/// Launch paths the suite tables above never take, each pinned on a few
+/// suite benchmarks: the serial --sync timeline, fixed-seed transient
+/// faults (launch failures and detected corruption, retried in place) on
+/// one and two devices, and a per-kernel watchdog kill that ends the run
+/// on the reference interpreter.
+const Golden kSync[] = {
+    {"kmeans",
+     "cycles=33118 (kernel=33054, host=64, transfer=0) launches=5 "
+     "gtx=20135 (coalesced=20135, scattered=0) gaccess=319513 "
+     "local=110592 private=176128 ops=716800 hostops=8 bytes=163940 "
+     "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=0 "
+     "copybusy=0 computebusy=0 peakbytes=491540 peakdemand=491540 "
+     "freedbytes=245760 plannedpeak=573540 hoisted=0 reused=0",
+     0xc574dbd969975ce3ULL},
+    {"fluid",
+     "cycles=105816 (kernel=105632, host=184, transfer=0) launches=20 "
+     "gtx=14080 (coalesced=14080, scattered=0) gaccess=326400 local=0 "
+     "private=0 ops=938240 hostops=23 bytes=32768 retries=0 "
+     "retrycycles=0 faults=0 wdkills=0 overlapsaved=0 copybusy=0 "
+     "computebusy=0 peakbytes=32896 peakdemand=32896 freedbytes=148608 "
+     "plannedpeak=32896 hoisted=9 reused=0",
+     0x4d30d01bf9088156ULL},
+    {"srad",
+     "cycles=201670 (kernel=201310, host=360, transfer=0) launches=33 "
+     "gtx=90777 (coalesced=17049, scattered=73728) gaccess=535304 "
+     "local=0 private=75264 ops=1260288 hostops=45 bytes=36864 "
+     "retries=0 retrycycles=0 faults=0 wdkills=0 overlapsaved=0 "
+     "copybusy=0 computebusy=0 peakbytes=36960 peakdemand=36960 "
+     "freedbytes=261792 plannedpeak=37344 hoisted=7 reused=0",
+     0xe5874ada4ac8d918ULL},
+};
+const Golden kFaultsOneDevice[] = {
+    {"kmeans",
+     "cycles=46505 (kernel=45981, host=64, transfer=0) launches=7 "
+     "gtx=27454 (coalesced=27454, scattered=0) gaccess=430125 "
+     "local=135168 private=208896 ops=1101824 hostops=8 bytes=163940 "
+     "retries=3 retrycycles=8000 faults=3 wdkills=0 overlapsaved=7540 "
+     "copybusy=0 computebusy=38481 peakbytes=491540 peakdemand=491540 "
+     "freedbytes=245760 plannedpeak=573540 hoisted=0 reused=0",
+     0xc574dbd969975ce3ULL},
+    {"fluid",
+     "cycles=124290 (kernel=126758, host=184, transfer=0) launches=24 "
+     "gtx=16896 (coalesced=16896, scattered=0) gaccess=391680 local=0 "
+     "private=0 ops=1125888 hostops=23 bytes=32768 retries=12 "
+     "retrycycles=30000 faults=12 wdkills=0 overlapsaved=32652 "
+     "copybusy=0 computebusy=94258 peakbytes=32896 peakdemand=32896 "
+     "freedbytes=148608 plannedpeak=32896 hoisted=9 reused=0",
+     0x4d30d01bf9088156ULL},
+};
+const Golden kFaultsTwoDevices[] = {
+    {"kmeans",
+     "cycles=79708 (kernel=80845, host=64, transfer=71692) launches=13 "
+     "gtx=39612 (coalesced=39356, scattered=256) gaccess=430125 "
+     "local=135168 private=208896 ops=1101824 hostops=8 bytes=737480 "
+     "retries=3 retrycycles=8000 faults=3 wdkills=0 overlapsaved=80893 "
+     "copybusy=71692 computebusy=63345 peakbytes=491540 "
+     "peakdemand=491540 freedbytes=245760 plannedpeak=573540 hoisted=0 "
+     "reused=0 devices=2 shardedlaunches=6 interdevbytes=573540 "
+     "interdevcycles=71692 devpeaks=327760,327760",
+     0xc574dbd969975ce3ULL},
+    {"backprop",
+     "cycles=118864 (kernel=55596, host=32, transfer=99448) launches=8 "
+     "gtx=38990 (coalesced=38990, scattered=0) gaccess=787009 "
+     "local=393216 private=1573056 ops=1968576 hostops=4 bytes=1590976 "
+     "retries=1 retrycycles=2000 faults=1 wdkills=0 overlapsaved=38211 "
+     "copybusy=99448 computebusy=43096 peakbytes=795008 "
+     "peakdemand=795008 freedbytes=795008 plannedpeak=795776 hoisted=0 "
+     "reused=0 devices=2 shardedlaunches=3 interdevbytes=795584 "
+     "interdevcycles=99448 devpeaks=794816,794816",
+     0x53fc10bcaf67d98fULL},
+    {"mandelbrot",
+     "cycles=15571 (kernel=32093, host=32, transfer=0) launches=6 "
+     "gtx=586 (coalesced=586, scattered=0) gaccess=18624 local=0 "
+     "private=0 ops=4279065 hostops=4 bytes=36864 retries=1 "
+     "retrycycles=2000 faults=1 wdkills=0 overlapsaved=18553 "
+     "copybusy=0 computebusy=27093 peakbytes=37248 peakdemand=37248 "
+     "freedbytes=0 plannedpeak=37248 hoisted=0 reused=0 devices=2 "
+     "shardedlaunches=3 interdevbytes=0 interdevcycles=0 "
+     "devpeaks=18624,18624",
+     0xc0a9391aa6c95ca8ULL},
+};
+const Golden kWatchdogFallback[] = {
+    {"kmeans",
+     "cycles=4916288 (kernel=1000, host=4915288, transfer=0) "
+     "launches=1 gtx=0 (coalesced=0, scattered=0) gaccess=0 local=0 "
+     "private=0 ops=0 hostops=614411 bytes=32768 retries=0 "
+     "retrycycles=0 faults=0 wdkills=1 overlapsaved=0 copybusy=0 "
+     "computebusy=0 peakbytes=32768 peakdemand=114688 freedbytes=0 "
+     "plannedpeak=32768 hoisted=0 reused=0",
+     0xc574dbd969975ce3ULL},
+    {"srad",
+     "cycles=10082914 (kernel=6346, host=10076568, transfer=0) "
+     "launches=2 gtx=865 (coalesced=865, scattered=0) gaccess=18432 "
+     "local=0 private=0 ops=0 hostops=1259571 bytes=0 retries=0 "
+     "retrycycles=0 faults=0 wdkills=1 overlapsaved=0 copybusy=0 "
+     "computebusy=0 peakbytes=0 peakdemand=384 freedbytes=0 "
+     "plannedpeak=0 hoisted=0 reused=0",
+     0xe5874ada4ac8d918ULL},
+};
+const Golden kWatchdogFallbackTwoDevices[] = {
+    {"kmeans",
+     "cycles=4920386 (kernel=1000, host=4915288, transfer=4098) "
+     "launches=1 gtx=0 (coalesced=0, scattered=0) gaccess=0 local=0 "
+     "private=0 ops=0 hostops=614411 bytes=65556 retries=0 "
+     "retrycycles=0 faults=0 wdkills=1 overlapsaved=0 copybusy=0 "
+     "computebusy=0 peakbytes=32768 peakdemand=114688 freedbytes=0 "
+     "plannedpeak=32768 hoisted=0 reused=0",
+     0xc574dbd969975ce3ULL},
+};
+
+DeviceRunOptions syncOptions() {
+  DeviceRunOptions RO;
+  RO.Device.AsyncTimeline = false;
+  return RO;
+}
+
+DeviceRunOptions faultOptions() {
+  DeviceRunOptions RO;
+  RO.Resilience.Faults.LaunchFailRate = 0.3;
+  RO.Resilience.Faults.CorruptRate = 0.2;
+  RO.Resilience.Faults.Seed = 7;
+  return RO;
+}
+
+DeviceRunOptions watchdogOptions() {
+  DeviceRunOptions RO;
+  RO.Device.WatchdogKernelCycles = 1000;
+  return RO;
+}
+
 const Golden *findGolden(const Golden *Begin, const Golden *End,
                          const std::string &Name) {
   for (const Golden *G = Begin; G != End; ++G)
     if (Name == G->Name)
       return G;
   return nullptr;
+}
+
+/// Runs the benchmarks named in [Begin, End) under \p RO.
+void expectNamed(const Golden *Begin, const Golden *End, const char *Model,
+                 int Devices, const DeviceRunOptions &RO,
+                 bool WantFallback = false) {
+  for (const Golden *G = Begin; G != End; ++G) {
+    const bench::BenchmarkDef *B = nullptr;
+    for (const bench::BenchmarkDef &D : bench::allBenchmarks())
+      if (D.Name == G->Name)
+        B = &D;
+    ASSERT_NE(B, nullptr) << "no suite benchmark " << G->Name;
+    expectGolden(B->Source, B->MakeInputs(), Model, Devices, *G, RO,
+                 WantFallback);
+  }
 }
 
 void expectSuite(const Golden *Begin, const Golden *End, const char *Model,
@@ -489,4 +641,30 @@ TEST(CostLineGolden, KmeansExample) {
   std::stringstream SS;
   SS << In.rdbuf();
   expectGolden(SS.str(), {}, "roofline", 1, kKmeansExample);
+}
+
+TEST(CostLineGolden, SyncTimeline) {
+  expectNamed(std::begin(kSync), std::end(kSync), "roofline", 1,
+              syncOptions());
+}
+
+TEST(CostLineGolden, FaultInjectionOneDevice) {
+  expectNamed(std::begin(kFaultsOneDevice), std::end(kFaultsOneDevice),
+              "roofline", 1, faultOptions());
+}
+
+TEST(CostLineGolden, FaultInjectionTwoDevices) {
+  expectNamed(std::begin(kFaultsTwoDevices), std::end(kFaultsTwoDevices),
+              "roofline", 2, faultOptions());
+}
+
+TEST(CostLineGolden, WatchdogKillFallsBackToInterpreter) {
+  expectNamed(std::begin(kWatchdogFallback), std::end(kWatchdogFallback),
+              "roofline", 1, watchdogOptions(), /*WantFallback=*/true);
+}
+
+TEST(CostLineGolden, WatchdogKillFallsBackToInterpreterTwoDevices) {
+  expectNamed(std::begin(kWatchdogFallbackTwoDevices),
+              std::end(kWatchdogFallbackTwoDevices), "roofline", 2,
+              watchdogOptions(), /*WantFallback=*/true);
 }
