@@ -396,6 +396,14 @@ for r in check["benchmarks"]:
 print(f"ok: {len(merged)} schema-checked rows merged into ./BENCH_trace.json")
 EOF
 
+echo "== bench baseline: every simulated bench column matches BENCH_baseline.json =="
+# Re-runs every bench binary except the wall-clock bench_compile_time and
+# compares each simulated column, each trace counter and each report table
+# against the committed baseline; any difference fails.  A change that
+# moves simulated numbers on purpose regenerates the baseline with
+# `python3 scripts/bench_baseline.py <build-dir> --update` and says why.
+python3 scripts/bench_baseline.py "$BUILD_DIR"
+
 echo "== hygiene: build artifacts never land in the source tree =="
 # Regression guard for the stray libfut_*.a incident: a build must leave
 # the tracked tree untouched and must not scatter archives or objects
