@@ -75,18 +75,7 @@ public:
   /// Non-blocking upload: enqueued on the copy engine at the current host
   /// time; the host continues immediately.  Returns the scheduled
   /// interval; the produced buffer is ready at .End.
-  ScheduledCmd upload(double Cycles) {
-    ScheduledCmd C;
-    C.Start = std::max(CopyFree, HostClock);
-    C.End = C.Start + Cycles;
-    CopyFree = C.End;
-    CopyBusyCycles += Cycles;
-    C.OverlappedOtherEngine =
-        overlaps(C.Start, C.End, LastComputeStart, LastComputeEnd);
-    LastCopyStart = C.Start;
-    LastCopyEnd = C.End;
-    return C;
-  }
+  ScheduledCmd upload(double Cycles) { return recv(Cycles, 0); }
 
   /// Non-blocking peer receive: an inter-device copy landing on this
   /// device's copy engine, dependent on the source block being ready at
@@ -111,16 +100,8 @@ public:
   /// host waits, the compute engine keeps draining its queue — that is
   /// where readback/kernel overlap comes from.
   ScheduledCmd download(double Cycles, double SrcReady) {
-    ScheduledCmd C;
-    C.Start = std::max({CopyFree, HostClock, SrcReady});
-    C.End = C.Start + Cycles;
-    CopyFree = C.End;
+    ScheduledCmd C = recv(Cycles, SrcReady);
     HostClock = C.End;
-    CopyBusyCycles += Cycles;
-    C.OverlappedOtherEngine =
-        overlaps(C.Start, C.End, LastComputeStart, LastComputeEnd);
-    LastCopyStart = C.Start;
-    LastCopyEnd = C.End;
     return C;
   }
 

@@ -50,14 +50,17 @@ std::vector<Value> programArgs() {
 
 /// Compiles and runs kProgram under a fresh enabled trace session and
 /// returns the device result; the session stays enabled for inspection
-/// (callers clear it).
+/// (callers clear it).  With \p Devices > 1 the program is compiled for
+/// that many devices and run with its shard plan and memory plan.
 ErrorOr<gpusim::RunResult>
 runTraced(const gpusim::ResilienceParams &RP = gpusim::ResilienceParams(),
-          gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780()) {
+          gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780(),
+          int Devices = 1) {
   auto &TS = trace::TraceSession::global();
   TS.clear();
   TS.setEnabled(true);
   CompilerOptions Opts;
+  Opts.Devices = Devices;
   NameSource Names;
   auto C = compileSource(kProgram, Names, Opts);
   if (!C)
@@ -65,6 +68,11 @@ runTraced(const gpusim::ResilienceParams &RP = gpusim::ResilienceParams(),
   DeviceRunOptions RO;
   RO.Device = DP;
   RO.Resilience = RP;
+  if (Devices > 1) {
+    RO.MemPlan = &C->MemPlan;
+    RO.Shards = &C->Shards;
+    RO.Devices = Devices;
+  }
   return runOnDevice(C->P, programArgs(), RO);
 }
 
@@ -332,6 +340,27 @@ TEST(TraceExport, WatchdogFallbackKeepsTotalsAndEmitsInstant) {
   const gpusim::CostReport &C = R->Cost;
   EXPECT_DOUBLE_EQ(C.TotalCycles, C.KernelCycles + C.HostCycles +
                                       C.TransferCycles + C.RetryCycles);
+  endSession();
+}
+
+TEST(TraceExport, ShardedWatchdogKillKeepsSpanSum) {
+  gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780();
+  DP.WatchdogKernelCycles = 1; // every kernel is killed immediately
+  gpusim::ResilienceParams RP;
+  RP.InterpFallback = true;
+  auto R = runTraced(RP, DP, /*Devices=*/2);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.getError().str();
+  ASSERT_TRUE(R->InterpFallback);
+  EXPECT_EQ(R->Cost.WatchdogKills, 1);
+
+  // The killed sharded launch emits a span carrying the charged budget,
+  // exactly like a killed single-device launch.
+  EXPECT_NEAR(sumKernelSpanCycles(), R->Cost.KernelCycles, 1e-9);
+  bool SawKilledSpan = false;
+  for (const trace::TraceEvent &E : trace::TraceSession::global().events())
+    if (!E.Instant && E.Name.rfind("kernel:", 0) == 0 && E.findArg("killed"))
+      SawKilledSpan = true;
+  EXPECT_TRUE(SawKilledSpan);
   endSession();
 }
 
