@@ -22,8 +22,7 @@ std::string fut::CompilerOptions::cacheCanonical() const {
   // One line per knob, fixed order.  VerifyIR and the test hooks are
   // deliberately absent: they gate acceptance, not output.
   std::ostringstream OS;
-  OS << "uniq=" << CheckUniqueness << ";inline=" << Inline
-     << ";fusion=" << EnableFusion << ";kernels=" << ExtractKernels
+  OS << "fusion=" << EnableFusion << ";kernels=" << ExtractKernels
      << ";cse=" << Simplify.EnableCSE
      << ";hoist=" << Simplify.EnableHoisting
      << ";rounds=" << Simplify.MaxRounds
@@ -100,14 +99,14 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
 
   if (auto Err = AfterPass("frontend", false))
     return Err;
-  if (Opts.CheckUniqueness) {
+  {
     trace::ScopedSpan Span("pass:uniqueness", "compiler");
     if (auto Err = checkProgramUniqueness(P))
       return Err.getError();
   }
 
   CompileResult R;
-  if (Opts.Inline) {
+  {
     trace::ScopedSpan Span("pass:inline", "compiler");
     inlineFunctions(P, Names);
     // The function about to be differentiated must survive DCE even when

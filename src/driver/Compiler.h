@@ -32,8 +32,6 @@
 namespace fut {
 
 struct CompilerOptions {
-  bool CheckUniqueness = true;
-  bool Inline = true;
   bool EnableFusion = true;
   bool ExtractKernels = true;
   /// Run the type-rederiving IR verifier (check/Verify.h) after every

@@ -78,18 +78,6 @@ TEST(DriverTest, UniquenessErrorsPropagate) {
       "not consumable");
 }
 
-TEST(DriverTest, UniquenessCheckCanBeDisabled) {
-  // (Useful for compiling deliberately unsafe code in tests; the
-  // interpreter still computes the persistent-update semantics.)
-  NameSource NS;
-  CompilerOptions O;
-  O.CheckUniqueness = false;
-  auto C = compileSource("fun main (n: i32) (a: [n]i32): [n]i32 =\n"
-                         "  a with [0] <- 1",
-                         NS, O);
-  ASSERT_OK(C);
-}
-
 TEST(DriverTest, PhaseTogglesActuallyToggle) {
   const char *Src = "fun main (n: i32) (xs: [n]i32): i32 =\n"
                     "  reduce (+) 0 (map (+1) xs)";
