@@ -75,14 +75,12 @@ TapeBytes tapePlannedBytes(const CompileResult &C) {
 /// the gradient fuzzer uses).
 ErrorOr<double> centralFd(const Program &P, std::vector<Value> Args,
                           size_t ArgIdx) {
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   double X = scalarOf(Args[ArgIdx]);
   double H = 1e-6 * std::max(1.0, std::fabs(X));
   double Vals[2];
   for (int S = 0; S < 2; ++S) {
     Args[ArgIdx] = dv(X + (S == 0 ? H : -H));
-    Interpreter I(P, IO);
+    Interpreter I(P);
     auto R = I.runFunction("main", Args);
     if (!R)
       return R.getError();
@@ -356,17 +354,17 @@ static bool benchKmeans(bench::BenchTraceWriter &Trace) {
   return true;
 }
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Reverse-mode AD: gradient-descent training workloads (E17)\n\n");
-  bench::BenchTraceWriter Trace;
+  bench::BenchTraceWriter Trace(bench::traceOutPath(Argc, Argv));
   if (!benchLogreg(Trace))
     return 1;
   printf("\n");
   if (!benchKmeans(Trace))
     return 1;
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nAD training counters written to BENCH_trace.json\n");
+    printf("\nAD training counters written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

@@ -43,13 +43,13 @@ bool counterMismatch(const char *Name, int64_t A, int64_t B, bool &Ok) {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Cost-model calibration: roofline vs pipeline (E16)\n\n");
   printf("%-16s | %12s %12s %6s | %6s %6s %10s %8s\n", "benchmark",
          "roofline", "pipeline", "ratio", "warps", "divrg", "coalexcess",
          "bankconf");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace(traceOutPath(Argc, Argv));
   bool Ok = true;
 
   for (const BenchmarkDef &B : allBenchmarks()) {
@@ -134,9 +134,9 @@ int main() {
                   {"outputs_identical", Identical ? 1.0 : 0.0}});
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\ncost-model calibration written to BENCH_trace.json\n");
+    printf("\ncost-model calibration written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

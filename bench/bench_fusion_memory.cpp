@@ -48,7 +48,7 @@ int countStreams(const Body &B, StreamExp::FormKind Form, bool &Found) {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Figure 10: fusion of streaming operators (OptionPricing "
          "skeleton)\n\n");
 
@@ -56,7 +56,7 @@ int main() {
   std::vector<Value> Args = {Value::scalar(PrimValue::makeI32(
       static_cast<int32_t>(N)))};
 
-  fut::bench::BenchTraceWriter Trace;
+  fut::bench::BenchTraceWriter Trace(fut::bench::traceOutPath(Argc, Argv));
 
   // Fused pipeline.
   Trace.beginRun();
@@ -178,9 +178,10 @@ int main() {
   printf("%-24s %14lld\n", "reused blocks",
          (long long)RP->Cost.ReusedBlocks);
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nfused/unfused trace counters written to BENCH_trace.json\n");
+    printf("\nfused/unfused trace counters written to %s\n",
+           Trace.path().c_str());
   return 0;
 }

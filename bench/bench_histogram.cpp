@@ -142,11 +142,11 @@ ErrorOr<gpusim::CostReport> runSweep(int64_t W,
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Generalized histograms: CGO'20 shapes + atomic-contention "
          "curves\n\n");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace(traceOutPath(Argc, Argv));
   bool Ok = true;
 
   // --- Part 1: the CGO'20 benchmark shapes vs their reference models ---
@@ -277,9 +277,9 @@ int main() {
     }
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nhistogram counters written to BENCH_trace.json\n");
+    printf("\nhistogram counters written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

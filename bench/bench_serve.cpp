@@ -111,8 +111,8 @@ LegResult runLeg(double FaultRate, double CorruptRate) {
 
 } // namespace
 
-int main() {
-  bench::BenchTraceWriter Trace;
+int main(int Argc, char **Argv) {
+  bench::BenchTraceWriter Trace(bench::traceOutPath(Argc, Argv));
 
   printf("E14: compile-once/serve-many (%d requests, %d programs x 3 "
          "sizes)\n\n",
@@ -184,9 +184,9 @@ int main() {
          Pass ? "PASS" : "FAIL", T.Ok, kRequests, F.Ok, kRequests,
          100 * HitRate);
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("serve trace counters written to BENCH_trace.json\n");
+    printf("serve trace counters written to %s\n", Trace.path().c_str());
   return Pass ? 0 : 1;
 }

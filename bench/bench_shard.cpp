@@ -99,13 +99,13 @@ std::vector<ScalingBench> scalingSuite() {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Multi-device sharding: strong scaling at 1/2/4/8 devices\n");
   printf("(simulated makespan cycles; speedup vs the 1-device run)\n\n");
   printf("%-14s %8s | %12s %8s | %10s %10s %8s\n", "benchmark", "devices",
          "makespan", "speedup", "interdev_B", "shard_lnch", "peak0_B");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace(traceOutPath(Argc, Argv));
   const int DeviceCounts[] = {1, 2, 4, 8};
   int FourDeviceWins = 0;
   bool Ok = true;
@@ -196,10 +196,10 @@ int main() {
     printf("\n");
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("shard scaling counters written to BENCH_trace.json\n");
+    printf("shard scaling counters written to %s\n", Trace.path().c_str());
 
   printf("benchmarks with >= 1.5x makespan speedup at 4 devices: %d\n",
          FourDeviceWins);

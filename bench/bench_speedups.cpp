@@ -19,7 +19,7 @@
 using namespace fut;
 using namespace fut::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
   printf("Figure 13 / Table 1: speedup vs reference implementations\n");
   printf("(simulated cycles; 'paper' columns are the PLDI'17 numbers)\n\n");
   printf("%-14s %-10s | %10s %10s %7s %7s | %10s %7s %7s\n", "benchmark",
@@ -31,7 +31,7 @@ int main() {
     double GTX = 0, AMD = 0;
   };
   std::vector<Row> Rows;
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace(traceOutPath(Argc, Argv));
 
   // Fig 13 is calibrated against the serial (--sync) cost model: the
   // reference hand-tuning factors were fitted under it, and the paper's
@@ -81,10 +81,11 @@ int main() {
     Rows.push_back({B.Name, G->Speedup, A->Speedup});
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nper-benchmark trace counters written to BENCH_trace.json\n");
+    printf("\nper-benchmark trace counters written to %s\n",
+           Trace.path().c_str());
 
   // Geometric means on the GTX-like device, split like the paper:
   // benchmarks with a low-level CUDA/OpenCL reference are the 12 Rodinia +

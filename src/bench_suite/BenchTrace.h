@@ -7,16 +7,18 @@
 /// \file
 /// Lets the report-style bench binaries emit the same counters the trace
 /// layer records — fusion/flatten pass counters, device transaction and
-/// fault counters — into a machine-readable BENCH_trace.json, so CI and
-/// notebooks consume the numbers without scraping stdout.
+/// fault counters — into a machine-readable JSON file, so CI and notebooks
+/// consume the numbers without scraping stdout.  Each binary takes its
+/// output path from `--trace-out <path>` (default: BENCH_trace.json in the
+/// working directory).
 ///
 /// Usage per run:
-///   BenchTraceWriter W;
+///   BenchTraceWriter W(traceOutPath(Argc, Argv));
 ///   W.beginRun();                 // clears the global trace session
 ///   ... compile and run ...
 ///   W.record("kmeans", "gtx780", {{"fut_cycles", X}, ...});
 ///   ...
-///   W.write("BENCH_trace.json");
+///   W.write();
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,8 @@
 #include "support/Json.h"
 #include "trace/Trace.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,12 +39,25 @@
 namespace fut {
 namespace bench {
 
+/// The trace output path of a bench binary: the argument of
+/// `--trace-out <path>`, or BENCH_trace.json in the working directory when
+/// the flag is absent.  Any other argument is a usage error (exit 2).
+inline std::string traceOutPath(int Argc, char **Argv) {
+  if (Argc == 1)
+    return "BENCH_trace.json";
+  if (Argc == 3 && std::string(Argv[1]) == "--trace-out")
+    return Argv[2];
+  fprintf(stderr, "usage: %s [--trace-out <path>]\n", Argv[0]);
+  std::exit(2);
+}
+
 class BenchTraceWriter {
+  std::string Path;
   std::ostringstream Rows;
   bool First = true;
 
 public:
-  BenchTraceWriter() {
+  explicit BenchTraceWriter(std::string Path) : Path(std::move(Path)) {
     trace::TraceSession::global().clear();
     trace::TraceSession::global().setEnabled(true);
   }
@@ -81,8 +98,10 @@ public:
     return "{\"benchmarks\":[\n" + Rows.str() + "\n]}\n";
   }
 
-  /// Writes the collected entries; returns false on I/O failure.
-  bool write(const std::string &Path) const {
+  const std::string &path() const { return Path; }
+
+  /// Writes the collected entries to path(); returns false on I/O failure.
+  bool write() const {
     std::ofstream Out(Path);
     if (!Out)
       return false;

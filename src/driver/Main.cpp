@@ -396,9 +396,7 @@ int main(int argc, char **argv) {
 
   std::vector<Value> Outputs;
   if (UseInterp) {
-    InterpOptions IO;
-    IO.ConsumeOnUpdate = true;
-    Interpreter I(C->P, IO);
+    Interpreter I(C->P);
     auto R = I.runFunction(Entry, Args);
     if (!R) {
       fprintf(stderr, "runtime error: %s\n", R.getError().str().c_str());

@@ -307,10 +307,8 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
   auto RefProg = frontend(Source, RefNames);
   if (!RefProg)
     return Fail("frontend failed: " + RefProg.getError().str());
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   Program RefP = RefProg.take(); // Interpreter holds a reference
-  Interpreter I(RefP, IO);
+  Interpreter I(RefP);
   auto Ref = I.run(Args);
 
   // Subject: the full pipeline (with the IR verifier after every pass)

@@ -290,11 +290,8 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
   if (!RefProg)
     return Fail("frontend failed: " + RefProg.getError().str());
   Program RefP = RefProg.take();
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
-
   auto Primal = [&](const std::vector<Value> &Args) -> ErrorOr<double> {
-    Interpreter I(RefP, IO);
+    Interpreter I(RefP);
     auto R = I.run(Args);
     if (!R)
       return R.getError();

@@ -157,9 +157,9 @@ int64_t arrayBytes(const Value &V) {
 }
 
 /// Bytes of array \p Arr in \p Env; 0 when it is unbound or a scalar.
-int64_t envArrayBytes(const NameMap<Value> &Env, const VName &Arr) {
-  auto It = Env.find(Arr);
-  return It == Env.end() || !It->second.isArray() ? 0 : arrayBytes(It->second);
+int64_t envArrayBytes(const EnvView &Env, const VName &Arr) {
+  const Value *V = Env.find(Arr);
+  return !V || !V->isArray() ? 0 : arrayBytes(*V);
 }
 
 const char *kernelSpanName(KernelExp::OpKind Op) {
@@ -336,7 +336,7 @@ public:
   Launcher(SimState &S, const ResilienceParams &R, FaultPlan &Plan)
       : S(S), R(R), Plan(Plan) {}
 
-  ErrorOr<LaunchResult> launch(const KernelExp &K, const NameMap<Value> &Env,
+  ErrorOr<LaunchResult> launch(const KernelExp &K, const EnvView &Env,
                                const StagedLaunch &SL) {
     int Retries = 0;
     for (;;) {
@@ -601,7 +601,7 @@ private:
       for (size_t B = 0; B < Merged.size(); ++B) {
         std::vector<Value> MArgs{Value::scalar(Merged[B]),
                                  Value::scalar(Part[B])};
-        auto Comb = MergeInterp.evalLambda(K.ReduceFn, MArgs, {});
+        auto Comb = MergeInterp.evalLambda(K.ReduceFn, std::move(MArgs));
         if (!Comb)
           return Comb.getError();
         if (Comb->size() != 1 || !(*Comb)[0].isScalar())
@@ -692,8 +692,7 @@ public:
                                   const std::vector<Value> &Args,
                                   Launcher &L) {
     InterpOptions Opts;
-    Opts.ConsumeOnUpdate = true;
-    Opts.OnExp = [this](const Exp &E, const NameMap<Value> &Env) {
+    Opts.OnExp = [this](const Exp &E, const EnvView &Env) {
       onExp(E, Env);
     };
     Opts.OnBind = [this](const Stm &St, const std::vector<Value> &Vals) {
@@ -701,7 +700,7 @@ public:
     };
     Opts.HandleKernel =
         [&](const KernelExp &K,
-            const NameMap<Value> &Env) -> ErrorOr<std::vector<Value>> {
+            const EnvView &Env) -> ErrorOr<std::vector<Value>> {
       auto Staged = stage(K, Env);
       if (!Staged)
         return Staged.getError();
@@ -732,7 +731,7 @@ private:
            C.HostOps * S.P.HostCyclesPerOp;
   }
 
-  void onExp(const Exp &E, const NameMap<Value> &Env) {
+  void onExp(const Exp &E, const EnvView &Env) {
     ++S.Cost.HostOps;
     S.DG.dev(0).host(S.P.HostCyclesPerOp);
     // Host observation of device-resident arrays forces a transfer — but
@@ -745,9 +744,9 @@ private:
     forEachFreeOperand(E, [&](const SubExp &Op) {
       if (!Op.isVar() || HostValid.count(Op.getVar()))
         return;
-      auto It = Env.find(Op.getVar());
-      if (It != Env.end() && It->second.isArray())
-        readBack(Op.getVar(), arrayBytes(It->second));
+      const Value *V = Env.find(Op.getVar());
+      if (V && V->isArray())
+        readBack(Op.getVar(), arrayBytes(*V));
     });
   }
 
@@ -861,7 +860,7 @@ private:
   /// Stages kernel \p K: releases dead buffers, re-assembles, transposes,
   /// uploads and distributes its inputs, and works out when each slice can
   /// start.
-  ErrorOr<StagedLaunch> stage(const KernelExp &K, const NameMap<Value> &Env) {
+  ErrorOr<StagedLaunch> stage(const KernelExp &K, const EnvView &Env) {
     if (S.P.WatchdogTotalCycles > 0 &&
         runningCycles() > S.P.WatchdogTotalCycles) {
       ++S.Cost.WatchdogKills;
@@ -896,7 +895,7 @@ private:
   /// whose runtime outer width exceeds one row is split over the device
   /// group with the canonical block cuts; everything else runs whole on
   /// device 0.
-  ShardCtx resolveShard(const KernelExp &K, const NameMap<Value> &Env) const {
+  ShardCtx resolveShard(const KernelExp &K, const EnvView &Env) const {
     ShardCtx SC;
     auto SIt = ShardOf.find(&K);
     if (SIt == ShardOf.end() || !SIt->second->Sharded)
@@ -906,9 +905,9 @@ private:
     if (WS.isConst()) {
       W = WS.getConst().asInt64();
     } else {
-      auto WIt = Env.find(WS.getVar());
-      if (WIt != Env.end() && !WIt->second.isArray())
-        W = WIt->second.getScalar().asInt64();
+      const Value *WV = Env.find(WS.getVar());
+      if (WV && !WV->isArray())
+        W = WV->getScalar().asInt64();
     }
     if (W > 1) {
       SC.KS = SIt->second;
@@ -923,7 +922,7 @@ private:
   /// the whole array — an all-gather onto every device when the launch is
   /// sharded, onto device 0 alone otherwise.  These are exactly the plan's
   /// TransferEdges, costed on the copy engines.
-  void gatherPartitioned(const KernelExp &K, const NameMap<Value> &Env,
+  void gatherPartitioned(const KernelExp &K, const EnvView &Env,
                          const ShardCtx &SC) {
     for (const KernelExp::KInput &In : K.Inputs) {
       auto PIt = PartitionedArrs.find(In.Arr);
@@ -962,18 +961,18 @@ private:
   /// manifested by a transposition in memory, once per array (Section 5.2):
   /// one extra launch plus a read and a semi-coalesced write of every
   /// element.
-  void manifestTransposes(const KernelExp &K, const NameMap<Value> &Env) {
+  void manifestTransposes(const KernelExp &K, const EnvView &Env) {
     const DeviceParams &P = S.P;
     for (const KernelExp::KInput &In : K.Inputs) {
       if (isIdentityPerm(In.LayoutPerm) || ManifestedTransposes.count(In.Arr))
         continue;
-      auto It = Env.find(In.Arr);
-      if (It == Env.end())
+      const Value *V = Env.find(In.Arr);
+      if (!V)
         continue;
       ManifestedTransposes.insert(In.Arr);
-      int64_t Elems = It->second.numElems();
+      int64_t Elems = V->numElems();
       // Tiled transpose: reads coalesced, writes ~2x segment traffic.
-      int64_t Tx = 3 * arrayBytes(It->second) / P.SegmentBytes + 1;
+      int64_t Tx = 3 * arrayBytes(*V) / P.SegmentBytes + 1;
       S.Cost.GlobalTransactions += Tx;
       S.Cost.CoalescedTransactions += Tx; // tiled transposes stay coalesced
       S.Cost.GlobalAccesses += 2 * Elems;
@@ -1020,17 +1019,17 @@ private:
   /// residency a read-back buffer is still device valid, so re-using it on
   /// the device costs nothing — the phantom re-upload only exists in --sync
   /// mode.
-  MaybeError upload(const KernelExp &K, const NameMap<Value> &Env,
+  MaybeError upload(const KernelExp &K, const EnvView &Env,
                     const ShardCtx &SC) {
     for (const KernelExp::KInput &In : K.Inputs) {
       if (!HostValid.count(In.Arr))
         continue;
-      auto It = Env.find(In.Arr);
-      if (It == Env.end())
+      const Value *V = Env.find(In.Arr);
+      if (!V)
         continue;
       if (S.Async && S.Mgr.deviceValid(In.Arr))
         continue;
-      int64_t Bytes = arrayBytes(It->second);
+      int64_t Bytes = arrayBytes(*V);
       if (!S.Mgr.bind(In.Arr, Bytes, 0))
         return S.outOfMemory("uploading " + In.Arr.str(), Bytes);
       S.Cost.TransferredBytes += Bytes;
@@ -1084,7 +1083,7 @@ private:
   /// A sharded launch's remaining distribution fixups: broadcast inputs that
   /// only device 0 holds are replicated dev0 -> all, and aligned inputs
   /// produced whole on device 0 are scattered block by block.
-  void distribute(const KernelExp &K, const NameMap<Value> &Env,
+  void distribute(const KernelExp &K, const EnvView &Env,
                   const ShardCtx &SC) {
     int NumDev = S.numDevices();
     for (const KernelExp::KInput &In : K.Inputs) {
@@ -1122,7 +1121,7 @@ private:
   /// being ready; on a sharded launch a block-partitioned aligned input gates
   /// each device only on its own block, and everything else gates every
   /// device on the whole array.
-  StagedLaunch slices(const KernelExp &K, const NameMap<Value> &Env,
+  StagedLaunch slices(const KernelExp &K, const EnvView &Env,
                       const ShardCtx &SC) const {
     StagedLaunch SL;
     for (const KernelExp::KInput &In : K.Inputs)
@@ -1262,8 +1261,7 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
   // interpreter.  The aborted device work stays charged in the cost
   // report, and every interpreted step is charged as a host op.
   InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
-  IO.OnExp = [&](const Exp &, const NameMap<Value> &) { ++Cost.HostOps; };
+  IO.OnExp = [&](const Exp &, const EnvView &) { ++Cost.HostOps; };
   Interpreter I(Prog, IO);
   auto Ref = I.runFunction(Fun, Args);
   if (!Ref)

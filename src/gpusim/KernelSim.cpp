@@ -206,7 +206,7 @@ PrimValue intOfKind(ScalarKind K, int64_t V) {
 class KernelSim {
   const DeviceParams &P;
   const KernelExp &K;
-  const NameMap<Value> &HostEnv;
+  const EnvView &HostEnv;
   CostReport &Cost;
   int64_t OutBudgetBytes;
   int64_t OuterOffset;
@@ -256,7 +256,7 @@ class KernelSim {
 
 public:
   KernelSim(const DeviceParams &P, const KernelExp &K,
-            const NameMap<Value> &HostEnv, CostReport &Cost,
+            const EnvView &HostEnv, CostReport &Cost,
             int64_t OutBudgetBytes, int64_t OuterOffset, int64_t OuterCount)
       : P(P), K(K), HostEnv(HostEnv), Cost(Cost),
         OutBudgetBytes(OutBudgetBytes), OuterOffset(OuterOffset),
@@ -357,14 +357,14 @@ private:
 MaybeError KernelSim::resolveInputs() {
   uint64_t Base = 1ULL << 40;
   for (const KernelExp::KInput &In : K.Inputs) {
-    auto It = HostEnv.find(In.Arr);
-    if (It == HostEnv.end())
+    const Value *V = HostEnv.find(In.Arr);
+    if (!V)
       return CompilerError("kernel input " + In.Arr.str() +
                            " is not bound on the host");
-    InputVals.push_back(It->second);
+    InputVals.push_back(*V);
     InputBase.push_back(Base);
-    Base += static_cast<uint64_t>(It->second.numElems() + 64) *
-            elemBytes(It->second.elemKind());
+    Base += static_cast<uint64_t>(V->numElems() + 64) *
+            elemBytes(V->elemKind());
     InputTiled.push_back(In.Tiled);
     InputPerm.push_back(In.LayoutPerm);
   }
@@ -410,12 +410,11 @@ int KernelSim::lookup(const VName &N) {
   if (Free != FreeSlots.end())
     return Free->second;
   int Slot = newSlot(&N, -1);
-  auto H = HostEnv.find(N);
-  if (H != HostEnv.end()) {
-    if (H->second.isScalar())
-      F[Slot].setScalar(H->second.getScalar());
+  if (const Value *H = HostEnv.find(N)) {
+    if (H->isScalar())
+      F[Slot].setScalar(H->getScalar());
     else
-      F[Slot].setArray(H->second);
+      F[Slot].setArray(*H);
   }
   FreeSlots[N] = Slot;
   return Slot;
@@ -1582,11 +1581,11 @@ bool KernelSim::resolveInt(const SubExp &S, int64_t &Out) {
     Out = S.getConst().asInt64();
     return true;
   }
-  auto It = HostEnv.find(S.getVar());
-  if (It == HostEnv.end())
+  const Value *V = HostEnv.find(S.getVar());
+  if (!V)
     return fail("kernel size " + S.getVar().str() +
                 " is not bound on the host");
-  Out = It->second.getScalar().asInt64();
+  Out = V->getScalar().asInt64();
   return true;
 }
 
@@ -1705,13 +1704,13 @@ bool KernelSim::runSegmented(std::vector<Value> &Out) {
       Neutral[J].setScalar(N.getConst());
       continue;
     }
-    auto It = HostEnv.find(N.getVar());
-    if (It == HostEnv.end())
+    const Value *V = HostEnv.find(N.getVar());
+    if (!V)
       return fail("kernel neutral element is unbound");
-    if (It->second.isScalar())
-      Neutral[J].setScalar(It->second.getScalar());
+    if (V->isScalar())
+      Neutral[J].setScalar(V->getScalar());
     else
-      Neutral[J].setArray(It->second);
+      Neutral[J].setArray(*V);
   }
 
   bool IsScan = K.Op == KernelExp::OpKind::SegScan;
@@ -1842,11 +1841,11 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
 
   int64_t W;
   KS_CHECK(resolveInt(K.HistWidth, W));
-  auto DIt = HostEnv.find(K.HistDest);
-  if (DIt == HostEnv.end())
+  const Value *DV = HostEnv.find(K.HistDest);
+  if (!DV)
     return fail("histogram destination " + K.HistDest.str() +
                 " is not bound on the host");
-  const Value &Dest = DIt->second;
+  const Value &Dest = *DV;
   if (!Dest.isArray() || Dest.outerSize() != W)
     return fail("histogram destination has wrong outer size");
   ScalarKind EK = Dest.elemKind();
@@ -1858,10 +1857,10 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
   if (K.Neutral[0].isConst()) {
     NeutralPV = K.Neutral[0].getConst();
   } else {
-    auto It = HostEnv.find(K.Neutral[0].getVar());
-    if (It == HostEnv.end())
+    const Value *V = HostEnv.find(K.Neutral[0].getVar());
+    if (!V)
       return fail("kernel neutral element is unbound");
-    NeutralPV = It->second.getScalar();
+    NeutralPV = V->getScalar();
   }
 
   std::vector<PrimValue> Bins;
@@ -1998,7 +1997,7 @@ ErrorOr<KernelLaunch> KernelSim::run() {
 } // namespace
 
 ErrorOr<KernelLaunch> fut::gpusim::simulateKernel(
-    const DeviceParams &P, const KernelExp &K, const NameMap<Value> &HostEnv,
+    const DeviceParams &P, const KernelExp &K, const EnvView &HostEnv,
     CostReport &Cost, int64_t OutBudgetBytes, int64_t OuterOffset,
     int64_t OuterCount) {
   return KernelSim(P, K, HostEnv, Cost, OutBudgetBytes, OuterOffset,

@@ -53,7 +53,7 @@ struct KernelLaunch {
 /// are simulated and materialised.  OuterCount < 0 means the whole grid.
 ErrorOr<KernelLaunch> simulateKernel(const DeviceParams &P,
                                      const KernelExp &K,
-                                     const NameMap<Value> &HostEnv,
+                                     const EnvView &HostEnv,
                                      CostReport &Cost, int64_t OutBudgetBytes,
                                      int64_t OuterOffset = 0,
                                      int64_t OuterCount = -1);

@@ -9,7 +9,13 @@
 /// scalar PrimValue, or a regular multi-dimensional array stored flat in
 /// row-major order.  Array payloads are shared (copy-on-write) so that
 /// aliasing is cheap and in-place updates of uniquely-held arrays are O(1) —
-/// the operational counterpart of the paper's uniqueness types.
+/// the operational counterpart of the paper's uniqueness types.  The
+/// interpreter moves a consumed array out of its binding, so the payload an
+/// accepted update mutates is uniquely held.
+///
+/// EnvView is the read-only window onto the interpreter's bindings that its
+/// hooks receive.  It lives here, not in Interp.h, so the GPU simulator can
+/// read host arrays without depending on the interpreter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,6 +165,16 @@ public:
                    double AbsTol = 1e-8) const;
 
   std::string str() const;
+};
+
+/// The bindings visible at one point of an interpreted program.
+class EnvView {
+public:
+  /// The value bound to \p N, or null when \p N is unbound or consumed.
+  virtual const Value *find(const VName &N) const = 0;
+
+protected:
+  ~EnvView() = default;
 };
 
 /// Builds a rank-1 value from a vector of doubles/ints with a given kind.

@@ -311,9 +311,8 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
                                         trace::kServeTid);
   std::shared_ptr<const CompileResult> Artifact = E->Artifact;
   InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   int64_t HostOps = 0;
-  IO.OnExp = [&](const Exp &, const NameMap<Value> &) { ++HostOps; };
+  IO.OnExp = [&](const Exp &, const EnvView &) { ++HostOps; };
   Interpreter I(Artifact->P, IO);
   auto Out = I.runFunction(Req.Fun, Req.Args);
   if (!Out) {

@@ -115,10 +115,8 @@ ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
   auto P = frontend(Source, Names);
   if (!P)
     return P.getError();
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   Program Prog = P.take();
-  Interpreter I(Prog, IO);
+  Interpreter I(Prog);
   return I.runFunction(Fun, Args);
 }
 

@@ -42,13 +42,12 @@ ErrorOr<CompileResult> compileVjp(const std::string &Src,
   return compileSource(Src, NS, O);
 }
 
-/// Runs a function on the reference interpreter under consume-on-update
-/// semantics (the semantics the AD save-on-consume copies assume).
+/// Runs a function on the reference interpreter, whose in-place updates
+/// consume their source (the semantics the AD save-on-consume copies
+/// assume).
 std::vector<Value> interpFun(const Program &P, const std::string &Fun,
                              const std::vector<Value> &Args) {
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
-  Interpreter I(P, IO);
+  Interpreter I(P);
   auto R = I.runFunction(Fun, Args);
   EXPECT_TRUE(static_cast<bool>(R)) << R.getError().str();
   return R ? R.take() : std::vector<Value>{};

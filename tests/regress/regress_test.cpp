@@ -74,9 +74,7 @@ void expectBothReject(const FuzzCase &C, const std::string &Msg) {
   NameSource RefNames;
   auto RefProg = frontend(C.Source, RefNames);
   ASSERT_TRUE(static_cast<bool>(RefProg)) << RefProg.getError().str();
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
-  Interpreter I(*RefProg, IO);
+  Interpreter I(*RefProg);
   auto Ref = I.run(C.Args);
   ASSERT_FALSE(static_cast<bool>(Ref)) << "the reference accepted the case";
   EXPECT_EQ(Ref.getError().Message, Msg);

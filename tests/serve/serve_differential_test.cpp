@@ -40,10 +40,8 @@ ErrorOr<std::vector<Value>> referenceRun(const GeneratedProgram &GP) {
   auto P = frontend(GP.Source, Names);
   if (!P)
     return P.getError();
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   Program Prog = P.take();
-  Interpreter I(Prog, IO);
+  Interpreter I(Prog);
   return I.run(GP.Args);
 }
 

@@ -228,10 +228,8 @@ fut::test::runDifferential(const GeneratedProgram &GP,
   auto RefProg = frontend(GP.Source, RefNames);
   if (!RefProg)
     return Fail("frontend failed: " + RefProg.getError().str());
-  InterpOptions IO;
-  IO.ConsumeOnUpdate = true;
   Program RefP = RefProg.take(); // Interpreter holds a reference
-  Interpreter I(RefP, IO);
+  Interpreter I(RefP);
   auto Ref = I.run(GP.Args);
   if (!Ref)
     return Fail("reference interpreter failed: " + Ref.getError().str());
