@@ -63,6 +63,18 @@ if ${CXX:-c++} -std=c++20 -Isrc -MM src/interp/Interp.cpp |
   exit 1
 fi
 
+echo "== thread hygiene: code on the warp pool never reaches the trace session =="
+# KernelSim runs a large launch's warp ranges on a pool of host threads.
+# TraceSession is global and not thread-safe, so kernel spans stay on the
+# launching thread in Device.cpp: neither the simulator nor the pool may
+# include a trace/ header, not even through another header.
+for f in src/gpusim/KernelSim.cpp src/gpusim/WarpPool.cpp; do
+  if ${CXX:-c++} -std=c++20 -Isrc -MM "$f" | grep -q 'trace/'; then
+    echo "$f includes a trace/ header"
+    exit 1
+  fi
+done
+
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 # A deterministic 3000-program sweep through the full pipeline (with the
 # IR verifier, the only pass-boundary IR check, enabled after every pass)
@@ -109,6 +121,27 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 echo "== differential suite (reference interpreter vs device) =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   -R 'Differential'
+
+echo "== ThreadSanitizer leg: warp ranges run race-free on the pool =="
+# The simulator's tests built with -fsanitize=thread in a tree of their
+# own: every gpusim test binary (the pinned CostLineGolden cost lines and
+# the WarpRanges split and merge-order tests among them) and the
+# device-only BenchmarkSweep tests.  Any ThreadSanitizer report fails.
+TSAN_DIR="${BUILD_DIR}-tsan"
+TSAN_TESTS="gpusim_device_test gpusim_segmented_test gpusim_faults_test
+  gpusim_timeline_test gpusim_histogram_test gpusim_costmodel_test
+  gpusim_costline_golden_test gpusim_warp_ranges_test"
+cmake -B "$TSAN_DIR" -S . -DFUTHARKCC_SANITIZE=OFF \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread
+# shellcheck disable=SC2086
+cmake --build "$TSAN_DIR" -j "$JOBS" --target $TSAN_TESTS bench_suite_test
+export TSAN_OPTIONS="halt_on_error=1"
+for t in $TSAN_TESTS; do
+  "$TSAN_DIR"/tests/gpusim/"$t" --gtest_brief=1
+done
+"$TSAN_DIR"/tests/bench_suite/bench_suite_test --gtest_brief=1 \
+  --gtest_filter='*BenchmarkSweep.PlannedPeakIsEnoughDeviceMemory/*:*BenchmarkSweep.ReferenceConfigurationRuns/*'
+unset TSAN_OPTIONS
 
 echo "== trace suite (counters + Chrome export) =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \

@@ -15,11 +15,26 @@
 /// environment once.  Constants get slots of their own, so every operand
 /// is a slot index.
 ///
-/// *Run.*  All threads execute in that one frame: each thread rewrites its
-/// index slots and then overwrites the slots its statements bind.  Scalars
-/// are unboxed PrimValues, views of global memory stay GlobalView records,
-/// and an in-place update moves the array out of its slot so it stays
-/// O(1) when the array is not otherwise shared.
+/// *Run.*  The threads of one range of warps execute in one frame: each
+/// thread rewrites its index slots and then overwrites the slots its
+/// statements bind.  Scalars are unboxed PrimValues, views of global
+/// memory stay GlobalView records, and an in-place update moves the array
+/// out of its slot so it stays O(1) when the array is not otherwise
+/// shared.
+///
+/// *Warp ranges.*  Threads share only read-only inputs and write their own
+/// output rows, so warps are independent.  Warp 0 of a thread-body launch,
+/// or of a segmented launch with a grid (one thread per segment), runs
+/// first.  When its op count times the number of warps is large enough,
+/// the other warps run as contiguous ranges on the warp pool, each range
+/// with its own frame, lane traces, charges, profile and output rows, and
+/// the first range absorbs them in warp order.  Every charged counter and
+/// profile field is a sum and every warp merges within one range, so the
+/// merged counts are the one-range counts exactly; a range that failed or
+/// cannot follow the rows before it runs again on the first range, which
+/// then meets what one range would.  SegHist launches and gridless
+/// segmented launches always run as one range: their operator order is
+/// their result.
 ///
 /// Reduction operators (the kernel's ReduceFn and a stream_red's combine)
 /// run through the same evaluator with charging switched off, resolved
@@ -34,8 +49,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "gpusim/KernelSim.h"
+#include "gpusim/WarpPool.h"
 
 #include <algorithm>
+#include <memory>
 
 using namespace fut;
 using namespace fut::gpusim;
@@ -181,6 +198,26 @@ struct Column {
     ++Rows;
   }
 
+  /// Whether \p B's rows can follow this column's: they could not when
+  /// B's first row would have made a regular column irregular.
+  bool canTake(const Column &B) const {
+    if (!Started || !B.Started || Irregular)
+      return true;
+    return !B.Irregular && B.ElemScalar == ElemScalar && B.Kind == Kind &&
+           B.ElemShape == ElemShape;
+  }
+  /// Appends \p B's rows, as if they had been appended here.
+  void take(Column &&B) {
+    if (!B.Started || Irregular)
+      return;
+    if (!Started) {
+      *this = std::move(B);
+      return;
+    }
+    Data.insert(Data.end(), B.Data.begin(), B.Data.end());
+    Rows += B.Rows;
+  }
+
   /// What assembling an irregular column reports.
   const char *irregularMessage() const {
     return ElemScalar ? "irregular array: element kind mismatch"
@@ -203,95 +240,66 @@ PrimValue intOfKind(ScalarKind K, int64_t V) {
 // The launch
 //===----------------------------------------------------------------------===//
 
-class KernelSim {
-  const DeviceParams &P;
-  const KernelExp &K;
-  const EnvView &HostEnv;
-  CostReport &Cost;
-  int64_t OutBudgetBytes;
-  int64_t OuterOffset;
-  int64_t OuterCount;
-
+/// What a launch resolves once, on the launching thread, before any of its
+/// threads runs: the kernel inputs, the slot layout and resolved bodies,
+/// the launch's shape and the host values its kernel kind needs.  Warp
+/// ranges only ever read it.
+struct ResolvedForm {
   std::vector<Value> InputVals;
   std::vector<uint64_t> InputBase;
   std::vector<bool> InputTiled;
   std::vector<std::vector<int>> InputPerm;
 
-  KernelProfile Prof;
-  /// ComputeOps snapshot at each open lane's start; lane op counts are the
-  /// snapshot deltas (threads run sequentially, so the ops charged
-  /// between two lane starts belong to the earlier lane).
-  std::vector<int64_t> LaneOpsStart;
-  /// Per-lane global access traces of the current warp (the first
-  /// NumLanes are open), and the trace of the running lane.
-  std::vector<std::vector<uint64_t>> Lanes;
-  size_t NumLanes = 0;
-  std::vector<uint64_t> *Trace = nullptr;
-  std::vector<uint64_t> Segs; ///< mergeWarp's scratch.
-
-  int ReduceFnOps = 0;
-  int64_t OutBytesSoFar = 0;
-
-  // The resolved form and the frame.
-  std::vector<TVal> F;
   std::vector<const VName *> SlotName;
   std::vector<int> SlotScope;
   RBody ThreadBody;
   RLambda ReduceOp;
   std::vector<int> ThreadIdxSlots;
   int SegIdxSlot = -1;
+  int ReduceFnOps = 0;
 
-  // Resolver state.
+  /// The launch grid, with a sharded launch's outer dimension cut to its
+  /// window, and the number of grid points (threads, or segments).
+  std::vector<int64_t> Grid;
+  int64_t GridSize = 1;
+  /// The first grid row and the first thread of a sharded launch's
+  /// window.  Thread indices and output-write addresses stay those of the
+  /// uncut grid of GlobalThreads threads, so coalescing behaves as on the
+  /// real shard.
+  int64_t OuterOffset = 0;
+  int64_t ThreadOffset = 0;
+  int64_t GlobalThreads = 0;
+  /// Segmented kernels: the segment length and the neutral elements.
+  int64_t SegSize = 0;
+  std::vector<TVal> Neutral;
+  /// SegHist kernels: the destination, its width and the neutral element.
+  const Value *HistDest = nullptr;
+  int64_t HistWidth = 0;
+  PrimValue HistNeutral;
+};
+
+/// Builds a launch's ResolvedForm and the frame its first range runs in.
+/// The only part of a launch that reads the host environment.
+class Resolver {
+  const KernelExp &K;
+  const EnvView &HostEnv;
+  ResolvedForm &Form;
+  std::vector<TVal> &F;
+
   NameMap<int> Scope;
   std::vector<std::pair<const VName *, int>> Undo;
   NameMap<int> FreeSlots;
   bool OperatorMode = false;
   int NextScope = 0;
 
-  // Evaluator state.
-  bool Charging = true;
-  CompilerError Err;
-  std::vector<int64_t> IdxBuf, FullBuf, OdoBuf;
-  GlobalView RowView;
-
 public:
-  KernelSim(const DeviceParams &P, const KernelExp &K,
-            const EnvView &HostEnv, CostReport &Cost,
-            int64_t OutBudgetBytes, int64_t OuterOffset, int64_t OuterCount)
-      : P(P), K(K), HostEnv(HostEnv), Cost(Cost),
-        OutBudgetBytes(OutBudgetBytes), OuterOffset(OuterOffset),
-        OuterCount(OuterCount) {}
+  Resolver(const KernelExp &K, const EnvView &HostEnv, ResolvedForm &Form,
+           std::vector<TVal> &F)
+      : K(K), HostEnv(HostEnv), Form(Form), F(F) {}
 
-  ErrorOr<KernelLaunch> run();
+  MaybeError run(int64_t OuterOffset, int64_t OuterCount);
 
 private:
-  // Evaluation returns false after storing the error in Err, so the
-  // per-statement path carries no ErrorOr.
-  bool fail(CompilerError E) {
-    Err = std::move(E);
-    return false;
-  }
-  bool fail(std::string Msg) { return fail(CompilerError(std::move(Msg))); }
-  bool fail(SrcLoc Loc, std::string Msg) {
-    return fail(CompilerError(Loc, std::move(Msg)));
-  }
-  bool unbound(int Slot) {
-    return fail("unbound variable " + SlotName[Slot]->str() + " in kernel");
-  }
-  bool notScalar(int Slot) {
-    const TVal &T = F[Slot];
-    if (T.is(TVal::Tag::Unbound))
-      return unbound(Slot);
-    return fail(T.is(TVal::Tag::View) ? "expected a scalar, found a view"
-                                      : "expected a scalar");
-  }
-  bool isScalar(int Slot) const { return F[Slot].is(TVal::Tag::Scalar); }
-  bool bound(int Slot) {
-    return !F[Slot].is(TVal::Tag::Unbound) || unbound(Slot);
-  }
-
-  //===-- Resolve ---------------------------------------------------------===//
-
   MaybeError resolveInputs();
   int newSlot(const VName *Name, int ScopeId);
   int bind(const VName &N, int ScopeId);
@@ -305,6 +313,105 @@ private:
                         const VName *IndexVar = nullptr);
   RLambda resolveOperator(const Lambda &L);
   void resolve();
+
+  MaybeError resolveInt(const SubExp &S, int64_t &Out);
+  MaybeError resolveShape(int64_t OuterOffset, int64_t OuterCount);
+  MaybeError resolveNeutral();
+  MaybeError resolveHist();
+};
+
+/// One contiguous range of a launch's warps, with all the state its
+/// threads mutate: the frame, the lane traces, the charges and warp
+/// profile the range adds, and the rows it contributes to each output.
+/// A launch that does not split runs all its threads in one RangeSim; one
+/// that does runs each further range in its own and absorbs them in warp
+/// order.
+class RangeSim {
+  const DeviceParams &P;
+  const KernelExp &K;
+  const ResolvedForm &Form;
+  CostReport &Cost;
+  int64_t OutBudgetBytes;
+  /// Rows each thread-body output reserves on its first append.
+  int64_t ReserveRows;
+
+  std::vector<TVal> F;
+  KernelProfile Prof;
+  /// ComputeOps snapshot at each open lane's start; lane op counts are the
+  /// snapshot deltas (threads run sequentially, so the ops charged
+  /// between two lane starts belong to the earlier lane).
+  std::vector<int64_t> LaneOpsStart;
+  /// Per-lane global access traces of the current warp (the first
+  /// NumLanes are open), and the trace of the running lane.
+  std::vector<std::vector<uint64_t>> Lanes;
+  size_t NumLanes = 0;
+  std::vector<uint64_t> *Trace = nullptr;
+  std::vector<uint64_t> Segs; ///< mergeWarp's scratch.
+  int64_t OutBytesSoFar = 0;
+  /// The range's rows of each output, and a segmented kernel's running
+  /// accumulators.
+  std::vector<Column> Cols;
+  std::vector<TVal> Acc;
+
+  // Evaluator state.
+  bool Charging = true;
+  CompilerError Err;
+  std::vector<int64_t> IdxBuf, FullBuf, OdoBuf;
+  GlobalView RowView;
+
+public:
+  /// The launch's first range, which runs in the resolved frame itself.
+  RangeSim(const DeviceParams &P, const KernelExp &K,
+           const ResolvedForm &Form, CostReport &Cost,
+           int64_t OutBudgetBytes, std::vector<TVal> Frame);
+  /// A further range of \p Rows threads or segments.  Its frame shares
+  /// with \p First's only the slots no thread writes: input views, host
+  /// values and constants.
+  RangeSim(const RangeSim &First, CostReport &Cost, int64_t Rows);
+
+  /// Runs threads (segments of a segmented kernel) [Begin, End), which
+  /// start a warp; the range's last warp is merged when it ends.
+  bool runLanes(int64_t Begin, int64_t End);
+  /// Appends \p O's charges, profile and output rows to this range's, as
+  /// if this range had run O's threads next.  False, with nothing
+  /// changed, when O's results cannot follow: they would overrun the
+  /// memory budget or make an output irregular.
+  bool absorb(RangeSim &O);
+  /// Assembles the launch's outputs from the rows of all its threads.
+  bool finish(std::vector<Value> &Out);
+  bool runSegHist(std::vector<Value> &Out);
+
+  const CompilerError &error() const { return Err; }
+  int64_t outBytes() const { return OutBytesSoFar; }
+  int64_t computeOps() const { return Cost.ComputeOps; }
+  const KernelProfile &profile() const { return Prof; }
+
+private:
+  // Evaluation returns false after storing the error in Err, so the
+  // per-statement path carries no ErrorOr.
+  bool fail(CompilerError E) {
+    Err = std::move(E);
+    return false;
+  }
+  bool fail(std::string Msg) { return fail(CompilerError(std::move(Msg))); }
+  bool fail(SrcLoc Loc, std::string Msg) {
+    return fail(CompilerError(Loc, std::move(Msg)));
+  }
+  bool unbound(int Slot) {
+    return fail("unbound variable " + Form.SlotName[Slot]->str() +
+                " in kernel");
+  }
+  bool notScalar(int Slot) {
+    const TVal &T = F[Slot];
+    if (T.is(TVal::Tag::Unbound))
+      return unbound(Slot);
+    return fail(T.is(TVal::Tag::View) ? "expected a scalar, found a view"
+                                      : "expected a scalar");
+  }
+  bool isScalar(int Slot) const { return F[Slot].is(TVal::Tag::Scalar); }
+  bool bound(int Slot) {
+    return !F[Slot].is(TVal::Tag::Unbound) || unbound(Slot);
+  }
 
   //===-- Charging --------------------------------------------------------===//
 
@@ -342,43 +449,40 @@ private:
 
   //===-- Per-kernel-kind driving ------------------------------------------===//
 
-  bool resolveInt(const SubExp &S, int64_t &Out);
-  bool gridDims(std::vector<int64_t> &Grid, int64_t *OuterTotal = nullptr);
   void setThreadIndices(const std::vector<int64_t> &Idx);
-  bool runThreadBody(std::vector<Value> &Out);
-  bool runSegmented(std::vector<Value> &Out);
-  bool runSegHist(std::vector<Value> &Out);
+  bool runThreads(int64_t Begin, int64_t End);
+  bool runSegments(int64_t Begin, int64_t End);
 };
 
 //===----------------------------------------------------------------------===//
 // Resolve
 //===----------------------------------------------------------------------===//
 
-MaybeError KernelSim::resolveInputs() {
+MaybeError Resolver::resolveInputs() {
   uint64_t Base = 1ULL << 40;
   for (const KernelExp::KInput &In : K.Inputs) {
     const Value *V = HostEnv.find(In.Arr);
     if (!V)
       return CompilerError("kernel input " + In.Arr.str() +
                            " is not bound on the host");
-    InputVals.push_back(*V);
-    InputBase.push_back(Base);
+    Form.InputVals.push_back(*V);
+    Form.InputBase.push_back(Base);
     Base += static_cast<uint64_t>(V->numElems() + 64) *
             elemBytes(V->elemKind());
-    InputTiled.push_back(In.Tiled);
-    InputPerm.push_back(In.LayoutPerm);
+    Form.InputTiled.push_back(In.Tiled);
+    Form.InputPerm.push_back(In.LayoutPerm);
   }
   return MaybeError::success();
 }
 
-int KernelSim::newSlot(const VName *Name, int ScopeId) {
+int Resolver::newSlot(const VName *Name, int ScopeId) {
   F.emplace_back();
-  SlotName.push_back(Name);
-  SlotScope.push_back(ScopeId);
+  Form.SlotName.push_back(Name);
+  Form.SlotScope.push_back(ScopeId);
   return static_cast<int>(F.size()) - 1;
 }
 
-int KernelSim::bind(const VName &N, int ScopeId) {
+int Resolver::bind(const VName &N, int ScopeId) {
   int Slot = newSlot(&N, ScopeId);
   auto It = Scope.find(N);
   Undo.push_back({&N, It == Scope.end() ? -1 : It->second});
@@ -386,7 +490,7 @@ int KernelSim::bind(const VName &N, int ScopeId) {
   return Slot;
 }
 
-void KernelSim::restore(size_t Mark) {
+void Resolver::restore(size_t Mark) {
   while (Undo.size() > Mark) {
     auto [Name, Prev] = Undo.back();
     Undo.pop_back();
@@ -400,7 +504,7 @@ void KernelSim::restore(size_t Mark) {
 /// Lexical bindings first, then (outside operators) kernel inputs and host
 /// values; anything else is a slot that fails when read, as the lookup
 /// would have.
-int KernelSim::lookup(const VName &N) {
+int Resolver::lookup(const VName &N) {
   auto It = Scope.find(N);
   if (It != Scope.end())
     return It->second;
@@ -420,7 +524,7 @@ int KernelSim::lookup(const VName &N) {
   return Slot;
 }
 
-int KernelSim::operand(const SubExp &S) {
+int Resolver::operand(const SubExp &S) {
   if (S.isVar())
     return lookup(S.getVar());
   int Slot = newSlot(nullptr, -1);
@@ -428,7 +532,7 @@ int KernelSim::operand(const SubExp &S) {
   return Slot;
 }
 
-RBody KernelSim::resolveBody(const Body &B, int ScopeId) {
+RBody Resolver::resolveBody(const Body &B, int ScopeId) {
   RBody R;
   R.Stms.reserve(B.Stms.size());
   for (const Stm &S : B.Stms)
@@ -437,21 +541,21 @@ RBody KernelSim::resolveBody(const Body &B, int ScopeId) {
     R.Result.push_back(operand(S));
   for (size_t I = 0; I < R.Result.size(); ++I) {
     int Slot = R.Result[I];
-    R.Movable.push_back(SlotScope[Slot] == ScopeId &&
+    R.Movable.push_back(Form.SlotScope[Slot] == ScopeId &&
                         std::find(R.Result.begin() + I + 1, R.Result.end(),
                                   Slot) == R.Result.end());
   }
   return R;
 }
 
-RBody KernelSim::resolveScoped(const Body &B) {
+RBody Resolver::resolveScoped(const Body &B) {
   size_t Mark = Undo.size();
   RBody R = resolveBody(B, NextScope++);
   restore(Mark);
   return R;
 }
 
-RLambda KernelSim::resolveLambda(const std::vector<Param> &Params,
+RLambda Resolver::resolveLambda(const std::vector<Param> &Params,
                                  const Body &B, const VName *IndexVar) {
   size_t Mark = Undo.size();
   int ScopeId = NextScope++;
@@ -479,7 +583,7 @@ RLambda KernelSim::resolveLambda(const std::vector<Param> &Params,
 
 /// A reduction operator is applied like a closed lambda: nothing outside
 /// it is visible.
-RLambda KernelSim::resolveOperator(const Lambda &L) {
+RLambda Resolver::resolveOperator(const Lambda &L) {
   NameMap<int> Outer;
   std::swap(Outer, Scope);
   bool WasOperator = OperatorMode;
@@ -490,7 +594,7 @@ RLambda KernelSim::resolveOperator(const Lambda &L) {
   return R;
 }
 
-RStm KernelSim::resolveStm(const Stm &S, int ScopeId) {
+RStm Resolver::resolveStm(const Stm &S, int ScopeId) {
   RStm R;
   const Exp &E = *S.E;
   R.E = &E;
@@ -545,7 +649,7 @@ RStm KernelSim::resolveStm(const Stm &S, int ScopeId) {
     R.Ops.push_back(lookup(X->Arr));
     Ops(X->Indices);
     R.Ops.push_back(operand(X->Value));
-    R.Consume = SlotScope[R.Ops[0]] == ScopeId;
+    R.Consume = Form.SlotScope[R.Ops[0]] == ScopeId;
     break;
   }
   case ExpKind::Iota:
@@ -629,7 +733,7 @@ RStm KernelSim::resolveStm(const Stm &S, int ScopeId) {
   return R;
 }
 
-void KernelSim::resolve() {
+void Resolver::resolve() {
   for (size_t I = 0; I < K.Inputs.size(); ++I) {
     int Slot = newSlot(&K.Inputs[I].Arr, -1);
     F[Slot].T = TVal::Tag::View;
@@ -637,29 +741,122 @@ void KernelSim::resolve() {
     FreeSlots[K.Inputs[I].Arr] = Slot;
   }
   if (K.usesReduceFn())
-    ReduceOp = resolveOperator(K.ReduceFn);
+    Form.ReduceOp = resolveOperator(K.ReduceFn);
   int Root = NextScope++;
   for (const VName &N : K.ThreadIndices)
-    ThreadIdxSlots.push_back(bind(N, Root));
+    Form.ThreadIdxSlots.push_back(bind(N, Root));
   if (K.isSegmented())
-    SegIdxSlot = bind(K.SegIndex, Root);
-  ThreadBody = resolveBody(K.ThreadBody, Root);
+    Form.SegIdxSlot = bind(K.SegIndex, Root);
+  Form.ThreadBody = resolveBody(K.ThreadBody, Root);
+}
+
+MaybeError Resolver::resolveInt(const SubExp &S, int64_t &Out) {
+  if (S.isConst()) {
+    Out = S.getConst().asInt64();
+    return MaybeError::success();
+  }
+  const Value *V = HostEnv.find(S.getVar());
+  if (!V)
+    return CompilerError("kernel size " + S.getVar().str() +
+                         " is not bound on the host");
+  Out = V->getScalar().asInt64();
+  return MaybeError::success();
+}
+
+/// The launch grid, cut to a sharded launch's window.
+MaybeError Resolver::resolveShape(int64_t OuterOffset, int64_t OuterCount) {
+  for (const SubExp &D : K.GridDims) {
+    int64_t G;
+    if (auto E = resolveInt(D, G))
+      return E;
+    Form.Grid.push_back(G);
+  }
+  int64_t InnerElems = 1;
+  for (size_t I = 1; I < Form.Grid.size(); ++I)
+    InnerElems *= Form.Grid[I];
+  Form.GlobalThreads = (Form.Grid.empty() ? 1 : Form.Grid[0]) * InnerElems;
+  if (OuterCount >= 0 && !Form.Grid.empty())
+    Form.Grid[0] = OuterCount;
+  for (int64_t G : Form.Grid)
+    Form.GridSize *= G;
+  Form.OuterOffset = OuterOffset;
+  Form.ThreadOffset = OuterOffset * InnerElems;
+  return MaybeError::success();
+}
+
+/// A segmented kernel's neutral elements come from the host environment.
+MaybeError Resolver::resolveNeutral() {
+  for (const SubExp &N : K.Neutral) {
+    TVal &T = Form.Neutral.emplace_back();
+    if (N.isConst()) {
+      T.setScalar(N.getConst());
+      continue;
+    }
+    const Value *V = HostEnv.find(N.getVar());
+    if (!V)
+      return CompilerError("kernel neutral element is unbound");
+    if (V->isScalar())
+      T.setScalar(V->getScalar());
+    else
+      T.setArray(*V);
+  }
+  return MaybeError::success();
+}
+
+MaybeError Resolver::resolveHist() {
+  if (auto E = resolveInt(K.HistWidth, Form.HistWidth))
+    return E;
+  Form.HistDest = HostEnv.find(K.HistDest);
+  if (!Form.HistDest)
+    return CompilerError("histogram destination " + K.HistDest.str() +
+                         " is not bound on the host");
+  if (!Form.HistDest->isArray() ||
+      Form.HistDest->outerSize() != Form.HistWidth)
+    return CompilerError("histogram destination has wrong outer size");
+  if (K.Neutral.size() != 1)
+    return CompilerError("seghist kernel needs exactly one neutral element");
+  if (K.Neutral[0].isConst()) {
+    Form.HistNeutral = K.Neutral[0].getConst();
+    return MaybeError::success();
+  }
+  const Value *V = HostEnv.find(K.Neutral[0].getVar());
+  if (!V)
+    return CompilerError("kernel neutral element is unbound");
+  Form.HistNeutral = V->getScalar();
+  return MaybeError::success();
+}
+
+MaybeError Resolver::run(int64_t OuterOffset, int64_t OuterCount) {
+  if (auto E = resolveInputs())
+    return E;
+  Form.ReduceFnOps = static_cast<int>(K.ReduceFn.B.Stms.size()) + 1;
+  resolve();
+  if (auto E = resolveShape(OuterOffset, OuterCount))
+    return E;
+  if (K.Op == KernelExp::OpKind::SegHist)
+    return resolveHist();
+  if (K.isSegmented()) {
+    if (auto E = resolveInt(K.SegSize, Form.SegSize))
+      return E;
+    return resolveNeutral();
+  }
+  return MaybeError::success();
 }
 
 //===----------------------------------------------------------------------===//
 // Charging
 //===----------------------------------------------------------------------===//
 
-void KernelSim::chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
+void RangeSim::chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
                              const Value &In) {
-  if (InputTiled[InputIdx]) {
+  if (Form.InputTiled[InputIdx]) {
     ++Cost.LocalAccesses;
     ++Cost.TiledElementTouches;
     Cost.TiledElementBytes += elemBytes(In.elemKind());
     return;
   }
   // Storage address under the layout permutation.
-  const std::vector<int> &Perm = InputPerm[InputIdx];
+  const std::vector<int> &Perm = Form.InputPerm[InputIdx];
   uint64_t Off = 0;
   if (Perm.size() == Full.size()) {
     for (size_t D = 0; D < Perm.size(); ++D)
@@ -668,14 +865,14 @@ void KernelSim::chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
   } else {
     Off = static_cast<uint64_t>(In.flatIndex(Full));
   }
-  uint64_t Addr = InputBase[InputIdx] + Off * elemBytes(In.elemKind());
+  uint64_t Addr = Form.InputBase[InputIdx] + Off * elemBytes(In.elemKind());
   ++Cost.GlobalAccesses;
   if (Trace)
     Trace->push_back(Addr);
 }
 
 /// Charges a synthetic global write (kernel outputs).
-void KernelSim::chargeWrite(uint64_t Addr) {
+void RangeSim::chargeWrite(uint64_t Addr) {
   ++Cost.GlobalAccesses;
   if (Trace)
     Trace->push_back(Addr);
@@ -684,7 +881,7 @@ void KernelSim::chargeWrite(uint64_t Addr) {
 /// Accounts materialised results against the device-memory budget.
 /// Per-thread scalar results are exactly the elements of the assembled
 /// output array, so the running total matches the outputs' footprint.
-bool KernelSim::chargeOutput(int64_t Elems, ScalarKind Kind) {
+bool RangeSim::chargeOutput(int64_t Elems, ScalarKind Kind) {
   OutBytesSoFar += Elems * elemBytes(Kind);
   if (OutBudgetBytes < 0 || OutBytesSoFar <= OutBudgetBytes)
     return true;
@@ -698,7 +895,7 @@ bool KernelSim::chargeOutput(int64_t Elems, ScalarKind Kind) {
 /// elements.  Arrays too large for registers/private memory spill to
 /// global memory with poor locality (roughly one transaction per two
 /// accesses).
-void KernelSim::chargePrivate(int64_t N, int64_t ArrElems) {
+void RangeSim::chargePrivate(int64_t N, int64_t ArrElems) {
   if (!Charging)
     return;
   if (ArrElems > P.PrivateSpillElems) {
@@ -712,7 +909,7 @@ void KernelSim::chargePrivate(int64_t N, int64_t ArrElems) {
 }
 
 /// Opens a new lane of the current warp, with its own address trace.
-void KernelSim::openLane() {
+void RangeSim::openLane() {
   if (NumLanes == Lanes.size())
     Lanes.emplace_back();
   Trace = &Lanes[NumLanes++];
@@ -723,7 +920,7 @@ void KernelSim::openLane() {
 /// Merges the per-lane traces of one warp into transactions and closes
 /// the warp's profile entry (issue slots after divergence serialisation,
 /// coalescer-queue overflow).
-void KernelSim::mergeWarp() {
+void RangeSim::mergeWarp() {
   Trace = nullptr;
   size_t MaxLen = 0;
   for (size_t L = 0; L < NumLanes; ++L)
@@ -780,8 +977,8 @@ void KernelSim::mergeWarp() {
 
 /// Reads the element of input \p InputIdx at the full index in FullBuf,
 /// charging the access.
-bool KernelSim::readFull(int InputIdx, PrimValue &Out, SrcLoc Loc) {
-  const Value &In = InputVals[InputIdx];
+bool RangeSim::readFull(int InputIdx, PrimValue &Out, SrcLoc Loc) {
+  const Value &In = Form.InputVals[InputIdx];
   if (static_cast<int>(FullBuf.size()) != In.rank() || !In.inBounds(FullBuf))
     return fail(Loc, "global read out of bounds");
   chargeGlobal(InputIdx, FullBuf, In);
@@ -790,8 +987,8 @@ bool KernelSim::readFull(int InputIdx, PrimValue &Out, SrcLoc Loc) {
 }
 
 /// Materialises a view into private memory, charging every read.
-bool KernelSim::materialise(const GlobalView &G, TVal &Dst) {
-  const Value &In = InputVals[G.InputIdx];
+bool RangeSim::materialise(const GlobalView &G, TVal &Dst) {
+  const Value &In = Form.InputVals[G.InputIdx];
   size_t Pre = G.Prefix.size();
   if (Pre > static_cast<size_t>(In.rank()))
     return fail("global read out of bounds");
@@ -833,7 +1030,7 @@ bool KernelSim::materialise(const GlobalView &G, TVal &Dst) {
 
 /// Writes slot \p Slot's value to \p Dst as a private value (views are
 /// materialised); \p Move steals an array the caller knows is dead.
-bool KernelSim::force(int Slot, TVal &Dst, bool Move) {
+bool RangeSim::force(int Slot, TVal &Dst, bool Move) {
   TVal &Src = F[Slot];
   switch (Src.T) {
   case TVal::Tag::Unbound:
@@ -848,7 +1045,7 @@ bool KernelSim::force(int Slot, TVal &Dst, bool Move) {
 
 /// The operand as a private value: scalars and arrays in place, views
 /// materialised into \p Tmp.  Null on error.
-const TVal *KernelSim::forced(int Slot, TVal &Tmp) {
+const TVal *RangeSim::forced(int Slot, TVal &Tmp) {
   TVal &T = F[Slot];
   if (T.is(TVal::Tag::View))
     return materialise(T.V, Tmp) ? &Tmp : nullptr;
@@ -860,7 +1057,7 @@ const TVal *KernelSim::forced(int Slot, TVal &Tmp) {
 }
 
 /// Reads row \p I of a (private or view) array, charging reads.
-bool KernelSim::rowOf(int Slot, int64_t I, TVal &Dst) {
+bool RangeSim::rowOf(int Slot, int64_t I, TVal &Dst) {
   TVal &T = F[Slot];
   if (T.is(TVal::Tag::View)) {
     const GlobalView &G = T.V;
@@ -885,10 +1082,10 @@ bool KernelSim::rowOf(int Slot, int64_t I, TVal &Dst) {
   return true;
 }
 
-bool KernelSim::outerSizeOf(int Slot, int64_t &N) {
+bool RangeSim::outerSizeOf(int Slot, int64_t &N) {
   const TVal &T = F[Slot];
   if (T.is(TVal::Tag::View)) {
-    const Value &In = InputVals[T.V.InputIdx];
+    const Value &In = Form.InputVals[T.V.InputIdx];
     size_t Pre = T.V.Prefix.size();
     if (Pre >= static_cast<size_t>(In.rank()))
       return fail("scalar view has no outer size");
@@ -904,7 +1101,7 @@ bool KernelSim::outerSizeOf(int Slot, int64_t &N) {
 }
 
 /// Moves an assembled column into \p Dst with shape Outer ++ element shape.
-bool KernelSim::takeColumn(Column &C, std::vector<int64_t> Outer, TVal &Dst) {
+bool RangeSim::takeColumn(Column &C, std::vector<int64_t> Outer, TVal &Dst) {
   if (!C.Started)
     return fail(CompilerError::runtime(
         "cannot assemble an empty array without an element type"));
@@ -921,7 +1118,7 @@ bool KernelSim::takeColumn(Column &C, std::vector<int64_t> Outer, TVal &Dst) {
 
 /// Binds the dimension variables of an operator lambda's array
 /// parameters from its arguments' shapes.
-bool KernelSim::bindDims(const RLambda &L) {
+bool RangeSim::bindDims(const RLambda &L) {
   for (const DimBind &D : L.Dims) {
     const TVal &A = F[L.Params[D.ParamIdx]];
     if (!A.is(TVal::Tag::Array) || A.A.rank() <= D.Dim)
@@ -934,7 +1131,7 @@ bool KernelSim::bindDims(const RLambda &L) {
 
 /// Runs a lambda whose parameter slots the caller has filled; its results
 /// are left in L.Body.Result's slots.
-bool KernelSim::call(const RLambda &L) {
+bool RangeSim::call(const RLambda &L) {
   if (!L.Dims.empty())
     KS_CHECK(bindDims(L));
   return exec(L.Body);
@@ -942,7 +1139,7 @@ bool KernelSim::call(const RLambda &L) {
 
 /// Runs a reduction operator with charging switched off: its cost is the
 /// fixed per-application charge the caller makes.
-bool KernelSim::callOperator(const RLambda &Op) {
+bool RangeSim::callOperator(const RLambda &Op) {
   bool Was = Charging;
   Charging = false;
   bool Ok = call(Op);
@@ -950,7 +1147,7 @@ bool KernelSim::callOperator(const RLambda &Op) {
   return Ok;
 }
 
-bool KernelSim::exec(const RBody &B) {
+bool RangeSim::exec(const RBody &B) {
   for (const RStm &S : B.Stms)
     KS_CHECK(execStm(S));
   return true;
@@ -960,7 +1157,7 @@ bool KernelSim::exec(const RBody &B) {
 // Statements
 //===----------------------------------------------------------------------===//
 
-bool KernelSim::execStm(const RStm &S) {
+bool RangeSim::execStm(const RStm &S) {
   if (Charging)
     ++Cost.ComputeOps;
   if (S.BadArity)
@@ -1063,7 +1260,7 @@ bool KernelSim::execStm(const RStm &S) {
   }
 }
 
-bool KernelSim::execIndex(const RStm &S) {
+bool RangeSim::execIndex(const RStm &S) {
   const Exp &E = *S.E;
   KS_CHECK(bound(S.Ops[0]));
   size_t NIdx = S.Ops.size() - 1;
@@ -1086,7 +1283,7 @@ bool KernelSim::execIndex(const RStm &S) {
       FullBuf.push_back(InSlice ? IdxBuf[0] * G.SliceStride + G.SliceOff
                                 : IdxBuf[I]);
     }
-    const Value &In = InputVals[G.InputIdx];
+    const Value &In = Form.InputVals[G.InputIdx];
     if (FullBuf.size() == static_cast<size_t>(In.rank())) {
       PrimValue X;
       KS_CHECK(readFull(G.InputIdx, X, E.Loc));
@@ -1116,7 +1313,7 @@ bool KernelSim::execIndex(const RStm &S) {
   return true;
 }
 
-bool KernelSim::execSlice(const RStm &S) {
+bool RangeSim::execSlice(const RStm &S) {
   const Exp &E = *S.E;
   KS_CHECK(bound(S.Ops[0]));
   for (int I = 1; I <= 3; ++I)
@@ -1158,7 +1355,7 @@ bool KernelSim::execSlice(const RStm &S) {
   return true;
 }
 
-bool KernelSim::execUpdate(const RStm &S) {
+bool RangeSim::execUpdate(const RStm &S) {
   const Exp &E = *S.E;
   int ArrSlot = S.Ops[0];
   Value A;
@@ -1217,7 +1414,7 @@ bool KernelSim::execUpdate(const RStm &S) {
 
 /// Replicate, rearrange, reshape, concat and copy: each materialises its
 /// array operands first.
-bool KernelSim::execReshaping(const RStm &S) {
+bool RangeSim::execReshaping(const RStm &S) {
   const Exp &E = *S.E;
   TVal &Out = F[S.Out[0]];
   TVal Tmp;
@@ -1343,7 +1540,7 @@ bool KernelSim::execReshaping(const RStm &S) {
   }
 }
 
-bool KernelSim::execLoop(const RStm &S) {
+bool RangeSim::execLoop(const RStm &S) {
   const RLambda &L = S.Fns[0];
   if (!isScalar(S.Ops[0]))
     return notScalar(S.Ops[0]);
@@ -1376,7 +1573,7 @@ bool KernelSim::execLoop(const RStm &S) {
   return true;
 }
 
-bool KernelSim::execMap(const RStm &S) {
+bool RangeSim::execMap(const RStm &S) {
   const auto *X = expCast<MapExp>(S.E);
   const RLambda &Fn = S.Fns[0];
   if (!isScalar(S.Ops[0]))
@@ -1416,7 +1613,7 @@ bool KernelSim::execMap(const RStm &S) {
 }
 
 /// Sequential in-thread reduction or scan.
-bool KernelSim::execReduceScan(const RStm &S) {
+bool RangeSim::execReduceScan(const RStm &S) {
   bool IsScan = S.E->kind() == ExpKind::Scan;
   const Lambda &Src = IsScan ? expCast<ScanExp>(S.E)->Fn
                              : expCast<ReduceExp>(S.E)->Fn;
@@ -1469,7 +1666,7 @@ bool KernelSim::execReduceScan(const RStm &S) {
 /// "efficient sequentialisation with asymptotically reduced per-thread
 /// memory footprint" (Section 4.1): all per-chunk arrays are singletons,
 /// so nothing spills.
-bool KernelSim::execStream(const RStm &S) {
+bool RangeSim::execStream(const RStm &S) {
   const auto *X = expCast<StreamExp>(S.E);
   const RLambda &Fold = S.Fns[0];
   if (!isScalar(S.Ops[0]))
@@ -1576,39 +1773,30 @@ bool KernelSim::execStream(const RStm &S) {
 // Kernel driving
 //===----------------------------------------------------------------------===//
 
-bool KernelSim::resolveInt(const SubExp &S, int64_t &Out) {
-  if (S.isConst()) {
-    Out = S.getConst().asInt64();
-    return true;
-  }
-  const Value *V = HostEnv.find(S.getVar());
-  if (!V)
-    return fail("kernel size " + S.getVar().str() +
-                " is not bound on the host");
-  Out = V->getScalar().asInt64();
-  return true;
-}
+RangeSim::RangeSim(const DeviceParams &P, const KernelExp &K,
+                   const ResolvedForm &Form, CostReport &Cost,
+                   int64_t OutBudgetBytes, std::vector<TVal> Frame)
+    : P(P), K(K), Form(Form), Cost(Cost), OutBudgetBytes(OutBudgetBytes),
+      ReserveRows(Form.GridSize), F(std::move(Frame)),
+      Cols(K.Op == KernelExp::OpKind::ThreadBody ? K.RetTypes.size()
+                                                 : Form.Neutral.size()),
+      Acc(Form.Neutral.size()) {}
 
-/// The launch grid, with a sharded launch's outer dimension cut to its
-/// window; \p OuterTotal receives the uncut outer extent.
-bool KernelSim::gridDims(std::vector<int64_t> &Grid, int64_t *OuterTotal) {
-  for (const SubExp &D : K.GridDims) {
-    int64_t G;
-    KS_CHECK(resolveInt(D, G));
-    Grid.push_back(G);
-  }
-  if (OuterTotal)
-    *OuterTotal = Grid.empty() ? 1 : Grid[0];
-  if (OuterCount >= 0 && !Grid.empty())
-    Grid[0] = OuterCount;
-  return true;
+RangeSim::RangeSim(const RangeSim &First, CostReport &Cost, int64_t Rows)
+    : P(First.P), K(First.K), Form(First.Form), Cost(Cost),
+      OutBudgetBytes(First.OutBudgetBytes), ReserveRows(Rows),
+      F(First.F.size()), Cols(First.Cols.size()), Acc(First.Acc.size()) {
+  for (size_t I = 0; I < F.size(); ++I)
+    if (Form.SlotScope[I] < 0)
+      F[I].assign(First.F[I]);
 }
 
 /// Starts a thread: its index slots hold global thread-index values.
-void KernelSim::setThreadIndices(const std::vector<int64_t> &Idx) {
-  for (size_t I = 0; I < Idx.size() && I < ThreadIdxSlots.size(); ++I)
-    F[ThreadIdxSlots[I]].setScalar(PrimValue::makeI32(
-        static_cast<int32_t>(Idx[I] + (I == 0 ? OuterOffset : 0))));
+void RangeSim::setThreadIndices(const std::vector<int64_t> &Idx) {
+  const std::vector<int> &Slots = Form.ThreadIdxSlots;
+  for (size_t I = 0; I < Idx.size() && I < Slots.size(); ++I)
+    F[Slots[I]].setScalar(PrimValue::makeI32(
+        static_cast<int32_t>(Idx[I] + (I == 0 ? Form.OuterOffset : 0))));
 }
 
 void advance(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
@@ -1619,32 +1807,35 @@ void advance(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
   }
 }
 
-bool KernelSim::runThreadBody(std::vector<Value> &Out) {
-  std::vector<int64_t> Grid;
-  int64_t OuterTotal;
-  KS_CHECK(gridDims(Grid, &OuterTotal));
-  int64_t Threads = 1;
-  for (int64_t G : Grid)
-    Threads *= G;
-  int64_t InnerElems = 1;
-  for (size_t I = 1; I < Grid.size(); ++I)
-    InnerElems *= Grid[I];
-  int64_t GlobalThreads = OuterTotal * InnerElems;
-  int64_t ThreadOffset = OuterOffset * InnerElems;
-
-  size_t NumRes = K.RetTypes.size();
-  std::vector<Column> Cols(NumRes);
+/// The grid index of the \p Flat-th point of \p Grid in row-major order.
+std::vector<int64_t> gridIndex(int64_t Flat, const std::vector<int64_t> &Grid) {
   std::vector<int64_t> Idx(Grid.size(), 0);
+  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0 && Flat > 0; --I) {
+    Idx[I] = Flat % Grid[I];
+    Flat /= Grid[I];
+  }
+  return Idx;
+}
+
+bool RangeSim::runLanes(int64_t Begin, int64_t End) {
+  return K.Op == KernelExp::OpKind::ThreadBody ? runThreads(Begin, End)
+                                               : runSegments(Begin, End);
+}
+
+bool RangeSim::runThreads(int64_t Begin, int64_t End) {
+  const RBody &Body = Form.ThreadBody;
+  size_t NumRes = K.RetTypes.size();
+  std::vector<int64_t> Idx = gridIndex(Begin, Form.Grid);
   TVal Res;
-  for (int64_t T = 0; T < Threads; ++T) {
+  for (int64_t T = Begin; T < End; ++T) {
     openLane();
     setThreadIndices(Idx);
-    KS_CHECK(exec(ThreadBody));
-    if (ThreadBody.Result.size() != NumRes)
+    KS_CHECK(exec(Body));
+    if (Body.Result.size() != NumRes)
       return fail("kernel thread result arity mismatch");
-    int64_t GlobalT = T + ThreadOffset;
+    int64_t GlobalT = T + Form.ThreadOffset;
     for (size_t J = 0; J < NumRes; ++J) {
-      KS_CHECK(force(ThreadBody.Result[J], Res, ThreadBody.Movable[J]));
+      KS_CHECK(force(Body.Result[J], Res, Body.Movable[J]));
       int64_t Elems = Res.numElems();
       KS_CHECK(chargeOutput(Elems, Res.elemKind()));
       // Charge the output writes: row-major per thread, or with the
@@ -1654,89 +1845,51 @@ bool KernelSim::runThreadBody(std::vector<Value> &Out) {
       for (int64_t EIdx = 0; EIdx < Elems; ++EIdx) {
         uint64_t Off = K.TransposedOutputs
                            ? static_cast<uint64_t>(EIdx) *
-                                     static_cast<uint64_t>(GlobalThreads) +
+                                     static_cast<uint64_t>(Form.GlobalThreads) +
                                  static_cast<uint64_t>(GlobalT)
                            : static_cast<uint64_t>(GlobalT * Elems + EIdx);
         chargeWrite(OutBase + Off * elemBytes(Res.elemKind()));
       }
-      if (T == 0) {
+      if (Cols[J].Data.empty()) {
         // Reserved once, and never past what the memory budget admits.
-        int64_t Want = Threads * Elems;
+        int64_t Want = ReserveRows * Elems;
         if (OutBudgetBytes >= 0)
           Want = std::min(Want, OutBudgetBytes / elemBytes(Res.elemKind()) + 1);
         Cols[J].Data.reserve(static_cast<size_t>(Want));
       }
       Cols[J].append(Res);
     }
-    if (NumLanes == static_cast<size_t>(P.WarpSize) || T == Threads - 1)
+    if (NumLanes == static_cast<size_t>(P.WarpSize) || T == Form.GridSize - 1)
       mergeWarp();
-    advance(Idx, Grid);
+    advance(Idx, Form.Grid);
   }
   Trace = nullptr;
-
-  for (size_t J = 0; J < NumRes; ++J) {
-    TVal Col;
-    if (Threads == 0)
-      Out.push_back(Value::array(K.RetTypes[J].elemKind(), Grid, {}));
-    else if (takeColumn(Cols[J], Grid, Col))
-      Out.push_back(std::move(Col.A));
-    else
-      return false;
-  }
   return true;
 }
 
-bool KernelSim::runSegmented(std::vector<Value> &Out) {
-  std::vector<int64_t> Grid;
-  KS_CHECK(gridDims(Grid));
-  int64_t NumSegs = 1;
-  for (int64_t G : Grid)
-    NumSegs *= G;
-  int64_t SegSize;
-  KS_CHECK(resolveInt(K.SegSize, SegSize));
-
-  // The neutral elements come from the host environment.
-  size_t NumRes = K.Neutral.size();
-  std::vector<TVal> Neutral(NumRes);
-  for (size_t J = 0; J < NumRes; ++J) {
-    const SubExp &N = K.Neutral[J];
-    if (N.isConst()) {
-      Neutral[J].setScalar(N.getConst());
-      continue;
-    }
-    const Value *V = HostEnv.find(N.getVar());
-    if (!V)
-      return fail("kernel neutral element is unbound");
-    if (V->isScalar())
-      Neutral[J].setScalar(V->getScalar());
-    else
-      Neutral[J].setArray(*V);
-  }
-
+bool RangeSim::runSegments(int64_t Begin, int64_t End) {
   bool IsScan = K.Op == KernelExp::OpKind::SegScan;
-  const RLambda &Op = ReduceOp;
-  size_t NumElems = ThreadBody.Result.size();
-  std::vector<Column> Cols(NumRes);
-  std::vector<TVal> Acc(NumRes);
-  int64_t LaneInWarp = 0;
+  const RBody &Body = Form.ThreadBody;
+  const RLambda &Op = Form.ReduceOp;
+  int64_t SegSize = Form.SegSize;
+  size_t NumRes = Form.Neutral.size();
+  size_t NumElems = Body.Result.size();
 
   // Thread mapping: with a grid, one thread handles one whole segment
   // sequentially (warps span consecutive segments — the layout-sensitive
   // case the coalescing transformation targets); a gridless kernel is a
   // single large reduction/scan parallelised within the segment.
-  bool ThreadPerSegment = !Grid.empty();
+  bool ThreadPerSegment = !Form.Grid.empty();
   auto CloseLane = [&] {
-    if (++LaneInWarp == P.WarpSize) {
+    if (NumLanes == static_cast<size_t>(P.WarpSize))
       mergeWarp();
-      LaneInWarp = 0;
-    }
   };
 
-  std::vector<int64_t> Idx(Grid.size(), 0);
-  for (int64_t Seg = 0; Seg < NumSegs; ++Seg) {
-    std::vector<size_t> SegStart(NumRes);
+  std::vector<int64_t> Idx = gridIndex(Begin, Form.Grid);
+  std::vector<size_t> SegStart(NumRes);
+  for (int64_t Seg = Begin; Seg < End; ++Seg) {
     for (size_t J = 0; J < NumRes; ++J) {
-      Acc[J].assign(Neutral[J]);
+      Acc[J].assign(Form.Neutral[J]);
       SegStart[J] = Cols[J].Data.size();
     }
     if (ThreadPerSegment)
@@ -1746,8 +1899,9 @@ bool KernelSim::runSegmented(std::vector<Value> &Out) {
       if (!ThreadPerSegment)
         openLane();
       setThreadIndices(Idx);
-      F[SegIdxSlot].setScalar(PrimValue::makeI32(static_cast<int32_t>(S)));
-      KS_CHECK(exec(ThreadBody));
+      F[Form.SegIdxSlot].setScalar(
+          PrimValue::makeI32(static_cast<int32_t>(S)));
+      KS_CHECK(exec(Body));
       if (Op.Params.size() != NumRes + NumElems ||
           Op.Body.Result.size() != NumRes)
         return fail("lambda arity mismatch: expected " +
@@ -1756,12 +1910,12 @@ bool KernelSim::runSegmented(std::vector<Value> &Out) {
       for (size_t J = 0; J < NumRes; ++J)
         F[Op.Params[J]].assign(Acc[J], true);
       for (size_t E = 0; E < NumElems; ++E)
-        KS_CHECK(force(ThreadBody.Result[E], F[Op.Params[NumRes + E]],
-                       ThreadBody.Movable[E]));
+        KS_CHECK(force(Body.Result[E], F[Op.Params[NumRes + E]],
+                       Body.Movable[E]));
       KS_CHECK(callOperator(Op));
       for (size_t J = 0; J < NumRes; ++J)
         KS_CHECK(force(Op.Body.Result[J], Acc[J], Op.Body.Movable[J]));
-      Cost.ComputeOps += ReduceFnOps;
+      Cost.ComputeOps += Form.ReduceFnOps;
       if (IsScan)
         for (size_t J = 0; J < NumRes; ++J)
           Cols[J].append(Acc[J]);
@@ -1799,28 +1953,70 @@ bool KernelSim::runSegmented(std::vector<Value> &Out) {
       Cost.GlobalTransactions += Tx;
       Cost.CoalescedTransactions += Tx; // contiguous result write
     }
-    advance(Idx, Grid);
+    advance(Idx, Form.Grid);
   }
   if (NumLanes > 0)
     mergeWarp();
+  return true;
+}
 
-  for (size_t J = 0; J < NumRes; ++J) {
+bool RangeSim::absorb(RangeSim &O) {
+  if (OutBudgetBytes >= 0 &&
+      OutBytesSoFar + O.OutBytesSoFar > OutBudgetBytes)
+    return false;
+  for (size_t J = 0; J < Cols.size(); ++J)
+    if (!Cols[J].canTake(O.Cols[J]))
+      return false;
+  for (size_t J = 0; J < Cols.size(); ++J)
+    Cols[J].take(std::move(O.Cols[J]));
+  const CostReport &C = O.Cost;
+  Cost.ComputeOps += C.ComputeOps;
+  Cost.GlobalAccesses += C.GlobalAccesses;
+  Cost.GlobalTransactions += C.GlobalTransactions;
+  Cost.CoalescedTransactions += C.CoalescedTransactions;
+  Cost.ScatteredTransactions += C.ScatteredTransactions;
+  Cost.LocalAccesses += C.LocalAccesses;
+  Cost.PrivateAccesses += C.PrivateAccesses;
+  Cost.TiledElementTouches += C.TiledElementTouches;
+  Cost.TiledElementBytes += C.TiledElementBytes;
+  Prof.add(O.Prof);
+  OutBytesSoFar += O.OutBytesSoFar;
+  return true;
+}
+
+bool RangeSim::finish(std::vector<Value> &Out) {
+  const std::vector<int64_t> &Grid = Form.Grid;
+  if (K.Op == KernelExp::OpKind::ThreadBody) {
+    for (size_t J = 0; J < Cols.size(); ++J) {
+      TVal Col;
+      if (Form.GridSize == 0)
+        Out.push_back(Value::array(K.RetTypes[J].elemKind(), Grid, {}));
+      else if (takeColumn(Cols[J], Grid, Col))
+        Out.push_back(std::move(Col.A));
+      else
+        return false;
+    }
+    return true;
+  }
+
+  bool IsScan = K.Op == KernelExp::OpKind::SegScan;
+  for (size_t J = 0; J < Cols.size(); ++J) {
     std::vector<int64_t> Shape = Grid;
     if (Grid.empty() && !IsScan) {
       Out.push_back(Acc[J].value());
       continue;
     }
-    if (!Grid.empty() && NumSegs == 0) {
+    if (!Grid.empty() && Form.GridSize == 0) {
       Out.push_back(Value::array(K.RetTypes[J].elemKind(), Grid, {}));
       continue;
     }
-    if (IsScan && SegSize == 0) {
+    if (IsScan && Form.SegSize == 0) {
       Shape.push_back(0);
-      Out.push_back(Value::array(Neutral[J].elemKind(), Shape, {}));
+      Out.push_back(Value::array(Form.Neutral[J].elemKind(), Shape, {}));
       continue;
     }
     if (IsScan)
-      Shape.push_back(SegSize);
+      Shape.push_back(Form.SegSize);
     TVal Col;
     KS_CHECK(takeColumn(Cols[J], Shape, Col));
     Out.push_back(std::move(Col.A));
@@ -1828,43 +2024,19 @@ bool KernelSim::runSegmented(std::vector<Value> &Out) {
   return true;
 }
 
-bool KernelSim::runSegHist(std::vector<Value> &Out) {
+bool RangeSim::runSegHist(std::vector<Value> &Out) {
   // One thread per input element; a sharded launch covers only the
   // [OuterOffset, OuterOffset + OuterCount) element window.  Device 0 (or
   // the only device) folds into the destination itself; other shards fold
   // into a neutral-filled partial the caller merges with the operator.
-  std::vector<int64_t> Grid;
-  KS_CHECK(gridDims(Grid));
-  int64_t Threads = 1;
-  for (int64_t G : Grid)
-    Threads *= G;
-
-  int64_t W;
-  KS_CHECK(resolveInt(K.HistWidth, W));
-  const Value *DV = HostEnv.find(K.HistDest);
-  if (!DV)
-    return fail("histogram destination " + K.HistDest.str() +
-                " is not bound on the host");
-  const Value &Dest = *DV;
-  if (!Dest.isArray() || Dest.outerSize() != W)
-    return fail("histogram destination has wrong outer size");
+  int64_t Threads = Form.GridSize;
+  int64_t W = Form.HistWidth;
+  const Value &Dest = *Form.HistDest;
   ScalarKind EK = Dest.elemKind();
   int64_t EB = elemBytes(EK);
 
-  PrimValue NeutralPV;
-  if (K.Neutral.size() != 1)
-    return fail("seghist kernel needs exactly one neutral element");
-  if (K.Neutral[0].isConst()) {
-    NeutralPV = K.Neutral[0].getConst();
-  } else {
-    const Value *V = HostEnv.find(K.Neutral[0].getVar());
-    if (!V)
-      return fail("kernel neutral element is unbound");
-    NeutralPV = V->getScalar();
-  }
-
   std::vector<PrimValue> Bins;
-  if (OuterOffset == 0) {
+  if (Form.OuterOffset == 0) {
     Bins = Dest.flat();
     // Priming the bins reads the whole destination once, coalesced.
     int64_t InitTx = (W * EB + P.SegmentBytes - 1) / P.SegmentBytes;
@@ -1872,7 +2044,7 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
     Cost.GlobalTransactions += InitTx;
     Cost.CoalescedTransactions += InitTx;
   } else {
-    Bins.assign(static_cast<size_t>(W), NeutralPV);
+    Bins.assign(static_cast<size_t>(W), Form.HistNeutral);
   }
 
   // Lowering strategy (bit-identical results either way, different cost
@@ -1916,17 +2088,18 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
     WarpBanks.clear();
   };
 
-  const RLambda &Op = ReduceOp;
-  std::vector<int64_t> Idx(Grid.size(), 0);
+  const RLambda &Op = Form.ReduceOp;
+  const RBody &Body = Form.ThreadBody;
+  std::vector<int64_t> Idx(Form.Grid.size(), 0);
   TVal BinV, Val, Comb;
   for (int64_t T = 0; T < Threads; ++T) {
     openLane();
     setThreadIndices(Idx);
-    KS_CHECK(exec(ThreadBody));
-    if (ThreadBody.Result.size() != 2)
+    KS_CHECK(exec(Body));
+    if (Body.Result.size() != 2)
       return fail("seghist thread result arity mismatch");
-    KS_CHECK(force(ThreadBody.Result[0], BinV));
-    KS_CHECK(force(ThreadBody.Result[1], Val));
+    KS_CHECK(force(Body.Result[0], BinV));
+    KS_CHECK(force(Body.Result[1], Val));
     if (!BinV.is(TVal::Tag::Scalar) || !Val.is(TVal::Tag::Scalar))
       return fail("seghist thread body must produce (bin, value)");
     int64_t Bin = BinV.S.asInt64();
@@ -1945,7 +2118,7 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
       if (!Comb.is(TVal::Tag::Scalar))
         return fail("seghist operator must produce one scalar");
       Bins[static_cast<size_t>(Bin)] = Comb.S;
-      Cost.ComputeOps += ReduceFnOps;
+      Cost.ComputeOps += Form.ReduceFnOps;
       if (UseLocal) {
         Cost.LocalAccesses += 2; // scratchpad read-modify-write
         WarpBanks.push_back(Bin % std::max(1, P.LocalMemBanks));
@@ -1959,7 +2132,7 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
       FlushAtomics();
       FlushBanks();
     }
-    advance(Idx, Grid);
+    advance(Idx, Form.Grid);
   }
   Trace = nullptr;
   FlushAtomics();
@@ -1978,29 +2151,96 @@ bool KernelSim::runSegHist(std::vector<Value> &Out) {
   return true;
 }
 
-ErrorOr<KernelLaunch> KernelSim::run() {
-  if (auto E = resolveInputs())
-    return E.getError();
-  ReduceFnOps = static_cast<int>(K.ReduceFn.B.Stms.size()) + 1;
-  resolve();
-  KernelLaunch L;
-  bool Ok = K.Op == KernelExp::OpKind::ThreadBody ? runThreadBody(L.Outputs)
-            : K.Op == KernelExp::OpKind::SegHist  ? runSegHist(L.Outputs)
-                                                  : runSegmented(L.Outputs);
-  if (!Ok)
-    return Err;
-  L.OutBytes = OutBytesSoFar;
-  L.Profile = Prof;
-  return L;
+//===----------------------------------------------------------------------===//
+// Warp ranges
+//===----------------------------------------------------------------------===//
+
+/// A launch splits when warp 0's op count times its number of warps
+/// reaches kSplitOps.  Its later warps then run as about one range per
+/// kRangeOps ops, and in at most kMaxRanges ranges.  Nothing here depends
+/// on the host, so a launch always splits the same way.
+constexpr int64_t kRangeOps = 4096;
+constexpr int64_t kSplitOps = 4 * kRangeOps;
+constexpr int64_t kMaxRanges = 32;
+
+/// The number of ranges warps [1, Warps) run as, or 0 to run them on the
+/// first range.
+int64_t rangesFor(int64_t Warp0Ops, int64_t Warps) {
+  int64_t Estimate = Warp0Ops * Warps;
+  if (Estimate < kSplitOps)
+    return 0;
+  int64_t N = std::min({Warps - 1, kMaxRanges, Estimate / kRangeOps});
+  return N < 2 ? 0 : N;
+}
+
+/// A range run on the pool: its own charges and its simulation.
+struct PoolRange {
+  CostReport Cost;
+  RangeSim Sim;
+  bool Ok = false;
+  PoolRange(const RangeSim &First, int64_t Rows) : Sim(First, Cost, Rows) {}
+};
+
+/// Runs the threads (segments) of a thread-body or segmented launch on
+/// \p First.  Warp 0 runs first; when the launch is large enough,
+/// the remaining warps run as ranges on the pool and \p First absorbs them
+/// in warp order.  A range that failed or cannot be absorbed runs again
+/// on \p First, where it meets exactly what the sequential order meets:
+/// the first failing thread, the byte count of a memory-budget overrun, or
+/// an irregular row.  \p Chunks receives the number of ranges.  A gridless
+/// segmented launch is one segment, so it never splits.
+bool runWarps(const DeviceParams &P, const ResolvedForm &Form,
+              RangeSim &First, int &Chunks) {
+  int64_t Units = Form.GridSize;
+  int64_t Warp = P.WarpSize;
+  int64_t Warp0End = std::min(Units, Warp);
+  int64_t OpsBefore = First.computeOps();
+  if (!First.runLanes(0, Warp0End))
+    return false;
+  int64_t Warps = (Units + Warp - 1) / Warp;
+  int64_t N = rangesFor(First.computeOps() - OpsBefore, Warps);
+  if (N == 0)
+    return First.runLanes(Warp0End, Units);
+
+  Chunks = static_cast<int>(N + 1);
+  auto Begin = [&](int64_t I) {
+    return std::min(Units, (1 + I * (Warps - 1) / N) * Warp);
+  };
+  std::vector<std::unique_ptr<PoolRange>> Ranges(N);
+  runOnPool(static_cast<size_t>(N), [&](size_t I) {
+    int64_t B = Begin(I), E = Begin(I + 1);
+    Ranges[I] = std::make_unique<PoolRange>(First, E - B);
+    Ranges[I]->Ok = Ranges[I]->Sim.runLanes(B, E);
+  });
+  for (int64_t I = 0; I < N; ++I) {
+    PoolRange &R = *Ranges[I];
+    bool Absorbed = R.Ok && First.absorb(R.Sim);
+    if (!Absorbed && !First.runLanes(Begin(I), Begin(I + 1)))
+      return false;
+    Ranges[I].reset();
+  }
+  return true;
 }
 
 } // namespace
 
 ErrorOr<KernelLaunch> fut::gpusim::simulateKernel(
     const DeviceParams &P, const KernelExp &K, const EnvView &HostEnv,
-    CostReport &Cost, int64_t OutBudgetBytes, int64_t OuterOffset,
-    int64_t OuterCount) {
-  return KernelSim(P, K, HostEnv, Cost, OutBudgetBytes, OuterOffset,
-                   OuterCount)
-      .run();
+    CostReport &Cost, int &Chunks, int64_t OutBudgetBytes,
+    int64_t OuterOffset, int64_t OuterCount) {
+  Chunks = 1;
+  ResolvedForm Form;
+  std::vector<TVal> Frame;
+  if (auto E = Resolver(K, HostEnv, Form, Frame).run(OuterOffset, OuterCount))
+    return E.getError();
+  RangeSim First(P, K, Form, Cost, OutBudgetBytes, std::move(Frame));
+  KernelLaunch L;
+  bool Ok = K.Op == KernelExp::OpKind::SegHist
+                ? First.runSegHist(L.Outputs)
+                : runWarps(P, Form, First, Chunks) && First.finish(L.Outputs);
+  if (!Ok)
+    return First.error();
+  L.OutBytes = First.outBytes();
+  L.Profile = First.profile();
+  return L;
 }

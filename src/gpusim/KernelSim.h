@@ -12,8 +12,11 @@
 /// transactions.
 ///
 /// The kernel body is resolved once per launch into a form whose names are
-/// dense frame-slot indices; all threads then run in one reused frame.  The
-/// resolved form and the frame live only as long as the launch.
+/// dense frame-slot indices; the threads of one range of warps then run in
+/// one reused frame.  A large launch splits its warps into ranges that run
+/// on the host's cores (WarpPool.h) and are merged in warp order, so every
+/// counter, profile, output and error is the one-range result.  The
+/// resolved form and the frames live only as long as the launch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +47,9 @@ struct KernelLaunch {
 
 /// Simulates one launch of \p K, reading kernel inputs and free names from
 /// \p HostEnv and charging every access and operation to \p Cost.
+/// \p Chunks receives the number of warp ranges the launch ran as, failed
+/// or not: 1 unless it was large enough to split, and a function of the
+/// program and its inputs alone.
 ///
 /// \p OutBudgetBytes bounds the results the launch may materialise
 /// (negative: unlimited); exceeding it is a DeviceOOM error.  A sharded
@@ -54,7 +60,8 @@ struct KernelLaunch {
 ErrorOr<KernelLaunch> simulateKernel(const DeviceParams &P,
                                      const KernelExp &K,
                                      const EnvView &HostEnv,
-                                     CostReport &Cost, int64_t OutBudgetBytes,
+                                     CostReport &Cost, int &Chunks,
+                                     int64_t OutBudgetBytes,
                                      int64_t OuterOffset = 0,
                                      int64_t OuterCount = -1);
 

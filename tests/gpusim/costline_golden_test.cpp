@@ -26,6 +26,7 @@
 
 #include "bench_suite/Benchmarks.h"
 #include "driver/Compiler.h"
+#include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -667,4 +668,58 @@ TEST(CostLineGolden, WatchdogKillFallsBackToInterpreterTwoDevices) {
   expectNamed(std::begin(kWatchdogFallbackTwoDevices),
               std::end(kWatchdogFallbackTwoDevices), "roofline", 2,
               watchdogOptions(), /*WantFallback=*/true);
+}
+
+/// A 4100-thread map sharded over two devices: device 1's slice starts at
+/// thread 2050, whose output address is not segment-aligned, so an offset
+/// lost at a warp-range start would move its transaction counts.  Pinned
+/// from the simulator before launches were split into warp ranges.
+const char *kMisalignedShardSrc =
+    "fun main (n: i32) (xs: [n]i32): [n]i32 =\n"
+    "  map (\\(i: i32): i32 ->\n"
+    "         let s = loop (acc = 0) for j < 16 do acc + xs[(i + j) % n]\n"
+    "         in s + xs[i])\n"
+    "      (iota n)\n";
+const Golden kMisalignedShard = {
+    "misaligned-shard",
+    "cycles=5942 (kernel=11786, host=8, transfer=2050) launches=2 "
+    "gtx=4466 (coalesced=4464, scattered=2) gaccess=73800 local=0 "
+    "private=0 ops=274700 hostops=1 bytes=49200 retries=0 retrycycles=0 "
+    "faults=0 wdkills=0 overlapsaved=7902 copybusy=2050 computebusy=7686 "
+    "peakbytes=32800 peakdemand=32800 freedbytes=0 plannedpeak=32800 "
+    "hoisted=0 reused=0 devices=2 shardedlaunches=1 interdevbytes=16400 "
+    "interdevcycles=2050 devpeaks=24600,24600",
+    0x61f8001d450c138fULL};
+
+TEST(CostLineGolden, ShardedSlicesSplitIntoWarpRanges) {
+  // A sharded slice that splits keeps its global thread indices and
+  // output addresses in every range, so the cost lines stay the pinned
+  // two-device ones.  Device 1's slices start past row 0: they are the
+  // ones an offset lost at a range start would change.
+  trace::TraceSession &TS = trace::TraceSession::global();
+  TS.clear();
+  TS.setEnabled(true);
+  for (const char *Name : {"cfd", "kmeans", "nn", "locvolcalib"}) {
+    const Golden *G =
+        findGolden(std::begin(kTwoDevices), std::end(kTwoDevices), Name);
+    ASSERT_NE(G, nullptr);
+    expectNamed(G, G + 1, "roofline", 2, {});
+  }
+  std::vector<int64_t> Xs;
+  for (int64_t I = 0; I < 4100; ++I)
+    Xs.push_back((I * 37) % 101 - 50);
+  expectGolden(kMisalignedShardSrc,
+               {Value::scalar(PrimValue::makeI32(4100)),
+                makeIntVectorValue(ScalarKind::I32, Xs)},
+               "roofline", 2, kMisalignedShard);
+  TS.setEnabled(false);
+  int SplitOnDevice1 = 0;
+  for (const trace::TraceEvent &E : TS.events()) {
+    const trace::TraceArg *Dev = E.findArg("shard_device");
+    const trace::TraceArg *Chunks = E.findArg("chunks");
+    if (Dev && Dev->Num == 1 && Chunks && Chunks->Num > 1)
+      ++SplitOnDevice1;
+  }
+  TS.clear();
+  EXPECT_GT(SplitOnDevice1, 1);
 }
