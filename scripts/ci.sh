@@ -135,6 +135,14 @@ cmake -B "$TSAN_DIR" -S . -DFUTHARKCC_SANITIZE=OFF \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread
 # shellcheck disable=SC2086
 cmake --build "$TSAN_DIR" -j "$JOBS" --target $TSAN_TESTS bench_suite_test
+# The pool runs one thread fewer than the CPUs in the affinity mask: on
+# one CPU every range runs on the calling thread and nothing here races.
+TSAN_CPUS=$(python3 -c 'import os; print(len(os.sched_getaffinity(0)))')
+echo "ThreadSanitizer leg: ${TSAN_CPUS} CPU(s) in the affinity mask"
+if [ "$TSAN_CPUS" -le 1 ]; then
+  echo "ThreadSanitizer leg: WARNING: one CPU, so every warp range runs on" \
+    "the caller and this leg checks no concurrency"
+fi
 export TSAN_OPTIONS="halt_on_error=1"
 for t in $TSAN_TESTS; do
   "$TSAN_DIR"/tests/gpusim/"$t" --gtest_brief=1
@@ -159,6 +167,9 @@ passes = [e for e in evs if e["ph"] == "X" and e["name"].startswith("pass:")]
 assert kernels, "no kernel spans in trace"
 assert passes, "no pass spans in trace"
 assert all("cycles" in e.get("args", {}) for e in kernels)
+no_host_cost = [e["name"] for e in kernels
+                if "host_ns_per_op" not in e.get("args", {})]
+assert not no_host_cost, f"kernel spans without host_ns_per_op: {no_host_cost}"
 print(f"ok: {len(passes)} pass spans, {len(kernels)} kernel spans")
 EOF
 

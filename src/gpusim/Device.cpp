@@ -19,6 +19,7 @@
 #include "trace/Trace.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -160,6 +161,17 @@ int64_t arrayBytes(const Value &V) {
 int64_t envArrayBytes(const EnvView &Env, const VName &Arr) {
   const Value *V = Env.find(Arr);
   return !V || !V->isArray() ? 0 : arrayBytes(*V);
+}
+
+using HostClock = std::chrono::steady_clock;
+
+/// A kernel span's host cost: the wall nanoseconds since \p Start over
+/// the ops the launch charged (over one op for a launch that charges
+/// none, such as a transpose).
+double hostNsPerOp(HostClock::time_point Start, int64_t ComputeOps) {
+  double Ns = std::chrono::duration<double, std::nano>(HostClock::now() - Start)
+                  .count();
+  return Ns / static_cast<double>(std::max<int64_t>(1, ComputeOps));
 }
 
 const char *kernelSpanName(KernelExp::OpKind Op) {
@@ -363,8 +375,11 @@ public:
                            trace::deviceComputeTid(Sl.Device));
         int64_t OutBudget = S.MemCap > 0 ? S.MemCap - S.Mgr.liveBytes() : -1;
         int Chunks = 1;
+        HostClock::time_point Start = HostClock::now();
         auto Sim = simulateKernel(S.P, K, Env, Run.Cost, Chunks, OutBudget,
                                   Sl.Offset, Sl.Rows);
+        S.TS.spanArg(Run.Span, "host_ns_per_op",
+                     hostNsPerOp(Start, Run.Cost.ComputeOps));
         S.TS.spanArg(Run.Span, "chunks", Chunks);
         if (!Sim) // evaluation errors and mid-kernel OOM are not transient
           return Sim.getError();
@@ -972,6 +987,7 @@ private:
       if (!V)
         continue;
       ManifestedTransposes.insert(In.Arr);
+      HostClock::time_point Start = HostClock::now();
       int64_t Elems = V->numElems();
       // Tiled transpose: reads coalesced, writes ~2x segment traffic.
       int64_t Tx = 3 * arrayBytes(*V) / P.SegmentBytes + 1;
@@ -1003,6 +1019,7 @@ private:
                                    trace::kComputeEngineTid);
       S.TS.spanArg(Span, "array", In.Arr.str());
       S.TS.spanArg(Span, "chunks", 1.0);
+      S.TS.spanArg(Span, "host_ns_per_op", hostNsPerOp(Start, 0));
       S.TS.spanArg(Span, "cycles", TCycles);
       S.TS.spanArg(Span, "global_tx", static_cast<double>(Tx));
       S.TS.spanArg(Span, "coalesced_tx", static_cast<double>(Tx));

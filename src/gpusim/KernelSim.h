@@ -12,11 +12,12 @@
 /// transactions.
 ///
 /// The kernel body is resolved once per launch into a form whose names are
-/// dense frame-slot indices; the threads of one range of warps then run in
-/// one reused frame.  A large launch splits its warps into ranges that run
-/// on the host's cores (WarpPool.h) and are merged in warp order, so every
-/// counter, profile, output and error is the one-range result.  The
-/// resolved form and the frames live only as long as the launch.
+/// dense frame-slot indices; the lanes of one range then run in one reused
+/// frame.  A large launch splits its lanes (threads, segments, or the
+/// elements of a gridless fold) into ranges that run on the host's cores
+/// (WarpPool.h) and are merged in lane order, so every counter, profile,
+/// output and error is the one-range result.  The resolved form and the
+/// frames live only as long as the launch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +48,11 @@ struct KernelLaunch {
 
 /// Simulates one launch of \p K, reading kernel inputs and free names from
 /// \p HostEnv and charging every access and operation to \p Cost.
-/// \p Chunks receives the number of warp ranges the launch ran as, failed
-/// or not: 1 unless it was large enough to split, and a function of the
-/// program and its inputs alone.
+/// \p Chunks receives the number of ranges the launch ran as, failed or
+/// not: 1 unless the ops and global accesses of its first lanes (one
+/// segment of a segmented launch with a grid, one warp otherwise), scaled
+/// to all its lanes, reached the split threshold.  It is a function of the
+/// program and its inputs alone, never of the host.
 ///
 /// \p OutBudgetBytes bounds the results the launch may materialise
 /// (negative: unlimited); exceeding it is a DeviceOOM error.  A sharded
