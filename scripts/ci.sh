@@ -7,7 +7,11 @@
 # (configure, build, complete ctest suite) and then re-runs the fault and
 # differential suites on their own so a resilience or bit-identity
 # regression is named explicitly in the log even when someone trims the
-# main suite.
+# main suite.  Every compiled-vs-reference check goes through one oracle,
+# fuzz::runSourceDifferential (src/fuzz): the DifferentialTest legs, the
+# regression corpus and every futharkcc-fuzz sweep below.  Each filtered
+# ctest leg runs with --no-tests=error, so a filter that stops matching
+# after a rename fails instead of passing on zero tests.
 #
 # Environment:
 #   FUTHARKCC_SANITIZE=ON   build with ASan+UBSan (default OFF)
@@ -34,13 +38,13 @@ echo "== tier-1: full test suite =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== verifier + fuzz regression corpus =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VerifyTest|RegressTest|FuzzTest'
 
 echo "== strict numeric CLI flags =="
 # Every numeric flag of the four CLIs parses through one strict helper:
 # trailing text or a fraction on an integer flag is a usage error (exit 2).
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ParseNumArgTest|DriverCliTest'
 rc=0
 "$BUILD_DIR"/src/driver/futharkcc --device-mem 12abc examples/kmeans.fut \
@@ -89,7 +93,7 @@ echo "== mem-plan leg: plan verifier + observed peak within the plan =="
 # Observed PeakDeviceBytes stays within the plan-derived bound on the
 # whole bench suite (BenchmarkSweep), and the plan verifier rejects
 # corrupted plans.
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'CompilesRunsAndMatchesReference|BufferManagerTest|MemPlan|VerifyTest'
 # --print-mem-plan dumps the static plan for a real program.
 "$BUILD_DIR"/src/driver/futharkcc --print-mem-plan examples/kmeans.fut \
@@ -115,11 +119,16 @@ print(f"ok: kmeans plan peak {peak_plan} <= bound {planned} bytes")
 EOF
 
 echo "== fault-injection suite =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'FaultPlanTest|FaultsTest'
 
 echo "== differential suite (reference interpreter vs device) =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+# DifferentialTest runs the fuzzer's seeds 1..20 through the one oracle,
+# fuzz::runSourceDifferential, fault-free, under faults with retries and
+# interpreter fallback, and sharded; ServeDifferentialTest serves the same
+# seeds.  Each seed must give bit-identical outputs or the identical typed
+# error.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'Differential'
 
 echo "== ThreadSanitizer leg: warp ranges run race-free on the pool =="
@@ -152,7 +161,7 @@ done
 unset TSAN_OPTIONS
 
 echo "== trace suite (counters + Chrome export) =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'TraceCounters|TraceExport'
 
 echo "== smoke: --trace-out produces a loadable Chrome trace =="
@@ -197,7 +206,7 @@ print(f"ok: kmeans async {async_} <= sync {sync} cycles; engine tracks present")
 EOF
 
 echo "== serve suite (artifact cache, admission, quarantine) =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'Serve|ArtifactHash'
 
 echo "== serve soak: seeded fault-injected workload drains clean =="
@@ -245,7 +254,7 @@ echo "== shard leg: multi-device differential, fuzz and scaling =="
 # rejects corrupted plans (overlapping ownership, dropped transfers,
 # over-budget shards), the pinned plan dumps + N=1 no-op invariant, and
 # the 20-seed differential sweep at 1/2/4 devices (Sharded* legs).
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ShardVerifyTest|ShardPlanGolden|Sharded'
 # Fixed-seed differential fuzz through the sharded path: 3000 seeds at
 # two devices, bit-identical to the reference interpreter (about 9 s on
@@ -287,7 +296,7 @@ echo "== histogram leg: lowering switch, atomic accounting, contention =="
 # profiles), exactly-once atomic accounting under fault-injected retries
 # (failed launches charge nothing, corrupted attempts charge in full),
 # and the pinned hist-merge shard plan.
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'HistLoweringTest|HistFaultsTest|ShardPlanGolden'
 # The default fuzz sweeps above exercise reduce_by_index under the local
 # lowering; these two re-run the 3000-seed corpus with the global-atomic
@@ -334,7 +343,7 @@ echo "== cost-model leg: roofline vs pipeline, cross-model fuzz, tuner =="
 # The pluggable CostModel seam: unit suites for the seam itself (exact
 # roofline formula, typed Config errors, profile observables) and the
 # autotuner's contracts.
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'CostModelTest|TuneTest'
 # Differential fuzz with the pipeline model charged: whatever prices the
 # cycles, outputs stay bit-identical to the reference interpreter.
@@ -373,7 +382,7 @@ echo "== AD leg: VJP unit suites, gradient-check fuzz, training bench =="
 # The reverse-mode AD layer: per-construct adjoint rules over the core IR
 # (VjpTest), and the gradient fuzzer's own contracts including the
 # shrinker (GradFuzzTest).
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VjpTest|GradFuzzTest'
 # 3000-seed gradient-check sweep: random smooth f64 programs compiled
 # with --vjp=main through the full pipeline (every per-pass verifier and

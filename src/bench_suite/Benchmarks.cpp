@@ -596,6 +596,7 @@ ErrorOr<BenchRun> fut::bench::runBenchmark(const BenchmarkDef &B,
   std::vector<Value> Inputs = B.MakeInputs();
 
   gpusim::Device D(DP);
+  D.setMemoryPlan(&C->MemPlan);
   auto R = D.runMain(C->P, Inputs);
   if (!R)
     return CompilerError(B.Name + " (device): " + R.getError().Message);

@@ -9,6 +9,7 @@
 #include "ad/Vjp.h"
 #include "check/Verify.h"
 #include "ir/Printer.h"
+#include "opt/Simplify.h"
 #include "parser/Desugar.h"
 #include "support/Utils.h"
 #include "trace/Trace.h"
@@ -23,16 +24,11 @@ std::string fut::CompilerOptions::cacheCanonical() const {
   // deliberately absent: they gate acceptance, not output.
   std::ostringstream OS;
   OS << "fusion=" << EnableFusion << ";kernels=" << ExtractKernels
-     << ";cse=" << Simplify.EnableCSE
-     << ";hoist=" << Simplify.EnableHoisting
-     << ";rounds=" << Simplify.MaxRounds
-     << ";chunks=" << Flatten.StreamChunks
      << ";interchange=" << Flatten.EnableInterchange
      << ";segreduce=" << Flatten.EnableSegReduce
      << ";kreduce=" << Flatten.KernelizeReduce
      << ";coalesce=" << Locality.EnableCoalescing
-     << ";tile=" << Locality.EnableTiling
-     << ";mintile=" << Locality.MinTileElems;
+     << ";tile=" << Locality.EnableTiling;
   // Devices only enters the key when it changes the artifact: N=1 sharding
   // is a pinned no-op, so the default keeps every existing cache key (and
   // the golden artifact hash) byte-identical.
@@ -133,7 +129,7 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
       return Err;
   }
 
-  simplifyProgram(P, Names, Opts.Simplify);
+  simplifyProgram(P, Names);
   if (auto Err = AfterPass("simplify", false))
     return Err;
 
@@ -141,7 +137,7 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
     R.Fusion = fuseProgram(P, Names);
     if (auto Err = AfterPass("fusion", false))
       return Err;
-    simplifyProgram(P, Names, Opts.Simplify);
+    simplifyProgram(P, Names);
     if (auto Err = AfterPass("simplify-post-fusion", false))
       return Err;
   }
@@ -150,7 +146,7 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
     R.Flatten = extractKernels(P, Names, Opts.Flatten);
     if (auto Err = AfterPass("kernel-extraction", true))
       return Err;
-    simplifyProgram(P, Names, Opts.Simplify);
+    simplifyProgram(P, Names);
     if (auto Err = AfterPass("simplify-post-extraction", true))
       return Err;
     R.Locality = optimiseLocality(P, Opts.Locality);

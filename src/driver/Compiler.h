@@ -22,7 +22,6 @@
 #include "ir/IR.h"
 #include "locality/Locality.h"
 #include "mem/MemPlan.h"
-#include "opt/Simplify.h"
 #include "shard/ShardPlan.h"
 #include "support/Error.h"
 
@@ -72,7 +71,6 @@ struct CompilerOptions {
   /// assert each is rejected with a named diagnostic.
   std::function<void(shard::ShardPlan &)> PostShardPlanHook;
 
-  SimplifyOptions Simplify;
   FlattenOptions Flatten;
   LocalityOptions Locality;
 

@@ -323,11 +323,13 @@ private:
     auto *St = expCast<StreamExp>(S.E.get());
     SubExp W = St->Width;
 
-    // numChunks = min(w, StreamChunks); the chunks are interleaved
-    // (chunk g holds elements g, g+P, g+2P, ...), so that simultaneous
-    // accesses from consecutive chunk threads coalesce.
-    SubExp MaxChunks = SubExp::constant(
-        PrimValue::makeI32(Opts.StreamChunks));
+    // numChunks = min(w, kStreamChunks), the "degree of hardware
+    // parallelism" of Section 2.4; the chunks are interleaved (chunk g
+    // holds elements g, g+P, g+2P, ...), so that simultaneous accesses
+    // from consecutive chunk threads coalesce.
+    constexpr int32_t kStreamChunks = 4096;
+    SubExp MaxChunks =
+        SubExp::constant(PrimValue::makeI32(kStreamChunks));
     Type I32T = Type::scalar(ScalarKind::I32);
     VName NumChunks = emitOne(Host, "numchunks", I32T,
                               std::make_unique<BinOpExp>(BinOp::Min, W,

@@ -38,9 +38,6 @@
 namespace fut {
 
 struct FlattenOptions {
-  /// Upper bound on the number of chunks a host-level stream_red is split
-  /// into (the "degree of hardware parallelism" of Section 2.4).
-  int StreamChunks = 4096;
   /// Apply G7 (map-loop interchange).  Off: loops nested in maps are
   /// sequentialised inside the thread.
   bool EnableInterchange = true;

@@ -291,10 +291,23 @@ FuzzCase fut::fuzz::generate(uint64_t Seed) {
 // Differential oracle
 //===----------------------------------------------------------------------===//
 
+ErrorOr<std::vector<Value>>
+fut::fuzz::referenceRun(const std::string &Source,
+                        const std::vector<Value> &Args) {
+  NameSource Names;
+  auto P = frontend(Source, Names);
+  if (!P)
+    return P.getError();
+  Program Prog = P.take(); // Interpreter holds a reference
+  Interpreter I(Prog);
+  return I.run(Args);
+}
+
 Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
                                          const std::vector<Value> &Args,
                                          const gpusim::DeviceParams &DP,
-                                         int Devices) {
+                                         int Devices,
+                                         const gpusim::ResilienceParams &RP) {
   auto Fail = [&](const std::string &What) {
     Outcome O;
     O.Ok = false;
@@ -302,17 +315,10 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
     return O;
   };
 
-  // Reference: the unoptimised frontend output on the plain interpreter.
-  NameSource RefNames;
-  auto RefProg = frontend(Source, RefNames);
-  if (!RefProg)
-    return Fail("frontend failed: " + RefProg.getError().str());
-  Program RefP = RefProg.take(); // Interpreter holds a reference
-  Interpreter I(RefP);
-  auto Ref = I.run(Args);
+  auto Ref = referenceRun(Source, Args);
 
   // Subject: the full pipeline (with the IR verifier after every pass)
-  // on the simulated device.
+  // on the simulated device, running the plan the compiler made.
   NameSource Names;
   CompilerOptions CO;
   CO.Devices = Devices;
@@ -321,6 +327,7 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
     return Fail("compilation failed: " + C.getError().str());
   DeviceRunOptions RO;
   RO.Device = DP;
+  RO.Resilience = RP;
   RO.MemPlan = &C->MemPlan;
   if (Devices > 1) {
     RO.Shards = &C->Shards;
@@ -331,15 +338,15 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
   // A typed runtime error is a legitimate program outcome; the two sides
   // must agree on it exactly, like they must agree on values.
   if (!Ref && !R) {
-    if (Ref.getError().isRuntime() && R.getError().isRuntime() &&
-        Ref.getError().Message == R.getError().Message) {
+    const CompilerError &RE = Ref.getError(), &DE = R.getError();
+    if (RE.isRuntime() && RE.Kind == DE.Kind && RE.Message == DE.Message) {
       Outcome O;
       O.Ok = true;
       O.BothFailed = true;
       return O;
     }
-    return Fail("error mismatch\n  device:    " + R.getError().str() +
-                "\n  reference: " + Ref.getError().str());
+    return Fail("error mismatch\n  device:    " + DE.str() +
+                "\n  reference: " + RE.str());
   }
   if (!Ref)
     return Fail("only the reference failed: " + Ref.getError().str());
@@ -363,8 +370,9 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
 
 Outcome fut::fuzz::runDifferential(const FuzzCase &C,
                                    const gpusim::DeviceParams &DP,
-                                   int Devices) {
-  Outcome O = runSourceDifferential(C.Source, C.Args, DP, Devices);
+                                   int Devices,
+                                   const gpusim::ResilienceParams &RP) {
+  Outcome O = runSourceDifferential(C.Source, C.Args, DP, Devices, RP);
   if (!O.Ok)
     O.Message = "seed: " + std::to_string(C.Seed) + "\n" + O.Message;
   return O;
@@ -478,72 +486,22 @@ Outcome fut::fuzz::runCrossModel(const FuzzCase &C,
 
 ShrinkResult fut::fuzz::shrink(const Plan &P, uint64_t Seed,
                                const gpusim::DeviceParams &DP, int Devices) {
-  ShrinkResult SR;
-  Plan Cur = P;
-
   // Candidates rerun under the same device configuration the failure was
   // found with, so mode-specific failures (--hist-global sweeps, --devices
   // sharding sweeps) keep failing while they shrink.
-  auto Fails = [&](const Plan &Cand, std::string &Msg) {
-    ++SR.Attempts;
-    Outcome O = runDifferential(renderPlan(Cand, Seed), DP, Devices);
-    if (!O.Ok)
-      Msg = O.Message;
-    return !O.Ok;
-  };
-
-  std::string Msg;
-  if (!Fails(Cur, Msg)) {
-    // Not failing (e.g. flaky environment); return the input untouched.
-    SR.MinimalPlan = Cur;
-    SR.Minimal = renderPlan(Cur, Seed);
-    SR.Message = "case does not fail; nothing to shrink";
-    return SR;
-  }
-  SR.Message = Msg;
-
-  // Pass 1: drop steps greedily until no single removal keeps the failure.
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (size_t I = 0; I < Cur.Steps.size(); ++I) {
-      Plan Cand = Cur;
-      Cand.Steps.erase(Cand.Steps.begin() + I);
-      if (Fails(Cand, Msg)) {
-        Cur = std::move(Cand);
-        SR.Message = Msg;
-        ++SR.StepsRemoved;
-        Progress = true;
-        break;
-      }
-    }
-  }
-
-  // Pass 2: shorten the array (halving, floor 4).
-  while (Cur.N > 4) {
-    Plan Cand = Cur;
-    Cand.N = std::max<int64_t>(4, Cand.N / 2);
-    Cand.Input.resize(static_cast<size_t>(Cand.N));
-    if (Cand.N == Cur.N || !Fails(Cand, Msg))
-      break;
-    Cur = std::move(Cand);
-    SR.Message = Msg;
-  }
-
-  // Pass 3: zero input elements where the failure persists.
-  for (size_t I = 0; I < Cur.Input.size(); ++I) {
-    if (Cur.Input[I] == 0)
-      continue;
-    Plan Cand = Cur;
-    Cand.Input[I] = 0;
-    if (Fails(Cand, Msg)) {
-      Cur = std::move(Cand);
-      SR.Message = Msg;
-    }
-  }
-
-  SR.MinimalPlan = Cur;
-  SR.Minimal = renderPlan(Cur, Seed);
+  ShrinkResult SR = shrinkPlan(
+      P,
+      [&](const Plan &Cand) {
+        Outcome O = runDifferential(renderPlan(Cand, Seed), DP, Devices);
+        return O.Ok ? std::string() : O.Message;
+      },
+      [](Plan &Q) {
+        std::vector<int32_t *> In;
+        for (int32_t &X : Q.Input)
+          In.push_back(&X);
+        return In;
+      });
+  SR.Minimal = renderPlan(SR.MinimalPlan, Seed);
   return SR;
 }
 

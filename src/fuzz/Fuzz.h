@@ -5,10 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A seeded generator of small well-typed surface programs, a differential
-/// oracle (full pipeline on the simulated device vs. the reference
-/// interpreter straight from the frontend), and a shrinker producing
-/// minimal failing .fut cases.
+/// The one compiled-vs-reference oracle of the tree, plus the seeded
+/// generator of small well-typed surface programs it is driven with, and a
+/// shrinker producing minimal failing .fut cases.  The oracle runs a
+/// program on the reference interpreter (frontend output, no
+/// optimisation, no faults) and through the full pipeline onto the
+/// simulated device on the compiled memory plan, under any device,
+/// device count and fault configuration, and demands bit-identical
+/// outputs or the identical typed error.  futharkcc-fuzz, the regression
+/// corpus and the DifferentialTest legs all call it; serve and the
+/// simulator tests share its reference leg, referenceRun.
 ///
 /// Generation is plan-based: a seed is first sampled into a Plan — a list
 /// of construct steps with all constants pinned — and the plan is then
@@ -33,7 +39,9 @@
 
 #include "gpusim/Device.h"
 #include "interp/Value.h"
+#include "support/Error.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,27 +120,33 @@ struct Outcome {
   std::string Message;
 };
 
-/// Runs \p C through the reference interpreter (frontend output, no
-/// optimisation) and the full pipeline + simulated device, comparing
-/// bit-for-bit.  Typed runtime errors must agree in kind and message;
-/// any compile or verifier error is a failure (generated programs are
-/// well-typed by construction).  \p DP selects the simulated device (the
+/// The reference leg of every compiled-vs-reference check: \p Source's
+/// frontend output, unoptimised, run as main on the plain interpreter.
+ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
+                                         const std::vector<Value> &Args);
+
+/// Runs \p Source through referenceRun and through the full pipeline +
+/// simulated device on the compiled memory plan, comparing bit-for-bit.
+/// Typed runtime errors must agree in kind and message; any compile or
+/// verifier error is a failure.  \p DP selects the simulated device (the
 /// --hist-global and --cost-model sweeps pass non-default ones).
 /// \p Devices > 1 routes the device leg through the sharded path
-/// (compiled with a shard plan, executed on a DeviceGroup); results must
-/// stay bit-identical to the reference at any device count.
-Outcome runDifferential(const FuzzCase &C,
-                        const gpusim::DeviceParams &DP =
-                            gpusim::DeviceParams::gtx780(),
-                        int Devices = 1);
+/// (compiled with a shard plan, executed on a DeviceGroup).  \p RP sets
+/// the device's fault injection, retries and interpreter fallback: results
+/// must stay identical to the reference under all of them.
+Outcome runSourceDifferential(
+    const std::string &Source, const std::vector<Value> &Args,
+    const gpusim::DeviceParams &DP = gpusim::DeviceParams::gtx780(),
+    int Devices = 1,
+    const gpusim::ResilienceParams &RP = gpusim::ResilienceParams());
 
-/// Same oracle for an externally provided source + args (the regress
-/// corpus runner).
-Outcome runSourceDifferential(const std::string &Source,
-                              const std::vector<Value> &Args,
-                              const gpusim::DeviceParams &DP =
-                                  gpusim::DeviceParams::gtx780(),
-                              int Devices = 1);
+/// runSourceDifferential on a generated case; a failure message starts
+/// with the case's seed.
+Outcome runDifferential(
+    const FuzzCase &C,
+    const gpusim::DeviceParams &DP = gpusim::DeviceParams::gtx780(),
+    int Devices = 1,
+    const gpusim::ResilienceParams &RP = gpusim::ResilienceParams());
 
 /// Cross-model agreement oracle: compiles once and runs the device leg
 /// twice — once under the roofline cost model, once under the pipeline
@@ -147,20 +161,86 @@ Outcome runCrossModel(const FuzzCase &C,
                           gpusim::DeviceParams::gtx780(),
                       int Devices = 1);
 
-/// Greedy shrink: repeatedly re-render with one step removed (then with a
-/// shorter array / zeroed inputs) while the differential failure persists.
-/// \p DP and \p Devices must be the device configuration the failure was
-/// found under — a --hist-global failure only reproduces with the
-/// global-atomic lowering, and a sharding failure only with the same
-/// device count, so shrinking under the default parameters would see
-/// nothing to shrink.
-struct ShrinkResult {
-  Plan MinimalPlan;
+/// A shrunk failing case: the minimal plan, its rendering, the failure
+/// message of the minimal case, and the work it took.
+template <typename PlanT> struct ShrinkOutcome {
+  PlanT MinimalPlan;
   FuzzCase Minimal;
-  std::string Message;   ///< failure message of the minimal case
+  std::string Message;
   int StepsRemoved = 0;
   int Attempts = 0;
 };
+
+/// The greedy passes every shrinker shares, over a plan with Steps, N and
+/// Input: drop steps while the failure persists, halve N (floor 4), then
+/// zero, one at a time, the inputs \p Inputs(Plan &) points at, in its
+/// order.  \p Failure(Cand) reruns the oracle and returns the candidate's
+/// failure message, empty when it passes.  Minimal is left for the caller
+/// to render.
+template <typename PlanT, typename FailureFn, typename InputsFn>
+ShrinkOutcome<PlanT> shrinkPlan(const PlanT &P, FailureFn Failure,
+                                InputsFn Inputs) {
+  ShrinkOutcome<PlanT> SR;
+  auto Fails = [&](const PlanT &Cand) {
+    ++SR.Attempts;
+    std::string Msg = Failure(Cand);
+    if (Msg.empty())
+      return false;
+    SR.Message = std::move(Msg);
+    return true;
+  };
+  PlanT Cur = P;
+  if (!Fails(Cur)) {
+    // Not failing (e.g. flaky environment); return the input untouched.
+    SR.MinimalPlan = Cur;
+    SR.Message = "case does not fail; nothing to shrink";
+    return SR;
+  }
+
+  // Pass 1: drop steps greedily until no single removal keeps the failure.
+  for (bool Progress = true; Progress;) {
+    Progress = false;
+    for (size_t I = 0; I < Cur.Steps.size() && !Progress; ++I) {
+      PlanT Cand = Cur;
+      Cand.Steps.erase(Cand.Steps.begin() + static_cast<long>(I));
+      if (Fails(Cand)) {
+        Cur = std::move(Cand);
+        ++SR.StepsRemoved;
+        Progress = true;
+      }
+    }
+  }
+
+  // Pass 2: shorten the array (halving, floor 4).
+  while (Cur.N > 4) {
+    PlanT Cand = Cur;
+    Cand.N = std::max<int64_t>(4, Cand.N / 2);
+    Cand.Input.resize(static_cast<size_t>(Cand.N));
+    if (!Fails(Cand))
+      break;
+    Cur = std::move(Cand);
+  }
+
+  // Pass 3: zero inputs where the failure persists.
+  for (size_t I = 0; I < Inputs(Cur).size(); ++I) {
+    if (*Inputs(Cur)[I] == 0)
+      continue;
+    PlanT Cand = Cur;
+    *Inputs(Cand)[I] = 0;
+    if (Fails(Cand))
+      Cur = std::move(Cand);
+  }
+
+  SR.MinimalPlan = std::move(Cur);
+  return SR;
+}
+
+/// shrinkPlan under runDifferential.  \p DP and \p Devices must be the
+/// device configuration the failure was found under — a --hist-global
+/// failure only reproduces with the global-atomic lowering, and a sharding
+/// failure only with the same device count, so shrinking under the default
+/// parameters would see nothing to shrink.
+using ShrinkResult = ShrinkOutcome<Plan>;
 ShrinkResult shrink(const Plan &P, uint64_t Seed,
                     const gpusim::DeviceParams &DP =
                         gpusim::DeviceParams::gtx780(),

@@ -408,76 +408,19 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
 
 GradShrinkResult fut::fuzz::shrinkGrad(const GradPlan &P, uint64_t Seed,
                                        const gpusim::DeviceParams &DP) {
-  GradShrinkResult SR;
-  GradPlan Cur = P;
-
-  auto Fails = [&](const GradPlan &Cand, std::string &Msg) {
-    ++SR.Attempts;
-    GradOutcome O = runGradientCheck(renderGradPlan(Cand, Seed), DP);
-    if (!O.Ok)
-      Msg = O.Message;
-    return !O.Ok;
-  };
-
-  std::string Msg;
-  if (!Fails(Cur, Msg)) {
-    SR.MinimalPlan = Cur;
-    SR.Minimal = renderGradPlan(Cur, Seed);
-    SR.Message = "case does not fail; nothing to shrink";
-    return SR;
-  }
-  SR.Message = Msg;
-
-  // Pass 1: drop steps greedily until no single removal keeps the failure.
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (size_t I = 0; I < Cur.Steps.size(); ++I) {
-      GradPlan Cand = Cur;
-      Cand.Steps.erase(Cand.Steps.begin() + I);
-      if (Fails(Cand, Msg)) {
-        Cur = std::move(Cand);
-        SR.Message = Msg;
-        ++SR.StepsRemoved;
-        Progress = true;
-        break;
-      }
-    }
-  }
-
-  // Pass 2: shorten the array (halving, floor 4).
-  while (Cur.N > 4) {
-    GradPlan Cand = Cur;
-    Cand.N = std::max<int64_t>(4, Cand.N / 2);
-    Cand.Input.resize(static_cast<size_t>(Cand.N));
-    if (Cand.N == Cur.N || !Fails(Cand, Msg))
-      break;
-    Cur = std::move(Cand);
-    SR.Message = Msg;
-  }
-
-  // Pass 3: zero inputs (x0 first, then elements) where the failure
-  // persists.
-  if (Cur.X0 != 0.0) {
-    GradPlan Cand = Cur;
-    Cand.X0 = 0.0;
-    if (Fails(Cand, Msg)) {
-      Cur = std::move(Cand);
-      SR.Message = Msg;
-    }
-  }
-  for (size_t I = 0; I < Cur.Input.size(); ++I) {
-    if (Cur.Input[I] == 0.0)
-      continue;
-    GradPlan Cand = Cur;
-    Cand.Input[I] = 0.0;
-    if (Fails(Cand, Msg)) {
-      Cur = std::move(Cand);
-      SR.Message = Msg;
-    }
-  }
-
-  SR.MinimalPlan = Cur;
-  SR.Minimal = renderGradPlan(Cur, Seed);
+  GradShrinkResult SR = shrinkPlan(
+      P,
+      [&](const GradPlan &Cand) {
+        GradOutcome O = runGradientCheck(renderGradPlan(Cand, Seed), DP);
+        return O.Ok ? std::string() : O.Message;
+      },
+      // x0 first, then the elements.
+      [](GradPlan &Q) {
+        std::vector<double *> In = {&Q.X0};
+        for (double &X : Q.Input)
+          In.push_back(&X);
+        return In;
+      });
+  SR.Minimal = renderGradPlan(SR.MinimalPlan, Seed);
   return SR;
 }

@@ -104,15 +104,10 @@ GradOutcome runGradientCheck(const FuzzCase &C,
                              const gpusim::DeviceParams &DP =
                                  gpusim::DeviceParams::gtx780());
 
-/// Greedy shrink under the gradient oracle: drop plan steps, shorten the
-/// array, and zero inputs while the check keeps failing.
-struct GradShrinkResult {
-  GradPlan MinimalPlan;
-  FuzzCase Minimal;
-  std::string Message;
-  int StepsRemoved = 0;
-  int Attempts = 0;
-};
+/// shrinkPlan under the gradient oracle: drop plan steps, shorten the
+/// array, and zero x0 and then the array's elements while the check keeps
+/// failing.
+using GradShrinkResult = ShrinkOutcome<GradPlan>;
 GradShrinkResult shrinkGrad(const GradPlan &P, uint64_t Seed,
                             const gpusim::DeviceParams &DP =
                                 gpusim::DeviceParams::gtx780());

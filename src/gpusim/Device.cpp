@@ -1218,6 +1218,27 @@ private:
 
 } // namespace
 
+bool fut::gpusim::isDeviceFailure(const CompilerError &E) {
+  return E.Kind == ErrorKind::DeviceOOM || E.Kind == ErrorKind::Watchdog ||
+         E.Kind == ErrorKind::TransientFault;
+}
+
+ErrorOr<std::vector<Value>> fut::gpusim::runInterpFallback(
+    const Program &Prog, const std::string &Fun,
+    const std::vector<Value> &Args, const CompilerError &DevErr,
+    int64_t &HostOps) {
+  InterpOptions IO;
+  IO.OnExp = [&](const Exp &, const EnvView &) { ++HostOps; };
+  Interpreter I(Prog, IO);
+  auto Out = I.runFunction(Fun, Args);
+  if (!Out)
+    return CompilerError::fallbackExhausted(
+        "device failed (" + DevErr.Message +
+        ") and the interpreter fallback also failed: " +
+        Out.getError().Message);
+  return Out;
+}
+
 ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
                                const std::vector<Value> &Args) {
   trace::ScopedSpan Span("device-run", "device");
@@ -1266,29 +1287,17 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
     return RR;
   }
 
-  // Only persistent *device* failures degrade to the interpreter; compile
-  // errors and plain runtime errors (bad index, shape mismatch) would fail
-  // identically there, so they surface directly.
   CompilerError DevErr = Out.getError();
-  bool DeviceFailure = DevErr.Kind == ErrorKind::DeviceOOM ||
-                       DevErr.Kind == ErrorKind::Watchdog ||
-                       DevErr.Kind == ErrorKind::TransientFault;
-  if (!DeviceFailure || !R.InterpFallback)
+  if (!isDeviceFailure(DevErr) || !R.InterpFallback)
     return DevErr;
   trace::TraceSession::global().instant("interp-fallback", "device");
 
   // Graceful degradation: recompute the whole run on the reference
   // interpreter.  The aborted device work stays charged in the cost
   // report, and every interpreted step is charged as a host op.
-  InterpOptions IO;
-  IO.OnExp = [&](const Exp &, const EnvView &) { ++Cost.HostOps; };
-  Interpreter I(Prog, IO);
-  auto Ref = I.runFunction(Fun, Args);
+  auto Ref = runInterpFallback(Prog, Fun, Args, DevErr, Cost.HostOps);
   if (!Ref)
-    return CompilerError::fallbackExhausted(
-        "device failed (" + DevErr.Message +
-        ") and the interpreter fallback also failed: " +
-        Ref.getError().Message);
+    return Ref.getError();
 
   Cost.HostCycles = Cost.HostOps * P.HostCyclesPerOp;
   Cost.TotalCycles = Cost.KernelCycles + Cost.HostCycles +

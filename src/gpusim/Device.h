@@ -337,6 +337,23 @@ struct RunResult {
   CompilerError FallbackError;
 };
 
+/// True for the failures only a device has — out of memory, watchdog
+/// kills and transient faults.  Only these degrade to the interpreter
+/// fallback; compile errors and plain runtime errors (bad index, shape
+/// mismatch) would fail identically there.
+bool isDeviceFailure(const CompilerError &E);
+
+/// The interpreter fallback after the device failed with \p DevErr:
+/// recomputes \p Fun of \p Prog on the reference interpreter, adding one
+/// to \p HostOps per interpreted step.  When the interpreter fails too,
+/// the error is FallbackExhausted and names both failures.  Callers price
+/// the host ops themselves.
+ErrorOr<std::vector<Value>> runInterpFallback(const Program &Prog,
+                                              const std::string &Fun,
+                                              const std::vector<Value> &Args,
+                                              const CompilerError &DevErr,
+                                              int64_t &HostOps);
+
 class Device {
   DeviceParams P;
   ResilienceParams R;

@@ -244,10 +244,13 @@ private:
       }
       if (AnySeqOnly) {
         if (Opts.EnableTiling && !In.Tiled) {
+          // Arrays smaller than this many elements are not worth tiling;
+          // only constant sizes are checked, symbolic sizes tile.
+          constexpr int64_t kMinTileElems = 32;
           bool BigEnough = true;
           if (In.Ty.outerDim().isConst())
             BigEnough =
-                In.Ty.outerDim().getConst().asInt64() >= Opts.MinTileElems;
+                In.Ty.outerDim().getConst().asInt64() >= kMinTileElems;
           if (BigEnough) {
             In.Tiled = true;
             ++Stats.TiledInputs;

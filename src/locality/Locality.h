@@ -34,9 +34,6 @@ namespace fut {
 struct LocalityOptions {
   bool EnableCoalescing = true;
   bool EnableTiling = true;
-  /// Arrays smaller than this many elements are not worth tiling.
-  /// (Checked dynamically only via shape constants; symbolic sizes tile.)
-  int64_t MinTileElems = 32;
 };
 
 struct LocalityStats {

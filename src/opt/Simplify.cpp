@@ -22,7 +22,6 @@ namespace {
 /// elimination.  Returns true if anything changed.
 class BodySimplifier {
   NameSource &NS;
-  const SimplifyOptions &Opts;
   /// Number of individual rewrites applied (constant folds, copy props,
   /// CSE hits, dead statements removed); 0 means a fixed point.
   int Rewrites = 0;
@@ -41,8 +40,7 @@ class BodySimplifier {
   NameSet ConsumedMaybe;
 
 public:
-  BodySimplifier(NameSource &NS, const SimplifyOptions &Opts)
-      : NS(NS), Opts(Opts) {}
+  explicit BodySimplifier(NameSource &NS) : NS(NS) {}
 
   int run(Body &B) {
     std::vector<std::pair<VName, VName>> AliasEdges;
@@ -350,7 +348,7 @@ private:
       bool MayBeConsumed = false;
       for (const Param &P : S.Pat)
         MayBeConsumed = MayBeConsumed || ConsumedMaybe.count(P.Name);
-      if (Opts.EnableCSE && !MayBeConsumed && expIsCSEable(*S.E)) {
+      if (!MayBeConsumed && expIsCSEable(*S.E)) {
         CSEKey Key{S.E.get(), hashExpShallow(*S.E)};
         auto It = CSE.find(Key);
         if (It != CSE.end() && It->second.size() == S.Pat.size()) {
@@ -552,13 +550,13 @@ private:
 
 } // namespace
 
-int fut::simplifyBody(Body &B, NameSource &Names,
-                      const SimplifyOptions &Opts) {
+int fut::simplifyBody(Body &B, NameSource &Names) {
+  // Fixpoint iteration bound per body.
+  constexpr int kMaxRounds = 8;
   int Total = 0;
-  for (int Round = 0; Round < Opts.MaxRounds; ++Round) {
-    int N = BodySimplifier(Names, Opts).run(B);
-    if (Opts.EnableHoisting)
-      N += Hoister().run(B);
+  for (int Round = 0; Round < kMaxRounds; ++Round) {
+    int N = BodySimplifier(Names).run(B);
+    N += Hoister().run(B);
     if (!N)
       break;
     Total += N;
@@ -567,12 +565,11 @@ int fut::simplifyBody(Body &B, NameSource &Names,
   return Total;
 }
 
-int fut::simplifyProgram(Program &P, NameSource &Names,
-                         const SimplifyOptions &Opts) {
+int fut::simplifyProgram(Program &P, NameSource &Names) {
   trace::ScopedSpan Span("pass:simplify", "compiler");
   int Total = 0;
   for (FunDef &F : P.Funs)
-    Total += simplifyBody(F.FBody, Names, Opts);
+    Total += simplifyBody(F.FBody, Names);
   Span.arg("rewrites", Total);
   return Total;
 }

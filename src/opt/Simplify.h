@@ -25,23 +25,14 @@
 
 namespace fut {
 
-struct SimplifyOptions {
-  bool EnableCSE = true;
-  bool EnableHoisting = true;
-  /// Fixpoint iteration bound per body.
-  int MaxRounds = 8;
-};
-
 /// Simplifies every function in the program; returns the number of
 /// individual rewrites applied (also recorded on the trace session as the
 /// "simplify.rewrites" counter).
-int simplifyProgram(Program &P, NameSource &Names,
-                    const SimplifyOptions &Opts = {});
+int simplifyProgram(Program &P, NameSource &Names);
 
 /// Simplifies one body in place (used by passes on nested code); returns
 /// the number of rewrites applied.
-int simplifyBody(Body &B, NameSource &Names,
-                 const SimplifyOptions &Opts = {});
+int simplifyBody(Body &B, NameSource &Names);
 
 /// Inlines all calls to non-recursive functions, bottom-up.  After this,
 /// the entry function is typically call-free.

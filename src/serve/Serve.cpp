@@ -6,9 +6,7 @@
 
 #include "serve/Serve.h"
 
-#include "interp/Interp.h"
 #include "serve/ArtifactStore.h"
-#include "parser/Desugar.h"
 #include "support/Utils.h"
 #include "trace/Trace.h"
 
@@ -140,15 +138,6 @@ DeviceRunOptions Server::makeRunOptions(const ServeRequest &Req,
   return RO;
 }
 
-namespace {
-
-bool isDeviceFailure(const CompilerError &E) {
-  return E.Kind == ErrorKind::DeviceOOM || E.Kind == ErrorKind::Watchdog ||
-         E.Kind == ErrorKind::TransientFault;
-}
-
-} // namespace
-
 ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
                               int64_t Reservation, bool Solo,
                               double &DurationOut) {
@@ -236,7 +225,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
     }
 
     LastErr = R.getError();
-    if (!isDeviceFailure(LastErr)) {
+    if (!gpusim::isDeviceFailure(LastErr)) {
       // The program's own fault (bad index, shape mismatch): surfaces
       // directly and does not count against the artifact.
       Resp.Ok = false;
@@ -310,17 +299,13 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
   trace::TraceSession::global().instant("serve:fallback", "serve",
                                         trace::kServeTid);
   std::shared_ptr<const CompileResult> Artifact = E->Artifact;
-  InterpOptions IO;
   int64_t HostOps = 0;
-  IO.OnExp = [&](const Exp &, const EnvView &) { ++HostOps; };
-  Interpreter I(Artifact->P, IO);
-  auto Out = I.runFunction(Req.Fun, Req.Args);
+  auto Out = gpusim::runInterpFallback(Artifact->P, Req.Fun, Req.Args,
+                                       LastErr, HostOps);
   if (!Out) {
     Resp.Ok = false;
-    Resp.Error = ErrorKind::FallbackExhausted;
-    Resp.Message = "device failed (" + LastErr.Message +
-                   ") and the interpreter fallback also failed: " +
-                   Out.getError().Message;
+    Resp.Error = Out.getError().Kind;
+    Resp.Message = Out.getError().Message;
     Span.arg("outcome", "fallback-exhausted");
     DurationOut = Duration;
     return Resp;

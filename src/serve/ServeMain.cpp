@@ -22,8 +22,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
+#include "fuzz/Fuzz.h"
 #include "serve/Serve.h"
 #include "support/Utils.h"
 #include "trace/Trace.h"
@@ -104,20 +103,6 @@ std::string readFile(const std::string &Path, bool &Ok) {
   std::stringstream Buf;
   Buf << In.rdbuf();
   return Buf.str();
-}
-
-/// Reference result for --check: the unoptimised frontend output on the
-/// plain interpreter, computed once per (source, args) pair.
-ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
-                                         const std::string &Fun,
-                                         const std::vector<Value> &Args) {
-  NameSource Names;
-  auto P = frontend(Source, Names);
-  if (!P)
-    return P.getError();
-  Program Prog = P.take();
-  Interpreter I(Prog);
-  return I.runFunction(Fun, Args);
 }
 
 } // namespace
@@ -336,7 +321,7 @@ int main(int argc, char **argv) {
              R.Solo ? " solo" : "");
     }
     if (Check && R.Ok) {
-      auto Ref = referenceRun(W.Source, "main", W.Args);
+      auto Ref = fuzz::referenceRun(W.Source, W.Args);
       bool Match = static_cast<bool>(Ref) && Ref->size() == R.Outputs.size();
       if (Match)
         for (size_t J = 0; J < R.Outputs.size(); ++J)

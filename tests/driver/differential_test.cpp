@@ -5,71 +5,74 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Twenty seeded random programs (map / reduce / scan / mask / in-place /
-/// loop nests over i32) are run through the reference interpreter and
-/// through the full compile-to-gpusim pipeline, and the results must be
-/// bit-identical — once fault-free, and once with a 1% injected fault
-/// rate so retries and interpreter fallback are also value-preserving.
-/// On failure the seed and full program source are in the assertion
-/// message, so any mismatch reproduces directly.
+/// The fuzzer's seeds 1..20 (the first seeds of the CI sweep) run through
+/// fuzz::runDifferential: the reference interpreter against the full
+/// compile-to-gpusim pipeline on the compiled memory plan.  A seed passes
+/// only on bit-identical outputs or the identical typed runtime error —
+/// fault-free, under injected faults with retries, under faults heavy
+/// enough to degrade to the interpreter, and sharded over 2 and 4
+/// devices.  On failure the seed and full program source are in the
+/// assertion message, so any mismatch reproduces directly.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "Differential.h"
-#include "TestUtil.h"
+#include "fuzz/Fuzz.h"
 
 #include <gtest/gtest.h>
 
 using namespace fut;
-using namespace fut::test;
+using namespace fut::fuzz;
 
 namespace {
 
-constexpr uint64_t kNumSeeds = 20;
+constexpr uint64_t kFirstSeed = 1, kLastSeed = 20;
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// Runs the oracle on this test's seed under \p RP at \p Devices devices.
+Outcome run(uint64_t Seed, int Devices,
+            const gpusim::ResilienceParams &RP = {}) {
+  return runDifferential(generate(Seed), gpusim::DeviceParams::gtx780(),
+                         Devices, RP);
+}
+
+/// A 1% launch-failure and corruption rate: retries, no fallback.
+gpusim::ResilienceParams lightFaults(uint64_t Seed) {
+  gpusim::ResilienceParams RP;
+  RP.Faults.LaunchFailRate = 0.01;
+  RP.Faults.CorruptRate = 0.01;
+  RP.Faults.Seed = Seed ^ 0xfa17edULL;
+  return RP;
+}
+
 TEST_P(DifferentialTest, FaultFree) {
-  GeneratedProgram GP = generateProgram(GetParam());
-  DifferentialOutcome O = runDifferential(GP);
+  Outcome O = run(GetParam(), 1);
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
 TEST_P(DifferentialTest, UnderFaultInjection) {
-  GeneratedProgram GP = generateProgram(GetParam());
-  gpusim::ResilienceParams RP;
-  RP.Faults.LaunchFailRate = 0.01;
-  RP.Faults.CorruptRate = 0.01;
-  RP.Faults.Seed = GetParam() ^ 0xfa17edULL;
-  DifferentialOutcome O = runDifferential(GP, RP);
+  Outcome O = run(GetParam(), 1, lightFaults(GetParam()));
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
 TEST_P(DifferentialTest, UnderHeavyFaultsWithFallback) {
   // A fault rate high enough that some kernels exhaust their retries;
   // the run must then degrade to the interpreter and still agree.
-  GeneratedProgram GP = generateProgram(GetParam());
   gpusim::ResilienceParams RP;
   RP.Faults.LaunchFailRate = 0.4;
   RP.Faults.Seed = GetParam() * 31 + 7;
   RP.InterpFallback = true;
-  DifferentialOutcome O = runDifferential(GP, RP);
+  Outcome O = run(GetParam(), 1, RP);
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
 TEST_P(DifferentialTest, Sharded2Devices) {
-  GeneratedProgram GP = generateProgram(GetParam());
-  DifferentialOutcome O =
-      runDifferential(GP, gpusim::ResilienceParams(),
-                      gpusim::DeviceParams::gtx780(), /*Devices=*/2);
+  Outcome O = run(GetParam(), 2);
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
 TEST_P(DifferentialTest, Sharded4Devices) {
-  GeneratedProgram GP = generateProgram(GetParam());
-  DifferentialOutcome O =
-      runDifferential(GP, gpusim::ResilienceParams(),
-                      gpusim::DeviceParams::gtx780(), /*Devices=*/4);
+  Outcome O = run(GetParam(), 4);
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
@@ -77,53 +80,31 @@ TEST_P(DifferentialTest, ShardedMatchesSingleDeviceBaseline) {
   // The sharded path at N devices must agree bit-for-bit not only with
   // the reference interpreter but with the explicit --devices=1 baseline,
   // which exercises the pinned N=1 no-op invariant through the same knob.
-  GeneratedProgram GP = generateProgram(GetParam());
-  DifferentialOutcome Base =
-      runDifferential(GP, gpusim::ResilienceParams(),
-                      gpusim::DeviceParams::gtx780(), /*Devices=*/1);
+  Outcome Base = run(GetParam(), 1);
   EXPECT_TRUE(Base.Ok) << Base.Message;
-  DifferentialOutcome Sharded =
-      runDifferential(GP, gpusim::ResilienceParams(),
-                      gpusim::DeviceParams::gtx780(), /*Devices=*/4);
+  Outcome Sharded = run(GetParam(), 4);
   EXPECT_TRUE(Sharded.Ok) << Sharded.Message;
+  EXPECT_EQ(Base.BothFailed, Sharded.BothFailed);
 }
 
 TEST_P(DifferentialTest, ShardedUnderFaultInjection) {
   // Fault retries serialise the whole device group; the recomputed
   // sharded launch must still be value-preserving.
-  GeneratedProgram GP = generateProgram(GetParam());
-  gpusim::ResilienceParams RP;
-  RP.Faults.LaunchFailRate = 0.01;
-  RP.Faults.CorruptRate = 0.01;
-  RP.Faults.Seed = GetParam() ^ 0xfa17edULL;
-  DifferentialOutcome O = runDifferential(
-      GP, RP, gpusim::DeviceParams::gtx780(), /*Devices=*/2);
+  Outcome O = run(GetParam(), 2, lightFaults(GetParam()));
   EXPECT_TRUE(O.Ok) << O.Message;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
-                         ::testing::Range<uint64_t>(0, kNumSeeds));
+                         ::testing::Range<uint64_t>(kFirstSeed,
+                                                    kLastSeed + 1));
 
-TEST(DifferentialGenerator, IsDeterministic) {
-  for (uint64_t Seed : {0ULL, 7ULL, 19ULL}) {
-    GeneratedProgram A = generateProgram(Seed);
-    GeneratedProgram B = generateProgram(Seed);
-    EXPECT_EQ(A.Source, B.Source);
-    ASSERT_EQ(A.Args.size(), B.Args.size());
-    for (size_t I = 0; I < A.Args.size(); ++I)
-      EXPECT_TRUE(A.Args[I] == B.Args[I]);
-  }
-}
-
-TEST(DifferentialGenerator, SeedsDiffer) {
-  // Not a strict requirement seed-by-seed, but the pool as a whole must
-  // not collapse to one program.
-  int Distinct = 0;
-  GeneratedProgram First = generateProgram(0);
-  for (uint64_t Seed = 1; Seed < kNumSeeds; ++Seed)
-    if (generateProgram(Seed).Source != First.Source)
-      ++Distinct;
-  EXPECT_GT(Distinct, 15);
+TEST(DifferentialSeeds, MostCompareValues) {
+  // A seed whose program fails identically on both sides checks error
+  // agreement, not values; most of the range must compare outputs.
+  int Agreed = 0;
+  for (uint64_t Seed = kFirstSeed; Seed <= kLastSeed; ++Seed)
+    Agreed += run(Seed, 1).BothFailed ? 1 : 0;
+  EXPECT_LE(Agreed, 4);
 }
 
 } // namespace

@@ -12,10 +12,9 @@
 #include "gpusim/Device.h"
 
 #include "driver/Compiler.h"
-#include "interp/Interp.h"
+#include "fuzz/Fuzz.h"
 #include "ir/Printer.h"
 #include "ir/Traversal.h"
-#include "parser/Desugar.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -39,13 +38,10 @@ Value fvec(const std::vector<double> &Xs) {
 CostReport runChecked(const std::string &Src, const std::vector<Value> &Args,
                       CompilerOptions Opts = {},
                       DeviceParams DP = DeviceParams::gtx780()) {
-  NameSource NS;
-  auto Ref = frontend(Src, NS);
-  EXPECT_TRUE(static_cast<bool>(Ref)) << Ref.getError().str();
-  Interpreter RefI(*Ref);
-  auto Want = RefI.run(Args);
+  auto Want = fuzz::referenceRun(Src, Args);
   EXPECT_TRUE(static_cast<bool>(Want)) << Want.getError().str();
 
+  NameSource NS;
   auto C = compileSource(Src, NS, Opts);
   EXPECT_TRUE(static_cast<bool>(C)) << C.getError().str();
   if (!C)
@@ -271,11 +267,7 @@ void expectKernelError(const Program &Compiled, const std::string &Src,
   EXPECT_EQ(R.getError().Message, Msg);
   EXPECT_EQ(R.getError().Kind, Kind);
 
-  NameSource NS;
-  auto Ref = frontend(Src, NS);
-  ASSERT_TRUE(static_cast<bool>(Ref)) << Ref.getError().str();
-  Interpreter I(*Ref);
-  auto Want = I.run(Args);
+  auto Want = fuzz::referenceRun(Src, Args);
   ASSERT_FALSE(static_cast<bool>(Want)) << "interpreter accepted the run";
   EXPECT_EQ(Want.getError().Message, Msg);
   EXPECT_EQ(Want.getError().Kind, Kind);

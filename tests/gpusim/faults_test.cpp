@@ -14,8 +14,7 @@
 #include "gpusim/Faults.h"
 
 #include "driver/Compiler.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
+#include "fuzz/Fuzz.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -49,11 +48,7 @@ Program compiled(const std::string &Src) {
 /// program.
 std::vector<Value> reference(const std::string &Src,
                              const std::vector<Value> &Args) {
-  NameSource NS;
-  auto Ref = frontend(Src, NS);
-  EXPECT_TRUE(static_cast<bool>(Ref)) << Ref.getError().str();
-  Interpreter I(*Ref);
-  auto Want = I.run(Args);
+  auto Want = fuzz::referenceRun(Src, Args);
   EXPECT_TRUE(static_cast<bool>(Want)) << Want.getError().str();
   return Want ? Want.take() : std::vector<Value>();
 }
@@ -337,6 +332,30 @@ TEST(FaultsTest, PersistentFaultWithoutFallbackIsTyped) {
   EXPECT_NE(R.getError().Message.find("retries exhausted"),
             std::string::npos)
       << R.getError().Message;
+}
+
+TEST(FaultsTest, FallbackThatAlsoFailsNamesBothErrors) {
+  // Every launch fails, so the run falls back; the interpreter then hits
+  // the program's own division by zero after the kernel.
+  const char *Src = "fun main (n: i32) (xs: [n]i32): i32 =\n"
+                    "  let ys = map (+1) xs in ys[0] / (n - n)";
+  Program P = compiled(Src);
+  std::vector<Value> Args = {iv(64), ivec(randomInts(64, 13))};
+  ResilienceParams RS;
+  RS.MaxRetries = 1;
+  RS.Faults.LaunchFailRate = 1.0;
+  RS.Faults.Seed = 6;
+  auto R = Device(DeviceParams::gtx780(), RS).runMain(P, Args);
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_EQ(R.getError().Kind, ErrorKind::FallbackExhausted);
+  auto Want = fuzz::referenceRun(Src, Args);
+  ASSERT_FALSE(static_cast<bool>(Want));
+  const std::string &Msg = R.getError().Message;
+  EXPECT_EQ(Msg.rfind("device failed (", 0), 0u) << Msg;
+  EXPECT_NE(Msg.find(") and the interpreter fallback also failed: " +
+                     Want.getError().Message),
+            std::string::npos)
+      << Msg;
 }
 
 TEST(FaultsTest, CompileStyleErrorsDoNotFallBack) {

@@ -16,8 +16,7 @@
 #include "gpusim/Faults.h"
 
 #include "driver/Compiler.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
+#include "fuzz/Fuzz.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -60,11 +59,7 @@ Program compiled(const std::string &Src) {
 
 std::vector<Value> reference(const std::string &Src,
                              const std::vector<Value> &Args) {
-  NameSource NS;
-  auto Ref = frontend(Src, NS);
-  EXPECT_TRUE(static_cast<bool>(Ref)) << Ref.getError().str();
-  Interpreter I(*Ref);
-  auto Want = I.run(Args);
+  auto Want = fuzz::referenceRun(Src, Args);
   EXPECT_TRUE(static_cast<bool>(Want)) << Want.getError().str();
   return Want ? Want.take() : std::vector<Value>();
 }

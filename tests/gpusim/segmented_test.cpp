@@ -10,9 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compiler.h"
+#include "fuzz/Fuzz.h"
 #include "gpusim/Device.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -99,11 +98,7 @@ TEST(SegmentedTest, SegScanMatchesInterpreterPerSegment) {
     Data.push_back(PrimValue::makeI32(static_cast<int32_t>(X)));
   Value In = Value::array(ScalarKind::I32, {4, 6}, Data);
 
-  NameSource NS;
-  auto Ref = frontend(Src, NS);
-  ASSERT_OK(Ref);
-  Interpreter I(*Ref);
-  auto Want = I.run({In});
+  auto Want = fuzz::referenceRun(Src, {In});
   ASSERT_OK(Want);
 
   auto Got = runOnDevice(Src, {In});

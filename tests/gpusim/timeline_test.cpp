@@ -17,8 +17,7 @@
 #include "gpusim/Timeline.h"
 
 #include "driver/Compiler.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
+#include "fuzz/Fuzz.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -403,11 +402,7 @@ TEST(BufferManagerTest, PlannedLoopUsesHoistedDoubleBuffer) {
   EXPECT_GT(R->Cost.HoistedAllocs, 0);
 
   // The fault-free answer is unchanged by memory management.
-  NameSource NS;
-  auto Ref = frontend(kLoopSrc, NS);
-  ASSERT_TRUE(static_cast<bool>(Ref));
-  Interpreter I(*Ref);
-  auto Want = I.run(i32Args(256));
+  auto Want = fuzz::referenceRun(kLoopSrc, i32Args(256));
   ASSERT_TRUE(static_cast<bool>(Want));
   ASSERT_EQ(R->Outputs.size(), Want->size());
   EXPECT_TRUE(R->Outputs[0].approxEqual((*Want)[0]));

@@ -19,8 +19,6 @@
 #include "bench_suite/Benchmarks.h"
 #include "driver/Compiler.h"
 #include "fuzz/Fuzz.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
 #include "ir/Traversal.h"
 #include "trace/Trace.h"
 #include "TestUtil.h"
@@ -545,11 +543,7 @@ TEST(WarpRanges, GridlessFloatFoldsMatchTheInterpreterBitForBit) {
     Xs[I] = I % 7 == 3 ? 1e8 : 1.0;
   std::vector<Value> Args = {makeVectorValue(ScalarKind::F32, Xs)};
 
-  NameSource NS;
-  auto P = frontend(kFloatFoldsSrc, NS);
-  ASSERT_TRUE(static_cast<bool>(P)) << P.getError().str();
-  Interpreter I(*P);
-  auto Want = I.run(Args);
+  auto Want = fuzz::referenceRun(kFloatFoldsSrc, Args);
   ASSERT_TRUE(static_cast<bool>(Want)) << Want.getError().str();
 
   CompileResult C = compiled(kFloatFoldsSrc);
@@ -592,11 +586,7 @@ TEST(WarpRanges, GridlessArrayFoldsRunAsOneRange) {
   std::vector<Value> Args = {
       iv(Rows), iv(Cols), makeMatrixValue(ScalarKind::I32, Rows, Cols, Ds)};
 
-  NameSource NS;
-  auto P = frontend(kRowMaxSrc, NS);
-  ASSERT_TRUE(static_cast<bool>(P)) << P.getError().str();
-  Interpreter I(*P);
-  auto Want = I.run(Args);
+  auto Want = fuzz::referenceRun(kRowMaxSrc, Args);
   ASSERT_TRUE(static_cast<bool>(Want)) << Want.getError().str();
 
   CompileResult C = compiled(kRowMaxSrc);

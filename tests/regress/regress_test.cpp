@@ -20,8 +20,6 @@
 
 #include "driver/Compiler.h"
 #include "fuzz/Fuzz.h"
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
 
 #include "TestUtil.h"
 
@@ -71,11 +69,7 @@ std::string expectedError(const std::string &Contents) {
 /// Requires the reference interpreter and the device to reject the case
 /// with \p Msg and the same error kind.
 void expectBothReject(const FuzzCase &C, const std::string &Msg) {
-  NameSource RefNames;
-  auto RefProg = frontend(C.Source, RefNames);
-  ASSERT_TRUE(static_cast<bool>(RefProg)) << RefProg.getError().str();
-  Interpreter I(*RefProg);
-  auto Ref = I.run(C.Args);
+  auto Ref = referenceRun(C.Source, C.Args);
   ASSERT_FALSE(static_cast<bool>(Ref)) << "the reference accepted the case";
   EXPECT_EQ(Ref.getError().Message, Msg);
 

@@ -217,6 +217,29 @@ TEST(ServeIsolation, PerRequestLimitsAreIndependent) {
   EXPECT_FALSE(R.at(2).InterpFallback);
 }
 
+TEST(ServeDegradation, FallbackThatAlsoFailsIsTyped) {
+  // Every launch fails, so the request degrades; the interpreter then hits
+  // the program's own division by zero.
+  Server S;
+  ServeRequest A = request("fun main (n: i32): i32 =\n"
+                           "  let xs = map (\\(i: i32): i32 -> i * i) (iota n)\n"
+                           "  in xs[1] / (n - n)",
+                           64, 0);
+  A.Limits.LaunchFailRate = 1.0;
+  A.Limits.FaultSeed = 3;
+  S.submit(std::move(A));
+  auto R = drainById(S);
+  ASSERT_EQ(R.count(1), 1u);
+  EXPECT_FALSE(R.at(1).Ok);
+  EXPECT_EQ(R.at(1).Error, ErrorKind::FallbackExhausted);
+  const std::string &Msg = R.at(1).Message;
+  EXPECT_EQ(Msg.rfind("device failed (", 0), 0u) << Msg;
+  EXPECT_NE(Msg.find(") and the interpreter fallback also failed: "),
+            std::string::npos)
+      << Msg;
+  EXPECT_EQ(S.stats().Fallbacks, 1);
+}
+
 TEST(ServeDegradation, PersistentFaultsFallBackToInterpreter) {
   Server S;
   ServeRequest A = request(kSumSq, 64, 0);
