@@ -75,12 +75,11 @@ int main(int Argc, char **Argv) {
     }
 
     // Invariant 1: bit-identical outputs.
-    bool Identical = R->Outputs.size() == P->Outputs.size();
-    for (size_t I = 0; Identical && I < R->Outputs.size(); ++I)
-      Identical = R->Outputs[I] == P->Outputs[I];
+    std::string Diff = firstDifference(P->Outputs, R->Outputs);
+    bool Identical = Diff.empty();
     if (!Identical) {
-      printf("%-16s OUTPUT DIVERGENCE between cost models\n",
-             B.Name.c_str());
+      printf("%-16s OUTPUT DIVERGENCE between cost models: %s\n",
+             B.Name.c_str(), Diff.c_str());
       Ok = false;
     }
 

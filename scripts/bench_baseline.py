@@ -10,7 +10,6 @@ trace `counters` map.  The report-only binaries contribute their stdout
 tables.  All of these are simulated quantities (requests_per_sec is
 derived from the simulated makespan), so they must reproduce exactly; the
 check fails on any difference and names the differing fields.
-bench_compile_time is left out: google-benchmark reports wall-clock time.
 """
 
 import json
@@ -29,7 +28,6 @@ ROW_BENCHES = ["bench_speedups", "bench_fusion_memory", "bench_serve",
 # Binaries that only print report tables.
 REPORT_BENCHES = ["bench_ablations", "bench_kmeans_variants",
                   "bench_flattening", "bench_datasets"]
-EXCLUDED = {"bench_compile_time": "google-benchmark wall-clock timings"}
 
 
 def run_bench(build, name):
@@ -46,7 +44,7 @@ def run_bench(build, name):
 
 
 def collect(build):
-    out = {"excluded": EXCLUDED}
+    out = {}
     for name in ROW_BENCHES + REPORT_BENCHES:
         out[name] = run_bench(build, name)
     return out

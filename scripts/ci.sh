@@ -7,9 +7,11 @@
 # (configure, build, complete ctest suite) and then re-runs the fault and
 # differential suites on their own so a resilience or bit-identity
 # regression is named explicitly in the log even when someone trims the
-# main suite.  Every compiled-vs-reference check goes through one oracle,
-# fuzz::runSourceDifferential (src/fuzz): the DifferentialTest legs, the
-# regression corpus and every futharkcc-fuzz sweep below.  Each filtered
+# main suite.  Every compiled-vs-reference check takes its reference from
+# fuzz::referenceRun and compares outputs with firstDifference
+# (src/interp/Value.h); fuzz::runSourceDifferential (src/fuzz) wraps both
+# for the DifferentialTest legs, the regression corpus and every
+# futharkcc-fuzz sweep below.  Each filtered
 # ctest leg runs with --no-tests=error, so a filter that stops matching
 # after a rename fails instead of passing on zero tests.
 #
@@ -67,6 +69,17 @@ if ${CXX:-c++} -std=c++20 -Isrc -MM src/interp/Interp.cpp |
   exit 1
 fi
 
+echo "== oracle hygiene: one output comparison =="
+# firstDifference (src/interp/Value.h) decides every "do these outputs
+# agree": exact, with a relative tolerance only where a benchmark declares
+# one per output.  No program code may fall back on approxEqual's blanket
+# tolerance.
+if grep -rn --include='*.cpp' --include='*.h' 'approxEqual' src |
+    grep -v '^src/interp/Value\.'; then
+  echo "approxEqual called under src/ outside interp/Value.*"
+  exit 1
+fi
+
 echo "== thread hygiene: code on the warp pool never reaches the trace session =="
 # KernelSim runs a large launch's warp ranges on a pool of host threads.
 # TraceSession is global and not thread-safe, so kernel spans stay on the
@@ -91,8 +104,9 @@ echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 
 echo "== mem-plan leg: plan verifier + observed peak within the plan =="
 # Observed PeakDeviceBytes stays within the plan-derived bound on the
-# whole bench suite (BenchmarkSweep), and the plan verifier rejects
-# corrupted plans.
+# whole bench suite (BenchmarkSweep, whose reference run also pins the
+# uniqueness consume counts), and the plan verifier rejects corrupted
+# plans.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'CompilesRunsAndMatchesReference|BufferManagerTest|MemPlan|VerifyTest'
 # --print-mem-plan dumps the static plan for a real program.
@@ -451,8 +465,7 @@ print(f"ok: {len(merged)} schema-checked rows merged into ./BENCH_trace.json")
 EOF
 
 echo "== bench baseline: every simulated bench column matches BENCH_baseline.json =="
-# Re-runs every bench binary except the wall-clock bench_compile_time and
-# compares each simulated column, each trace counter and each report table
+# Re-runs every bench binary and compares each simulated column, each trace counter and each report table
 # against the committed baseline; any difference fails.  A change that
 # moves simulated numbers on purpose regenerates the baseline with
 # `python3 scripts/bench_baseline.py <build-dir> --update` and says why.

@@ -6,8 +6,7 @@
 
 #include "bench_suite/Benchmarks.h"
 
-#include "interp/Interp.h"
-#include "parser/Desugar.h"
+#include "fuzz/Fuzz.h"
 #include "support/Utils.h"
 
 using namespace fut;
@@ -183,6 +182,10 @@ std::vector<BenchmarkDef> makeBenchmarks() {
     // cluster centres: the cross-chunk combine runs on the host.
     B.Ref.SegReduceInterchange = false;
     B.Ref.ReduceOnHost = true;
+    // The centre sums are an f32 stream_red: the device combines its
+    // chunks in another order than the reference's one maximal chunk
+    // (largest relative error measured: 1.1e-6).
+    B.RelTol = {0, 1e-5};
     B.Ref.HandTuningGTX = 10.3; // counts/assignment kernels are tight
     B.Ref.HandTuningW8100 = 10.9; // the AMD ref run is faster (Table 1)
     B.PaperSpeedupGTX = 2.79;
@@ -412,6 +415,9 @@ std::vector<BenchmarkDef> makeBenchmarks() {
       return std::vector<Value>{iv(8192), iv(32), fvecR(32, 201, 0, 1)};
     };
     B.VerifyInterleave = 4096; // matches the device chunk count
+    // Fusion folds the final f32 reduce into the stream's stream_red,
+    // which reassociates the sum (relative error measured: 1.93e-7).
+    B.RelTol = {1e-6};
     B.Ref.HandTuningGTX = 0.8;
     B.Ref.HandTuningW8100 = 0.85;
     B.PaperSpeedupGTX = 1.27;
@@ -601,31 +607,31 @@ ErrorOr<BenchRun> fut::bench::runBenchmark(const BenchmarkDef &B,
   if (!R)
     return CompilerError(B.Name + " (device): " + R.getError().Message);
 
-  if (Verify) {
-    NameSource NS2;
-    auto Ref = frontend(B.Source, NS2);
-    if (!Ref)
-      return Ref.getError();
-    InterpOptions IOpts;
-    IOpts.StreamInterleave = B.VerifyInterleave;
-    Interpreter I(*Ref, IOpts);
-    auto Want = I.run(Inputs);
-    if (!Want)
-      return CompilerError(B.Name + " (reference): " +
-                           Want.getError().Message);
-    if (Want->size() != R->Outputs.size())
-      return CompilerError(B.Name + ": result arity mismatch");
-    for (size_t J = 0; J < Want->size(); ++J)
-      if (!R->Outputs[J].approxEqual((*Want)[J], 1e-4, 1e-5))
-        return CompilerError(B.Name + ": device result " +
-                             std::to_string(J) +
-                             " deviates from the reference semantics");
-  }
+  if (Verify)
+    if (MaybeError E = verifyOutputs(B, Inputs, R->Outputs))
+      return E;
 
   BenchRun Out;
   Out.Cost = R->Cost;
   Out.Outputs = std::move(R->Outputs);
   return Out;
+}
+
+MaybeError fut::bench::verifyOutputs(const BenchmarkDef &B,
+                                     const std::vector<Value> &Inputs,
+                                     const std::vector<Value> &Got,
+                                     InterpOptions Hooks,
+                                     int64_t *CopiedConsumes) {
+  Hooks.StreamInterleave = B.VerifyInterleave;
+  auto Want =
+      fuzz::referenceRun(B.Source, Inputs, std::move(Hooks), CopiedConsumes);
+  if (!Want)
+    return CompilerError(B.Name + " (reference): " + Want.getError().Message);
+  std::string Diff = firstDifference(Got, *Want, B.RelTol);
+  if (!Diff.empty())
+    return CompilerError(B.Name + ": device (got) vs reference (want): " +
+                         Diff);
+  return MaybeError();
 }
 
 ErrorOr<SpeedupResult> fut::bench::measureSpeedup(

@@ -17,6 +17,7 @@
 #define FUTHARKCC_BENCH_SUITE_BENCHMARKS_H
 
 #include "gpusim/Device.h"
+#include "interp/Interp.h"
 #include "interp/Value.h"
 #include "refimpl/RefImpl.h"
 
@@ -38,6 +39,11 @@ struct BenchmarkDef {
   /// with this interleaved chunk count (0 = one maximal chunk), matching
   /// the device's interleaved stream chunking.
   int64_t VerifyInterleave = 0;
+  /// Per-output relative tolerance of the Verify comparison
+  /// (firstDifference); empty means every output must be bit-identical.
+  /// Declared only where the compiled program reassociates float
+  /// arithmetic, with the reason beside it.
+  std::vector<double> RelTol;
 
   /// Paper speedups (reference time / Futhark time), Fig 13 / Table 1.
   double PaperSpeedupGTX = 0;
@@ -58,11 +64,22 @@ struct BenchRun {
 };
 
 /// Compiles with \p Opts and runs on \p DP; also verifies the outputs
-/// against the reference interpreter when \p Verify is set.
+/// with verifyOutputs when \p Verify is set.
 ErrorOr<BenchRun> runBenchmark(const BenchmarkDef &B,
                                const CompilerOptions &Opts,
                                const gpusim::DeviceParams &DP,
                                bool Verify = false);
+
+/// Checks \p Got, B's outputs on \p Inputs, against the reference run
+/// (fuzz::referenceRun, with streams chunked by B.VerifyInterleave) under
+/// B.RelTol.  \p Hooks adds observation hooks to that run, and
+/// \p CopiedConsumes receives its Interpreter::copiedConsumes, so a caller
+/// that checks the uniqueness counts needs no second reference run.
+MaybeError verifyOutputs(const BenchmarkDef &B,
+                         const std::vector<Value> &Inputs,
+                         const std::vector<Value> &Got,
+                         InterpOptions Hooks = {},
+                         int64_t *CopiedConsumes = nullptr);
 
 /// Convenience: simulated speedup of the fully optimised program over the
 /// reference model on the given device (reference cycles are divided by

@@ -293,14 +293,18 @@ FuzzCase fut::fuzz::generate(uint64_t Seed) {
 
 ErrorOr<std::vector<Value>>
 fut::fuzz::referenceRun(const std::string &Source,
-                        const std::vector<Value> &Args) {
+                        const std::vector<Value> &Args, InterpOptions IO,
+                        int64_t *CopiedConsumes) {
   NameSource Names;
   auto P = frontend(Source, Names);
   if (!P)
     return P.getError();
   Program Prog = P.take(); // Interpreter holds a reference
-  Interpreter I(Prog);
-  return I.run(Args);
+  Interpreter I(Prog, std::move(IO));
+  auto Out = I.run(Args);
+  if (CopiedConsumes)
+    *CopiedConsumes = I.copiedConsumes();
+  return Out;
 }
 
 Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
@@ -353,15 +357,9 @@ Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
   if (!R)
     return Fail("only the device failed: " + R.getError().str());
 
-  if (R->Outputs.size() != Ref->size())
-    return Fail("result arity mismatch: device returned " +
-                std::to_string(R->Outputs.size()) + ", reference " +
-                std::to_string(Ref->size()));
-  for (size_t J = 0; J < Ref->size(); ++J)
-    if (!(R->Outputs[J] == (*Ref)[J]))
-      return Fail("result " + std::to_string(J) +
-                  " differs\n  device:    " + R->Outputs[J].str() +
-                  "\n  reference: " + (*Ref)[J].str());
+  std::string Diff = firstDifference(R->Outputs, *Ref);
+  if (!Diff.empty())
+    return Fail("device (got) vs reference (want): " + Diff);
 
   Outcome O;
   O.Ok = true;
@@ -427,15 +425,9 @@ Outcome fut::fuzz::runCrossModel(const FuzzCase &C,
   if (!Pipe)
     return Fail("only pipeline failed: " + Pipe.getError().str());
 
-  if (Roof->Outputs.size() != Pipe->Outputs.size())
-    return Fail("result arity mismatch: roofline returned " +
-                std::to_string(Roof->Outputs.size()) + ", pipeline " +
-                std::to_string(Pipe->Outputs.size()));
-  for (size_t J = 0; J < Roof->Outputs.size(); ++J)
-    if (!(Roof->Outputs[J] == Pipe->Outputs[J]))
-      return Fail("result " + std::to_string(J) +
-                  " differs\n  roofline: " + Roof->Outputs[J].str() +
-                  "\n  pipeline: " + Pipe->Outputs[J].str());
+  std::string Diff = firstDifference(Pipe->Outputs, Roof->Outputs);
+  if (!Diff.empty())
+    return Fail("pipeline (got) vs roofline (want): " + Diff);
 
   // Model-independent counters: the model prices cycles, it does not
   // change the traffic.  Each pair must be exactly equal, and the

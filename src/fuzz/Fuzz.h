@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one compiled-vs-reference oracle of the tree, plus the seeded
-/// generator of small well-typed surface programs it is driven with, and a
-/// shrinker producing minimal failing .fut cases.  The oracle runs a
-/// program on the reference interpreter (frontend output, no
-/// optimisation, no faults) and through the full pipeline onto the
-/// simulated device on the compiled memory plan, under any device,
-/// device count and fault configuration, and demands bit-identical
-/// outputs or the identical typed error.  futharkcc-fuzz, the regression
-/// corpus and the DifferentialTest legs all call it; serve and the
-/// simulator tests share its reference leg, referenceRun.
+/// The differential oracle of the tree, plus the seeded generator of small
+/// well-typed surface programs it is driven with, and a shrinker producing
+/// minimal failing .fut cases.  The oracle runs a program on the reference
+/// interpreter (frontend output, no optimisation, no faults) and through
+/// the full pipeline onto the simulated device on the compiled memory
+/// plan, under any device, device count and fault configuration, and
+/// demands bit-identical outputs (firstDifference, interp/Value.h) or the
+/// identical typed error.  futharkcc-fuzz, the regression corpus and the
+/// DifferentialTest legs all call it.  Its reference leg, referenceRun, is
+/// shared by every other compiled-vs-reference check: the benchmark
+/// suite's Verify leg, futharkcc-serve --check and the simulator tests,
+/// each comparing with the same firstDifference.
 ///
 /// Generation is plan-based: a seed is first sampled into a Plan — a list
 /// of construct steps with all constants pinned — and the plan is then
@@ -38,6 +40,7 @@
 #define FUTHARKCC_FUZZ_FUZZ_H
 
 #include "gpusim/Device.h"
+#include "interp/Interp.h"
 #include "interp/Value.h"
 #include "support/Error.h"
 
@@ -121,9 +124,14 @@ struct Outcome {
 };
 
 /// The reference leg of every compiled-vs-reference check: \p Source's
-/// frontend output, unoptimised, run as main on the plain interpreter.
+/// frontend output, unoptimised, run as main on the interpreter.  \p IO
+/// sets its stream chunking and observation hooks (the benchmark suite
+/// uses both); when \p CopiedConsumes is given, it receives the run's
+/// Interpreter::copiedConsumes.
 ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
-                                         const std::vector<Value> &Args);
+                                         const std::vector<Value> &Args,
+                                         InterpOptions IO = {},
+                                         int64_t *CopiedConsumes = nullptr);
 
 /// Runs \p Source through referenceRun and through the full pipeline +
 /// simulated device on the compiled memory plan, comparing bit-for-bit.

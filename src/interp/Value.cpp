@@ -7,6 +7,7 @@
 #include "interp/Value.h"
 
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 using namespace fut;
@@ -44,18 +45,27 @@ bool Value::operator==(const Value &Other) const {
 
 namespace {
 
-bool primApproxEqual(const PrimValue &A, const PrimValue &B, double RelTol,
-                     double AbsTol) {
+/// Whether \p A agrees with \p B under a relative tolerance (0: exact).
+/// An infinity agrees only with the same infinity.
+bool primAgrees(const PrimValue &A, const PrimValue &B, double RelTol) {
   if (A.kind() != B.kind())
     return false;
   if (!A.isFloat())
     return A == B;
   double X = A.getFloat(), Y = B.getFloat();
-  if (std::isnan(X) && std::isnan(Y))
+  if (std::isnan(X) || std::isnan(Y))
+    return std::isnan(X) && std::isnan(Y);
+  if (X == Y && std::signbit(X) == std::signbit(Y))
     return true;
-  double Diff = std::fabs(X - Y);
-  return Diff <= AbsTol ||
-         Diff <= RelTol * std::fmax(std::fabs(X), std::fabs(Y));
+  return RelTol > 0 && std::isfinite(X) && std::isfinite(Y) &&
+         std::fabs(X - Y) <= RelTol * std::fmax(std::fabs(X), std::fabs(Y));
+}
+
+bool primApproxEqual(const PrimValue &A, const PrimValue &B, double RelTol,
+                     double AbsTol) {
+  return primAgrees(A, B, RelTol) ||
+         (A.kind() == B.kind() && A.isFloat() &&
+          std::fabs(A.getFloat() - B.getFloat()) <= AbsTol);
 }
 
 } // namespace
@@ -72,6 +82,51 @@ bool Value::approxEqual(const Value &Other, double RelTol,
     if (!primApproxEqual((*Data)[I], (*Other.Data)[I], RelTol, AbsTol))
       return false;
   return true;
+}
+
+namespace {
+
+/// \p V at full precision, so that a 1-ulp difference shows.
+std::string exactStr(const PrimValue &V) {
+  if (!V.isFloat())
+    return V.str();
+  std::ostringstream OS;
+  OS << std::setprecision(V.kind() == ScalarKind::F32 ? 9 : 17)
+     << V.getFloat() << (V.kind() == ScalarKind::F32 ? "f32" : "f64");
+  return OS.str();
+}
+
+} // namespace
+
+std::string fut::firstDifference(const std::vector<Value> &Got,
+                                 const std::vector<Value> &Want,
+                                 const std::vector<double> &RelTol) {
+  if (Got.size() != Want.size())
+    return "got " + std::to_string(Got.size()) + " outputs, want " +
+           std::to_string(Want.size());
+  for (size_t J = 0; J < Want.size(); ++J) {
+    const Value &G = Got[J], &W = Want[J];
+    double Tol = J < RelTol.size() ? RelTol[J] : 0;
+    std::string Where;
+    if (G.isScalar() != W.isScalar() || G.elemKind() != W.elemKind() ||
+        (G.isArray() && G.shape() != W.shape())) {
+      Where = "in kind or shape";
+    } else if (G.isScalar()) {
+      if (!primAgrees(G.getScalar(), W.getScalar(), Tol))
+        Where = "(" + exactStr(G.getScalar()) + " vs " +
+                exactStr(W.getScalar()) + ")";
+    } else {
+      for (size_t I = 0; I < W.flat().size() && Where.empty(); ++I)
+        if (!primAgrees(G.flat()[I], W.flat()[I], Tol))
+          Where = "at flat element " + std::to_string(I) + " (" +
+                  exactStr(G.flat()[I]) + " vs " + exactStr(W.flat()[I]) +
+                  ")";
+    }
+    if (!Where.empty())
+      return "output " + std::to_string(J) + " differs " + Where +
+             "\n  got:  " + G.str() + "\n  want: " + W.str();
+  }
+  return "";
 }
 
 std::string Value::str() const {

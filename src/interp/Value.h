@@ -26,6 +26,7 @@
 #include "ir/Type.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace fut {
@@ -156,7 +157,9 @@ public:
   /// The row at index I of the outer dimension.
   Value row(int64_t I) const { return slice({I}); }
 
-  /// Element-wise equality (exact, including kinds and shape).
+  /// Element-wise equality (exact, including kinds and shape).  Floats
+  /// compare with PrimValue's ==: NaN differs from itself and +0 equals -0.
+  /// Output checks use firstDifference instead.
   bool operator==(const Value &Other) const;
   bool operator!=(const Value &Other) const { return !(*this == Other); }
 
@@ -176,6 +179,19 @@ public:
 protected:
   ~EnvView() = default;
 };
+
+/// The one output comparison of every compiled-vs-reference check.
+/// Returns "" when \p Got agrees with \p Want, else a message that names
+/// the first differing output and prints both values.  Agreement is
+/// exact: the same arity, kinds and shapes, and equal elements, where two
+/// floats agree when both are NaN or when they are equal with the same
+/// sign bit.  A positive \p RelTol[J] lets float output J differ instead
+/// by at most that error relative to the larger magnitude; it must be
+/// declared only where the compiler may legitimately reassociate float
+/// arithmetic.
+std::string firstDifference(const std::vector<Value> &Got,
+                            const std::vector<Value> &Want,
+                            const std::vector<double> &RelTol = {});
 
 /// Builds a rank-1 value from a vector of doubles/ints with a given kind.
 Value makeVectorValue(ScalarKind K, const std::vector<double> &Xs);

@@ -322,17 +322,15 @@ int main(int argc, char **argv) {
     }
     if (Check && R.Ok) {
       auto Ref = fuzz::referenceRun(W.Source, W.Args);
-      bool Match = static_cast<bool>(Ref) && Ref->size() == R.Outputs.size();
-      if (Match)
-        for (size_t J = 0; J < R.Outputs.size(); ++J)
-          if (!(R.Outputs[J] == (*Ref)[J]))
-            Match = false;
-      if (!Match) {
+      std::string Diff = Ref ? firstDifference(R.Outputs, *Ref)
+                             : "the reference failed: " + Ref.getError().str();
+      if (!Diff.empty()) {
         ++Mismatches;
         fprintf(stderr,
                 "CONTAMINATION: request %llu (%s) diverged from the "
-                "reference interpreter\n",
-                static_cast<unsigned long long>(R.Id), W.Label.c_str());
+                "reference interpreter: %s\n",
+                static_cast<unsigned long long>(R.Id), W.Label.c_str(),
+                Diff.c_str());
       } else {
         ++CheckedOk;
       }

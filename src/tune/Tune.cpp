@@ -89,10 +89,7 @@ ErrorOr<TuneResult> fut::tune::tuneBenchmark(const bench::BenchmarkDef &B,
     auto Run = bench::runBenchmark(B, CO, DP);
     double Cycles = std::numeric_limits<double>::infinity();
     if (Run) {
-      bool Identical = Run->Outputs.size() == Golden.size();
-      for (size_t I = 0; Identical && I < Golden.size(); ++I)
-        Identical = Run->Outputs[I] == Golden[I];
-      if (Identical)
+      if (firstDifference(Run->Outputs, Golden).empty())
         Cycles = Run->Cost.TotalCycles;
       else
         ++R.OutputMismatches;

@@ -51,6 +51,18 @@ TEST(FuzzTest, CrossModelSeedsAgree) {
   }
 }
 
+TEST(FuzzTest, NaNAndNegativeZeroOutputsAgree) {
+  // Bit-identity is judged by firstDifference: a NaN agrees with a NaN,
+  // and a zero only with a zero of the same sign.  PrimValue's own ==
+  // says NaN != NaN, so an oracle built on it rejected 0/0 on both sides.
+  std::vector<Value> Zero = {Value::scalar(PrimValue::makeF32(0.0f))};
+  Outcome NaN = runSourceDifferential("fun main (x: f32): f32 = x / x", Zero);
+  EXPECT_TRUE(NaN.Ok) << NaN.Message;
+  Outcome NegZero =
+      runSourceDifferential("fun main (x: f32): f32 = x * -1.0", Zero);
+  EXPECT_TRUE(NegZero.Ok) << NegZero.Message;
+}
+
 TEST(FuzzTest, PlanSubsetsStayWellTyped) {
   // The shrinker removes arbitrary steps; any subset must still compile
   // and agree.  Exercise every leave-one-out subset of one plan.

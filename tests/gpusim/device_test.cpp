@@ -55,12 +55,7 @@ CostReport runChecked(const std::string &Src, const std::vector<Value> &Args,
   if (!R || !Want)
     return {};
 
-  EXPECT_EQ(R->Outputs.size(), Want->size());
-  for (size_t I = 0; I < Want->size() && I < R->Outputs.size(); ++I)
-    EXPECT_TRUE(R->Outputs[I].approxEqual((*Want)[I]))
-        << "result " << I << ":\ndevice: " << R->Outputs[I].str()
-        << "\nreference: " << (*Want)[I].str() << "\n"
-        << printProgram(C->P);
+  EXPECT_EQ(firstDifference(R->Outputs, *Want), "") << printProgram(C->P);
   return R->Cost;
 }
 

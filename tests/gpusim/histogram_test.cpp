@@ -66,11 +66,7 @@ std::vector<Value> reference(const std::string &Src,
 
 void expectOutputsEqual(const std::vector<Value> &Got,
                         const std::vector<Value> &Want) {
-  ASSERT_EQ(Got.size(), Want.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    EXPECT_TRUE(Got[I] == Want[I])
-        << "result " << I << ":\ngot:  " << Got[I].str()
-        << "\nwant: " << Want[I].str();
+  EXPECT_EQ(firstDifference(Got, Want), "");
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace fut;
 
 namespace {
@@ -94,6 +96,64 @@ TEST(ValueTest, ApproxEqualTolerance) {
   // Kind-sensitive.
   Value D = makeVectorValue(ScalarKind::F64, {1.0, 2.0, 3.0});
   EXPECT_FALSE(A.approxEqual(D));
+}
+
+TEST(ValueTest, FirstDifferenceIsExact) {
+  auto F32 = [](float X) { return Value::scalar(PrimValue::makeF32(X)); };
+  float One = 1.0f, NextUp = std::nextafter(One, 2.0f);
+  EXPECT_EQ(firstDifference({F32(One), mat23()}, {F32(One), mat23()}), "");
+  // Signed zeroes and a 1-ulp f32 difference are both reported, and the
+  // message prints the values at full precision.
+  EXPECT_NE(firstDifference({F32(0.0f)}, {F32(-0.0f)}), "");
+  std::string Ulp = firstDifference({F32(NextUp)}, {F32(One)});
+  EXPECT_NE(Ulp.find("output 0 differs"), std::string::npos) << Ulp;
+  EXPECT_NE(Ulp.find("1.00000012f32 vs 1f32"), std::string::npos) << Ulp;
+  // NaN agrees with NaN, whatever PrimValue's == says.
+  float NaN = std::nanf("");
+  EXPECT_NE(PrimValue::makeF32(NaN), PrimValue::makeF32(NaN));
+  EXPECT_EQ(firstDifference({F32(NaN)}, {F32(NaN)}), "");
+  EXPECT_NE(firstDifference({F32(NaN)}, {F32(One)}), "");
+  // Arity, kind and shape.
+  EXPECT_NE(firstDifference({F32(One)}, {}), "");
+  EXPECT_NE(firstDifference({F32(One)},
+                            {Value::scalar(PrimValue::makeF64(1.0))}),
+            "");
+  Value Flat = Value::array(ScalarKind::I32, {6}, mat23().flat());
+  EXPECT_NE(firstDifference({Flat}, {mat23()}), "");
+  // Array elements name their flat index.
+  Value Other = mat23();
+  Other.flatMut()[4] = PrimValue::makeI32(0);
+  std::string Elem = firstDifference({Other}, {mat23()});
+  EXPECT_NE(Elem.find("at flat element 4"), std::string::npos) << Elem;
+}
+
+TEST(ValueTest, FirstDifferenceToleranceCoversOnlyItsOutput) {
+  auto F32 = [](float X) { return Value::scalar(PrimValue::makeF32(X)); };
+  float One = 1.0f, NextUp = std::nextafter(One, 2.0f);
+  std::vector<double> OnSecond = {0, 1e-6};
+  // A declared tolerance accepts its own output index ...
+  EXPECT_EQ(firstDifference({F32(One), F32(NextUp)}, {F32(One), F32(One)},
+                            OnSecond),
+            "");
+  // ... and no other one.
+  std::string Msg = firstDifference({F32(NextUp), F32(One)},
+                                    {F32(One), F32(One)}, OnSecond);
+  EXPECT_NE(Msg.find("output 0 differs"), std::string::npos) << Msg;
+  // Within its own output it is still a bound, and an infinity agrees
+  // only with itself.
+  EXPECT_NE(firstDifference({F32(One), F32(1.001f)}, {F32(One), F32(One)},
+                            OnSecond),
+            "");
+  float Inf = INFINITY;
+  EXPECT_EQ(firstDifference({F32(One), F32(Inf)}, {F32(One), F32(Inf)},
+                            OnSecond),
+            "");
+  EXPECT_NE(firstDifference({F32(One), F32(Inf)}, {F32(One), F32(One)},
+                            OnSecond),
+            "");
+  EXPECT_NE(firstDifference({F32(One), F32(Inf)}, {F32(One), F32(-Inf)},
+                            OnSecond),
+            "");
 }
 
 TEST(ValueTest, FilledArrayAndHelpers) {

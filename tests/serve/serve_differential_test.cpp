@@ -45,14 +45,9 @@ void expectMatches(const ServeResponse &R,
   ASSERT_TRUE(R.Ok) << Leg << " leg failed (seed " << C.Seed
                     << "): " << R.Message << "\nprogram:\n"
                     << C.Source;
-  ASSERT_EQ(R.Outputs.size(), Ref->size())
-      << Leg << " arity mismatch (seed " << C.Seed << ")";
-  for (size_t J = 0; J < Ref->size(); ++J)
-    EXPECT_TRUE(R.Outputs[J] == (*Ref)[J])
-        << Leg << " result " << J << " differs (seed " << C.Seed
-        << ")\n  served:    " << R.Outputs[J].str()
-        << "\n  reference: " << (*Ref)[J].str() << "\nprogram:\n"
-        << C.Source;
+  EXPECT_EQ(firstDifference(R.Outputs, *Ref), "")
+      << Leg << " leg (seed " << C.Seed << ")\nprogram:\n"
+      << C.Source;
 }
 
 class ServeDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
