@@ -25,12 +25,18 @@
 // where stream_red starts every chunk's accumulator from the same neutral
 // array by design.
 //
+// Each benchmark's declared tolerances are checked against main's result
+// types without running it: a 1-ulp change fails every output that
+// declares none.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bench_suite/Benchmarks.h"
+#include "parser/Desugar.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 using namespace fut;
@@ -73,6 +79,42 @@ void countConsumed(const EnvView &Env, const VName &Arr, ConsumeCounts &C) {
     return;
   ++C.Consumed;
   C.Shared += !V->uniquelyHeld();
+}
+
+/// \p V moved by the smallest step its kind has: the next float up, the
+/// next integer, or the other truth value.
+PrimValue nudged(const PrimValue &V) {
+  switch (V.kind()) {
+  case ScalarKind::Bool:
+    return PrimValue::makeBool(!V.getBool());
+  case ScalarKind::I32:
+    return PrimValue::makeI32(static_cast<int32_t>(V.getInt() + 1));
+  case ScalarKind::I64:
+    return PrimValue::makeI64(V.getInt() + 1);
+  case ScalarKind::F32:
+    return PrimValue::makeF32(
+        std::nextafter(static_cast<float>(V.getFloat()), 2.0f));
+  case ScalarKind::F64:
+    return PrimValue::makeF64(std::nextafter(V.getFloat(), 2.0));
+  }
+  return V;
+}
+
+/// One (or true) of kind \p K.
+PrimValue oneOf(ScalarKind K) {
+  switch (K) {
+  case ScalarKind::Bool:
+    return PrimValue::makeBool(true);
+  case ScalarKind::I32:
+    return PrimValue::makeI32(1);
+  case ScalarKind::I64:
+    return PrimValue::makeI64(1);
+  case ScalarKind::F32:
+    return PrimValue::makeF32(1.0f);
+  case ScalarKind::F64:
+    return PrimValue::makeF64(1.0);
+  }
+  return PrimValue();
 }
 
 class BenchmarkSweep : public ::testing::TestWithParam<std::string> {};
@@ -146,6 +188,53 @@ TEST_P(BenchmarkSweep, PlannedPeakIsEnoughDeviceMemory) {
   ASSERT_TRUE(static_cast<bool>(T)) << T.getError().str();
   EXPECT_EQ(T->Cost.str(), R->Cost.str());
   EXPECT_EQ(firstDifference(T->Outputs, R->Outputs), "");
+}
+
+TEST_P(BenchmarkSweep, OneUlpFailsEveryUndeclaredOutput) {
+  // A declared tolerance sits on a float result of main, is at most 1e-5
+  // and covers its own output only: on a stand-in for main's results
+  // (every element 1, arrays 2 wide per dimension), a 1-ulp change to
+  // output J is accepted exactly when J declares a tolerance.
+  const BenchmarkDef *B = findBenchmark(GetParam());
+  ASSERT_NE(B, nullptr);
+  NameSource Names;
+  auto P = frontend(B->Source, Names);
+  ASSERT_TRUE(static_cast<bool>(P)) << P.getError().str();
+  const FunDef *Main = P->findFun("main");
+  ASSERT_NE(Main, nullptr);
+  const std::vector<Type> &Ret = Main->RetTypes;
+  ASSERT_LE(B->RelTol.size(), Ret.size()) << "a tolerance past the results";
+
+  std::vector<Value> Want;
+  for (const Type &T : Ret) {
+    PrimValue One = oneOf(T.elemKind());
+    Want.push_back(T.isScalar()
+                       ? Value::scalar(One)
+                       : Value::filledArray(T.elemKind(),
+                                            std::vector<int64_t>(T.rank(), 2),
+                                            One));
+  }
+  for (size_t J = 0; J < Ret.size(); ++J) {
+    double Tol = J < B->RelTol.size() ? B->RelTol[J] : 0;
+    if (Tol > 0) {
+      EXPECT_TRUE(isFloatKind(Ret[J].elemKind()))
+          << "output " << J << " is not a float";
+      EXPECT_LE(Tol, 1e-5) << "output " << J;
+    }
+    std::vector<Value> Got = Want;
+    if (Got[J].isScalar()) {
+      Got[J] = Value::scalar(nudged(Got[J].getScalar()));
+    } else {
+      std::vector<PrimValue> &Flat = Got[J].flatMut();
+      Flat.back() = nudged(Flat.back());
+    }
+    std::string Diff = firstDifference(Got, Want, B->RelTol);
+    if (Tol > 0)
+      EXPECT_EQ(Diff, "") << "output " << J << " declares " << Tol;
+    else
+      EXPECT_EQ(Diff.rfind("output " + std::to_string(J) + " differs", 0), 0u)
+          << "output " << J << ": " << Diff;
+  }
 }
 
 TEST_P(BenchmarkSweep, ReferenceConfigurationRuns) {
