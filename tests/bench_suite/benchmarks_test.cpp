@@ -48,27 +48,29 @@ struct ConsumeCounts {
   int64_t Consumed = 0; ///< Arrays an update or histogram consumed.
   int64_t Shared = 0;   ///< Of those, the ones whose payload was shared.
   int64_t Copied = 0;   ///< The ones the interpreter mutated a copy of.
+  int64_t Exps = 0;     ///< Expressions the reference run evaluated.
 };
 
-/// The pinned counts, per benchmark.
+/// The pinned counts, per benchmark.  The expression counts are the
+/// observation hook's calls, one per evaluated expression.
 const std::map<std::string, ConsumeCounts> &pinnedConsumes() {
   static const std::map<std::string, ConsumeCounts> Counts = {
-      {"backprop", {0, 0, 0}},
-      {"cfd", {0, 0, 0}},
-      {"hotspot", {0, 0, 0}},
-      {"kmeans", {40960, 2, 2}},
-      {"lavamd", {0, 0, 0}},
-      {"myocyte", {1048576, 0, 0}},
-      {"nn", {12, 0, 0}},
-      {"pathfinder", {0, 0, 0}},
-      {"srad", {0, 0, 0}},
-      {"locvolcalib", {0, 0, 0}},
-      {"optionpricing", {262144, 0, 0}},
-      {"mriq", {0, 0, 0}},
-      {"crystal", {0, 0, 0}},
-      {"fluid", {0, 0, 0}},
-      {"mandelbrot", {0, 0, 0}},
-      {"nbody", {0, 0, 0}},
+      {"backprop", {0, 0, 0, 394179}},
+      {"cfd", {0, 0, 0, 262144}},
+      {"hotspot", {0, 0, 0, 3200281}},
+      {"kmeans", {40960, 2, 2, 311329}},
+      {"lavamd", {0, 0, 0, 1578338}},
+      {"myocyte", {1048576, 0, 0, 10522625}},
+      {"nn", {12, 0, 0, 475177}},
+      {"pathfinder", {0, 0, 0, 3874820}},
+      {"srad", {0, 0, 0, 1253441}},
+      {"locvolcalib", {0, 0, 0, 1870913}},
+      {"optionpricing", {262144, 0, 0, 2891779}},
+      {"mriq", {0, 0, 0, 4202497}},
+      {"crystal", {0, 0, 0, 1400833}},
+      {"fluid", {0, 0, 0, 1020181}},
+      {"mandelbrot", {0, 0, 0, 4324955}},
+      {"nbody", {0, 0, 0, 7669249}},
   };
   return Counts;
 }
@@ -146,10 +148,12 @@ TEST_P(BenchmarkSweep, CompilesRunsAndMatchesReference) {
   EXPECT_LE(R->Cost.PeakDeviceBytes, R->Cost.PlannedPeakBytes)
       << "observed residency must stay within the plan's layout";
 
-  // One reference run checks the outputs and counts the consumes.
+  // One reference run checks the outputs and counts the consumes and the
+  // evaluated expressions.
   ConsumeCounts Got;
   InterpOptions Hooks;
   Hooks.OnExp = [&](const Exp &E, const EnvView &Env) {
+    ++Got.Exps;
     if (const auto *X = expDynCast<UpdateExp>(&E))
       countConsumed(Env, X->Arr, Got);
     else if (const auto *X = expDynCast<ReduceByIndexExp>(&E))
@@ -168,6 +172,8 @@ TEST_P(BenchmarkSweep, CompilesRunsAndMatchesReference) {
   EXPECT_EQ(Got.Copied, Pinned->second.Copied)
       << Got.Copied << " of " << Got.Consumed
       << " consumed arrays were copied by the interpreter";
+  EXPECT_EQ(Got.Exps, Pinned->second.Exps)
+      << "the reference run evaluated another number of expressions";
 }
 
 TEST_P(BenchmarkSweep, PlannedPeakIsEnoughDeviceMemory) {
