@@ -35,6 +35,18 @@ Value Value::slice(const std::vector<int64_t> &Prefix) const {
   return Value::array(Elem, std::move(NewShape), std::move(NewData));
 }
 
+Value Value::row(int64_t I) const {
+  assert(!Scalar && !Shape.empty() && "no outer dimension");
+  assert(I >= 0 && I < Shape[0] && "row out of bounds");
+  if (Shape.size() == 1)
+    return Value::scalar((*Data)[I]);
+  int64_t Inner = rowElems();
+  std::vector<int64_t> NewShape(Shape.begin() + 1, Shape.end());
+  std::vector<PrimValue> NewData(Data->begin() + I * Inner,
+                                 Data->begin() + (I + 1) * Inner);
+  return Value::array(Elem, std::move(NewShape), std::move(NewData));
+}
+
 bool Value::operator==(const Value &Other) const {
   if (Scalar != Other.Scalar)
     return false;

@@ -81,6 +81,12 @@ public:
     return SVal;
   }
 
+  /// Replaces a scalar value's scalar in place.
+  void setScalar(PrimValue V) {
+    assert(Scalar && "not a scalar value");
+    SVal = V;
+  }
+
   ScalarKind elemKind() const { return Scalar ? SVal.kind() : Elem; }
   const std::vector<int64_t> &shape() const {
     assert(!Scalar && "scalar has no shape");
@@ -155,7 +161,7 @@ public:
   Value slice(const std::vector<int64_t> &Prefix) const;
 
   /// The row at index I of the outer dimension.
-  Value row(int64_t I) const { return slice({I}); }
+  Value row(int64_t I) const;
 
   /// Element-wise equality (exact, including kinds and shape).  Floats
   /// compare with PrimValue's ==: NaN differs from itself and +0 equals -0.
