@@ -102,6 +102,16 @@ echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 "$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 \
   --out "$BUILD_DIR"/fuzz-failures
 
+echo "== warp-range oracle: forced splits change nothing =="
+# No fuzz launch is large enough to split into warp ranges on its own
+# (WarpRanges.FuzzKernelsNeverSplit), so the range, lane-sharing and
+# merge code of KernelSim would see only the suite.  The ForceSplitRanges
+# test hook splits every launch that can split into ranges of less than a
+# warp, cut inside warps; each seed's device leg must then give the same
+# cost line, outputs and typed errors as without it.
+"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --split-ranges \
+  --out "$BUILD_DIR"/fuzz-failures-split
+
 echo "== mem-plan leg: plan verifier + observed peak within the plan =="
 # Observed PeakDeviceBytes stays within the plan-derived bound on the
 # whole bench suite (BenchmarkSweep, whose reference run also pins the

@@ -169,6 +169,16 @@ Outcome runCrossModel(const FuzzCase &C,
                           gpusim::DeviceParams::gtx780(),
                       int Devices = 1);
 
+/// Warp-range oracle: compiles once and runs the device leg twice, as
+/// \p DP has it and with DeviceParams::ForceSplitRanges, which splits
+/// every launch that can split into ranges of less than a warp.  The two
+/// runs must agree byte for byte: the same cost line (CostReport::str()),
+/// bit-identical outputs, or the identical typed runtime error.
+Outcome runSplitRanges(const FuzzCase &C,
+                       const gpusim::DeviceParams &DP =
+                           gpusim::DeviceParams::gtx780(),
+                       int Devices = 1);
+
 /// A shrunk failing case: the minimal plan, its rendering, the failure
 /// message of the minimal case, and the work it took.
 template <typename PlanT> struct ShrinkOutcome {

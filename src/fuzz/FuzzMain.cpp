@@ -52,6 +52,11 @@ void usage() {
           "                      under BOTH cost models and demand\n"
           "                      bit-identical outputs and exactly equal\n"
           "                      model-independent counters\n"
+          "  --split-ranges      additionally run each seed's device leg\n"
+          "                      with every launch split into ranges of\n"
+          "                      less than a warp (a test hook) and\n"
+          "                      demand the identical cost line, outputs\n"
+          "                      and typed errors\n"
           "  --vjp               gradient-check sweep: generate smooth f64\n"
           "                      programs, compile each with --vjp=main,\n"
           "                      and compare the adjoints on the simulated\n"
@@ -72,7 +77,8 @@ bool parseRange(const std::string &S, uint64_t &Lo, uint64_t &Hi) {
 int main(int argc, char **argv) {
   uint64_t Lo = 1, Hi = 100;
   std::string OutDir = "fuzz-failures";
-  bool Shrink = true, Verbose = false, CrossModel = false, VjpMode = false;
+  bool Shrink = true, Verbose = false, CrossModel = false, VjpMode = false,
+       SplitRanges = false;
   int64_t DumpSeed = -1;
   int Devices = 1;
   gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780();
@@ -128,6 +134,8 @@ int main(int argc, char **argv) {
       DP.CostModelName = V;
     } else if (A == "--cross-model") {
       CrossModel = true;
+    } else if (A == "--split-ranges") {
+      SplitRanges = true;
     } else if (A == "--vjp") {
       VjpMode = true;
     } else if (A == "--devices" || A.rfind("--devices=", 0) == 0) {
@@ -233,6 +241,18 @@ int main(int argc, char **argv) {
         ++Failures;
         fprintf(stderr, "seed %llu: CROSS-MODEL FAIL\n%s\n",
                 static_cast<unsigned long long>(Seed), XM.Message.c_str());
+        continue;
+      }
+    }
+    if (O.Ok && SplitRanges) {
+      // Like the cross-model oracle, independent of the interpreter: a
+      // split launch must merge to exactly what the whole launch computes
+      // and charges.
+      Outcome SR = runSplitRanges(C, DP, Devices);
+      if (!SR.Ok) {
+        ++Failures;
+        fprintf(stderr, "seed %llu: SPLIT-RANGES FAIL\n%s\n",
+                static_cast<unsigned long long>(Seed), SR.Message.c_str());
         continue;
       }
     }

@@ -205,6 +205,15 @@ public:
   /// issued to an idle device still pays the full launch cost.
   double PipelinedLaunchFraction = 0.5;
 
+  /// Test hook: every thread-body and segmented launch that can run as
+  /// warp ranges does, however small.  The lanes after the first run as
+  /// ranges of at most WarpSize - 1 lanes, so ranges start and end inside
+  /// warps.  Outputs, errors and every counter must be exactly those
+  /// of the unsplit run (futharkcc-fuzz --split-ranges checks this).  Each
+  /// range holds a copy of the launch's state until the merge, so keep
+  /// launches small.
+  bool ForceSplitRanges = false;
+
   /// A GTX 780 Ti-like configuration (the default).
   static DeviceParams gtx780();
   /// A FirePro W8100-like configuration: comparable bandwidth, slightly

@@ -2345,9 +2345,12 @@ constexpr int64_t kMaxRanges = 32;
 
 /// The lanes a launch runs on its first range before it estimates: one
 /// segment of a launch with a grid, whose lanes are whole sequential
-/// folds, and otherwise one warp.
+/// folds, and otherwise one warp.  Under DeviceParams::ForceSplitRanges,
+/// one lane.
 int64_t probeLanes(const DeviceParams &P, const KernelExp &K,
                    const ResolvedForm &Form) {
+  if (P.ForceSplitRanges)
+    return std::min<int64_t>(Form.Units, 1);
   bool LanesAreSegments = K.isSegmented() && !Form.Gridless;
   return std::min<int64_t>(Form.Units, LanesAreSegments ? 1 : P.WarpSize);
 }
@@ -2364,6 +2367,13 @@ int64_t rangesFor(int64_t ProbeOps, int64_t ProbeAccesses, int64_t Probed,
   int64_t Ops = ProbeOps * Units / Probed;
   int64_t N = std::min({Units - Probed, kMaxRanges, Ops / kRangeOps});
   return N < 2 ? 0 : N;
+}
+
+/// The number of ranges lanes [Probed, Units) run as under
+/// DeviceParams::ForceSplitRanges: ranges of WarpSize - 1 lanes.
+int64_t forcedRanges(const DeviceParams &P, int64_t Probed, int64_t Units) {
+  int64_t Lanes = std::max(1, P.WarpSize - 1);
+  return (Units - Probed + Lanes - 1) / Lanes;
 }
 
 /// A gridless fold's ranges buffer their element results until the first
@@ -2402,11 +2412,13 @@ bool runRanges(const DeviceParams &P, const KernelExp &K,
   First.beginLaunch();
   if (!First.runLanes(0, Probed))
     return false;
-  int64_t N = Form.Gridless && !foldsScalars(Form)
-                  ? 0
-                  : rangesFor(First.computeOps() - OpsBefore,
-                              First.globalAccesses() - AccessesBefore, Probed,
-                              Units);
+  int64_t N = 0;
+  if (!Form.Gridless || foldsScalars(Form))
+    N = P.ForceSplitRanges
+            ? forcedRanges(P, Probed, Units)
+            : rangesFor(First.computeOps() - OpsBefore,
+                        First.globalAccesses() - AccessesBefore, Probed,
+                        Units);
   if (N == 0)
     return First.runLanes(Probed, Units) && First.endLaunch();
 

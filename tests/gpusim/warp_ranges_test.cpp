@@ -158,6 +158,60 @@ TEST(WarpRanges, FuzzKernelsNeverSplit) {
   }
 }
 
+TEST(WarpRanges, ForcedSplitsSplitFuzzKernels) {
+  // The counterpart of FuzzKernelsNeverSplit: under the ForceSplitRanges
+  // test hook, fuzz launches of more than one lane run as several ranges
+  // of less than a warp, and the runs still agree with the unsplit ones
+  // byte for byte.
+  DeviceParams DP = DeviceParams::gtx780();
+  DP.ForceSplitRanges = true;
+  std::map<std::string, int> Split;
+  int Launches = 0;
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << Seed);
+    fuzz::FuzzCase FC = fuzz::renderPlan(fuzz::samplePlan(Seed), Seed);
+    fuzz::Outcome O = fuzz::runSplitRanges(FC);
+    EXPECT_TRUE(O.Ok) << O.Message;
+    NameSource NS;
+    auto C = compileSource(FC.Source, NS);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.getError().str();
+    DeviceRunOptions RO;
+    RO.Device = DP;
+    for (const KernelSpan &S :
+         kernelSpans([&] { (void)runCompiled(*C, FC.Args, RO); })) {
+      ++Launches;
+      Split[S.Name] += S.Chunks > 1;
+    }
+  }
+  for (const char *Kind :
+       {"kernel:threadbody", "kernel:segreduce", "kernel:segscan"})
+    EXPECT_GT(Split[Kind], 0) << "no " << Kind << " launch split";
+  int Total = 0;
+  for (const auto &KV : Split)
+    Total += KV.second;
+  EXPECT_GT(Total * 2, Launches) << Total << " of " << Launches
+                                 << " launches split";
+}
+
+TEST(WarpRanges, ForcedSplitsCutInsideWarps) {
+  // 100 threads: lane 0 probes, and the other 99 lanes run as four
+  // ranges of at most 31 lanes, starting at lanes 1, 25, 50 and 75.
+  CompileResult C = compiled("fun main (n: i32): [n]i32 =\n"
+                             "  map (\\(i: i32): i32 -> i * 3) (iota n)\n");
+  DeviceRunOptions RO;
+  RO.Device.ForceSplitRanges = true;
+  std::vector<KernelSpan> Spans;
+  ErrorOr<RunResult> Split(CompilerError("not run"));
+  Spans = kernelSpans([&] { Split = runCompiled(C, {iv(100)}, RO); });
+  ASSERT_OK(Split);
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(Spans[0].Chunks, 5);
+  auto Whole = runCompiled(C, {iv(100)});
+  ASSERT_OK(Whole);
+  EXPECT_EQ(Split->Cost.str(), Whole->Cost.str());
+  EXPECT_EQ(firstDifference(Split->Outputs, Whole->Outputs), "");
+}
+
 //===----------------------------------------------------------------------===//
 // Merge order
 //===----------------------------------------------------------------------===//
