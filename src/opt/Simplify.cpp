@@ -12,6 +12,7 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace fut;
 
@@ -669,7 +670,7 @@ void fut::removeDeadFunctions(Program &P,
       for (const Stm &S : B.Stms) {
         if (const auto *A = expDynCast<ApplyExp>(S.E.get()))
           Work.push_back(A->Func);
-        forEachChildBody(*S.E, Scan);
+        forEachChildBody(std::as_const(*S.E), Scan);
       }
     };
     Scan(F->FBody);

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 using namespace fut;
 using namespace fut::test;
 
@@ -128,7 +130,7 @@ TEST(FlattenTest, NestedMapBecomesDeepGrid) {
         Found = true;
         EXPECT_EQ(K->GridDims.size(), 2u) << printProgram(C.After);
       }
-      forEachChildBody(*S.E, Scan);
+      forEachChildBody(std::as_const(*S.E), Scan);
     }
   };
   Scan(B);

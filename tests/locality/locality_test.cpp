@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 using namespace fut;
 
 namespace {
@@ -51,7 +53,7 @@ bool anyInputTransposed(const Body &B) {
       if (const auto *K = expDynCast<KernelExp>(S.E.get()))
         for (const KernelExp::KInput &In : K->Inputs)
           Found = Found || !isIdentityPerm(In.LayoutPerm);
-      forEachChildBody(*S.E, Scan);
+      forEachChildBody(std::as_const(*S.E), Scan);
     }
   };
   Scan(B);
@@ -65,7 +67,7 @@ bool anyInputTiled(const Body &B) {
       if (const auto *K = expDynCast<KernelExp>(S.E.get()))
         for (const KernelExp::KInput &In : K->Inputs)
           Found = Found || In.Tiled;
-      forEachChildBody(*S.E, Scan);
+      forEachChildBody(std::as_const(*S.E), Scan);
     }
   };
   Scan(B);
