@@ -102,41 +102,14 @@ private:
         return false;
       // Free occurrences beyond the array list (e.g. explicit indexing
       // inside the lambda) block fusion, per Section 4.2.
-      NameSet LambdaFree = lambdaFreeVars(*B.Stms[T].E);
-      if (LambdaFree.count(Out.Name))
+      bool FreeInLambda = false;
+      forEachLambda(*B.Stms[T].E, [&](const Lambda &L) {
+        FreeInLambda = FreeInLambda || freeVarsInLambda(L).count(Out.Name);
+      });
+      if (FreeInLambda)
         return false;
     }
     return true;
-  }
-
-  static NameSet lambdaFreeVars(const Exp &E) {
-    NameSet Out;
-    switch (E.kind()) {
-    case ExpKind::Map:
-      return freeVarsInLambda(expCast<MapExp>(&E)->Fn);
-    case ExpKind::Reduce:
-      return freeVarsInLambda(expCast<ReduceExp>(&E)->Fn);
-    case ExpKind::Scan:
-      return freeVarsInLambda(expCast<ScanExp>(&E)->Fn);
-    case ExpKind::Stream: {
-      const auto *S = expCast<StreamExp>(&E);
-      NameSet A = freeVarsInLambda(S->FoldFn);
-      if (S->Form == StreamExp::FormKind::Red) {
-        NameSet B = freeVarsInLambda(S->ReduceFn);
-        A.insert(B.begin(), B.end());
-      }
-      return A;
-    }
-    case ExpKind::ReduceByIndex: {
-      const auto *R = expCast<ReduceByIndexExp>(&E);
-      NameSet A = freeVarsInLambda(R->CombineFn);
-      NameSet B = freeVarsInLambda(R->ValueFn);
-      A.insert(B.begin(), B.end());
-      return A;
-    }
-    default:
-      return Out;
-    }
   }
 
   /// True if some statement in (P, T) consumes a variable the producer

@@ -6,58 +6,28 @@
 
 #include "ir/IR.h"
 
+#include "ir/Fields.h"
+
+#include <iterator>
+
 using namespace fut;
 
 Exp::~Exp() = default;
 
 const char *fut::expKindName(ExpKind K) {
-  switch (K) {
-  case ExpKind::SubExpE:
-    return "subexp";
-  case ExpKind::BinOpE:
-    return "binop";
-  case ExpKind::UnOpE:
-    return "unop";
-  case ExpKind::ConvOpE:
-    return "convop";
-  case ExpKind::If:
-    return "if";
-  case ExpKind::Index:
-    return "index";
-  case ExpKind::Apply:
-    return "apply";
-  case ExpKind::Loop:
-    return "loop";
-  case ExpKind::Update:
-    return "update";
-  case ExpKind::Iota:
-    return "iota";
-  case ExpKind::Replicate:
-    return "replicate";
-  case ExpKind::Rearrange:
-    return "rearrange";
-  case ExpKind::Reshape:
-    return "reshape";
-  case ExpKind::Concat:
-    return "concat";
-  case ExpKind::Copy:
-    return "copy";
-  case ExpKind::Slice:
-    return "slice";
-  case ExpKind::Map:
-    return "map";
-  case ExpKind::Reduce:
-    return "reduce";
-  case ExpKind::Scan:
-    return "scan";
-  case ExpKind::Stream:
-    return "stream";
-  case ExpKind::ReduceByIndex:
-    return "reduce_by_index";
-  case ExpKind::Kernel:
-    return "kernel";
-  }
-  return "?";
+  // In ExpKind order.
+  static const char *const Names[] = {
+      "subexp", "binop", "unop", "convop", "if", "index", "apply", "loop",
+      "update", "iota", "replicate", "rearrange", "reshape", "concat", "copy",
+      "slice", "map", "reduce", "scan", "stream", "reduce_by_index", "kernel"};
+  static_assert(std::size(Names) == static_cast<size_t>(ExpKind::Kernel) + 1);
+  return Names[static_cast<size_t>(K)];
+}
+
+ExpPtr Exp::clone() const {
+  return visitExp(*this, [](const auto &X) -> ExpPtr {
+    return std::make_unique<std::decay_t<decltype(X)>>(X);
+  });
 }
 
 Stm::Stm(std::vector<Param> Pat, ExpPtr E)
@@ -76,140 +46,6 @@ Stm &Stm::operator=(const Stm &Other) {
   return *this;
 }
 
-Body fut::cloneBody(const Body &B) {
-  Body Out;
-  Out.Stms.reserve(B.Stms.size());
-  for (const Stm &S : B.Stms)
-    Out.Stms.emplace_back(S.Pat, S.E->clone());
-  Out.Result = B.Result;
-  return Out;
-}
+Body fut::cloneBody(const Body &B) { return B; }
 
-Lambda fut::cloneLambda(const Lambda &L) {
-  return Lambda(L.Params, cloneBody(L.B), L.RetTypes);
-}
-
-namespace {
-
-/// Copies the source location when cloning.
-template <typename T> ExpPtr withLoc(const Exp &Src, std::unique_ptr<T> E) {
-  E->Loc = Src.Loc;
-  return E;
-}
-
-} // namespace
-
-ExpPtr SubExpExp::clone() const {
-  return withLoc(*this, std::make_unique<SubExpExp>(Val));
-}
-
-ExpPtr BinOpExp::clone() const {
-  return withLoc(*this, std::make_unique<BinOpExp>(Op, A, B));
-}
-
-ExpPtr UnOpExp::clone() const {
-  return withLoc(*this, std::make_unique<UnOpExp>(Op, A));
-}
-
-ExpPtr ConvOpExp::clone() const {
-  return withLoc(*this, std::make_unique<ConvOpExp>(Op, A));
-}
-
-ExpPtr IfExp::clone() const {
-  return withLoc(*this, std::make_unique<IfExp>(Cond, cloneBody(Then),
-                                                cloneBody(Else), RetTypes));
-}
-
-ExpPtr IndexExp::clone() const {
-  return withLoc(*this, std::make_unique<IndexExp>(Arr, Indices));
-}
-
-ExpPtr ApplyExp::clone() const {
-  return withLoc(*this, std::make_unique<ApplyExp>(Func, Args));
-}
-
-ExpPtr LoopExp::clone() const {
-  return withLoc(*this,
-                 std::make_unique<LoopExp>(MergeParams, MergeInit, IndexVar,
-                                           Bound, cloneBody(LoopBody)));
-}
-
-ExpPtr UpdateExp::clone() const {
-  return withLoc(*this, std::make_unique<UpdateExp>(Arr, Indices, Value));
-}
-
-ExpPtr IotaExp::clone() const {
-  return withLoc(*this, std::make_unique<IotaExp>(N, Elem));
-}
-
-ExpPtr ReplicateExp::clone() const {
-  return withLoc(*this, std::make_unique<ReplicateExp>(N, Val, ValType));
-}
-
-ExpPtr RearrangeExp::clone() const {
-  return withLoc(*this, std::make_unique<RearrangeExp>(Perm, Arr));
-}
-
-ExpPtr ReshapeExp::clone() const {
-  return withLoc(*this, std::make_unique<ReshapeExp>(NewShape, Arr));
-}
-
-ExpPtr ConcatExp::clone() const {
-  return withLoc(*this, std::make_unique<ConcatExp>(Arrays));
-}
-
-ExpPtr SliceExp::clone() const {
-  return withLoc(*this,
-                 std::make_unique<SliceExp>(Arr, Offset, Len, Stride));
-}
-
-ExpPtr CopyExp::clone() const {
-  return withLoc(*this, std::make_unique<CopyExp>(Arr));
-}
-
-ExpPtr MapExp::clone() const {
-  return withLoc(*this,
-                 std::make_unique<MapExp>(Width, cloneLambda(Fn), Arrays));
-}
-
-ExpPtr ReduceExp::clone() const {
-  return withLoc(*this, std::make_unique<ReduceExp>(Width, cloneLambda(Fn),
-                                                    Neutral, Arrays,
-                                                    Commutative));
-}
-
-ExpPtr ScanExp::clone() const {
-  return withLoc(
-      *this, std::make_unique<ScanExp>(Width, cloneLambda(Fn), Neutral,
-                                       Arrays));
-}
-
-ExpPtr StreamExp::clone() const {
-  return withLoc(*this, std::make_unique<StreamExp>(
-                            Form, Width, cloneLambda(ReduceFn), NumAccs,
-                            AccInit, cloneLambda(FoldFn), Arrays));
-}
-
-ExpPtr ReduceByIndexExp::clone() const {
-  return withLoc(*this, std::make_unique<ReduceByIndexExp>(
-                            Width, Dest, cloneLambda(CombineFn), Neutral,
-                            cloneLambda(ValueFn), IndexArr, ValueArrs));
-}
-
-ExpPtr KernelExp::clone() const {
-  auto K = std::make_unique<KernelExp>();
-  K->Op = Op;
-  K->GridDims = GridDims;
-  K->ThreadIndices = ThreadIndices;
-  K->SegSize = SegSize;
-  K->SegIndex = SegIndex;
-  K->ReduceFn = cloneLambda(ReduceFn);
-  K->Neutral = Neutral;
-  K->Inputs = Inputs;
-  K->ThreadBody = cloneBody(ThreadBody);
-  K->RetTypes = RetTypes;
-  K->TransposedOutputs = TransposedOutputs;
-  K->HistDest = HistDest;
-  K->HistWidth = HistWidth;
-  return withLoc(*this, std::move(K));
-}
+Lambda fut::cloneLambda(const Lambda &L) { return L; }

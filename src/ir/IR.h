@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace fut {
@@ -94,18 +95,52 @@ enum class ExpKind : uint8_t {
 
 const char *expKindName(ExpKind K);
 
+/// What an expression field holds.  Every expression class lists its fields
+/// once, in a static `fields(X, Fn)` that calls Fn(role, field) or
+/// Fn(role, field, present) per field; clone, the traversals of
+/// ir/Traversal.h and the artifact codec are all derived from these lists
+/// (ir/Fields.h).  The order is the traversal order: operands, which are
+/// read in the enclosing scope, come before binders, and binders before the
+/// lambdas and bodies that see them.  A field whose presence condition is
+/// false is absent: it adds no operand or free variable and binds nothing,
+/// but substitution and renaming still rewrite it, forEachChildBody still
+/// visits its bodies, and clone and the codec still copy it.
+enum class Role : uint8_t {
+  Operand, ///< SubExp or vector<SubExp>.
+  Array,   ///< VName or vector<VName>: an operand that must be a variable.
+  Type,    ///< Type or vector<Type>: its dimensions are operands.
+  Inputs,  ///< vector<KernelExp::KInput>: records with their own fields.
+  Binder,  ///< VName, vector<VName> or vector<Param>, bound for later fields.
+  Lambda,  ///< A nested anonymous function.
+  Body,    ///< A nested body.
+  Payload, ///< Names nothing: operators, kinds, flags, permutations.
+};
+template <Role R> using RoleTag = std::integral_constant<Role, R>;
+inline constexpr RoleTag<Role::Operand> kOperand{};
+inline constexpr RoleTag<Role::Array> kArray{};
+inline constexpr RoleTag<Role::Type> kType{};
+inline constexpr RoleTag<Role::Inputs> kInputs{};
+inline constexpr RoleTag<Role::Binder> kBinder{};
+inline constexpr RoleTag<Role::Lambda> kLambda{};
+inline constexpr RoleTag<Role::Body> kBody{};
+inline constexpr RoleTag<Role::Payload> kPayload{};
+
 /// Base class of all expressions.
 class Exp {
   const ExpKind Kind;
 
+protected:
+  explicit Exp(ExpKind K) : Kind(K) {}
+  Exp(const Exp &) = default;
+
 public:
   SrcLoc Loc;
 
-  explicit Exp(ExpKind K) : Kind(K) {}
   virtual ~Exp();
 
   ExpKind kind() const { return Kind; }
-  virtual ExpPtr clone() const = 0;
+  /// A deep copy, source location included.
+  ExpPtr clone() const;
 
   /// True for the SOACs of Section 2: map, reduce, scan and streams.
   bool isSOAC() const {
@@ -145,38 +180,54 @@ public:
   SubExp Val;
 
   explicit SubExpExp(SubExp Val) : Exp(ClassKind), Val(std::move(Val)) {}
-  ExpPtr clone() const override;
+  SubExpExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Val);
+  }
 };
 
 class BinOpExp : public Exp {
 public:
   static constexpr ExpKind ClassKind = ExpKind::BinOpE;
-  BinOp Op;
+  BinOp Op{};
   SubExp A, B;
 
   BinOpExp(BinOp Op, SubExp A, SubExp B)
       : Exp(ClassKind), Op(Op), A(std::move(A)), B(std::move(B)) {}
-  ExpPtr clone() const override;
+  BinOpExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Op);
+    Fn(kOperand, X.A);
+    Fn(kOperand, X.B);
+  }
 };
 
 class UnOpExp : public Exp {
 public:
   static constexpr ExpKind ClassKind = ExpKind::UnOpE;
-  UnOp Op;
+  UnOp Op{};
   SubExp A;
 
   UnOpExp(UnOp Op, SubExp A) : Exp(ClassKind), Op(Op), A(std::move(A)) {}
-  ExpPtr clone() const override;
+  UnOpExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Op);
+    Fn(kOperand, X.A);
+  }
 };
 
 class ConvOpExp : public Exp {
 public:
   static constexpr ExpKind ClassKind = ExpKind::ConvOpE;
-  ConvOp Op;
+  ConvOp Op{};
   SubExp A;
 
   ConvOpExp(ConvOp Op, SubExp A) : Exp(ClassKind), Op(Op), A(std::move(A)) {}
-  ExpPtr clone() const override;
+  ConvOpExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Op);
+    Fn(kOperand, X.A);
+  }
 };
 
 /// if c then e1 else e2, producing RetTypes.size() values.
@@ -190,7 +241,13 @@ public:
   IfExp(SubExp Cond, Body Then, Body Else, std::vector<Type> RetTypes)
       : Exp(ClassKind), Cond(std::move(Cond)), Then(std::move(Then)),
         Else(std::move(Else)), RetTypes(std::move(RetTypes)) {}
-  ExpPtr clone() const override;
+  IfExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Cond);
+    Fn(kType, X.RetTypes);
+    Fn(kBody, X.Then);
+    Fn(kBody, X.Else);
+  }
 };
 
 /// a[i1, ..., ik] — a full scalar read when k equals the rank of a, a slice
@@ -203,7 +260,11 @@ public:
 
   IndexExp(VName Arr, std::vector<SubExp> Indices)
       : Exp(ClassKind), Arr(std::move(Arr)), Indices(std::move(Indices)) {}
-  ExpPtr clone() const override;
+  IndexExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kArray, X.Arr);
+    Fn(kOperand, X.Indices);
+  }
 };
 
 /// Call of a named top-level function.
@@ -215,7 +276,11 @@ public:
 
   ApplyExp(std::string Func, std::vector<SubExp> Args)
       : Exp(ClassKind), Func(std::move(Func)), Args(std::move(Args)) {}
-  ExpPtr clone() const override;
+  ApplyExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Func);
+    Fn(kOperand, X.Args);
+  }
 };
 
 /// loop (p1 = a1, ..., pn = an) for i < w do body — sequential semantics,
@@ -234,7 +299,14 @@ public:
       : Exp(ClassKind), MergeParams(std::move(MergeParams)),
         MergeInit(std::move(MergeInit)), IndexVar(std::move(IndexVar)),
         Bound(std::move(Bound)), LoopBody(std::move(LoopBody)) {}
-  ExpPtr clone() const override;
+  LoopExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.MergeInit);
+    Fn(kOperand, X.Bound);
+    Fn(kBinder, X.IndexVar);
+    Fn(kBinder, X.MergeParams);
+    Fn(kBody, X.LoopBody);
+  }
 };
 
 /// a with [i1, ..., ik] <- v — the in-place update of Section 3, consuming a.
@@ -248,7 +320,12 @@ public:
   UpdateExp(VName Arr, std::vector<SubExp> Indices, SubExp Value)
       : Exp(ClassKind), Arr(std::move(Arr)), Indices(std::move(Indices)),
         Value(std::move(Value)) {}
-  ExpPtr clone() const override;
+  UpdateExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kArray, X.Arr);
+    Fn(kOperand, X.Indices);
+    Fn(kOperand, X.Value);
+  }
 };
 
 /// iota n = [0, 1, ..., n-1] of the given integer kind.
@@ -256,11 +333,15 @@ class IotaExp : public Exp {
 public:
   static constexpr ExpKind ClassKind = ExpKind::Iota;
   SubExp N;
-  ScalarKind Elem;
+  ScalarKind Elem = ScalarKind::I32;
 
   IotaExp(SubExp N, ScalarKind Elem = ScalarKind::I32)
       : Exp(ClassKind), N(std::move(N)), Elem(Elem) {}
-  ExpPtr clone() const override;
+  IotaExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.N);
+    Fn(kPayload, X.Elem);
+  }
 };
 
 /// replicate n v = [v, ..., v] (n copies); v may itself be an array.
@@ -274,7 +355,12 @@ public:
   ReplicateExp(SubExp N, SubExp Val, Type ValType)
       : Exp(ClassKind), N(std::move(N)), Val(std::move(Val)),
         ValType(std::move(ValType)) {}
-  ExpPtr clone() const override;
+  ReplicateExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.N);
+    Fn(kOperand, X.Val);
+    Fn(kType, X.ValType);
+  }
 };
 
 /// rearrange (k0, ..., k_{r-1}) a — reorder dimensions by a static
@@ -287,7 +373,11 @@ public:
 
   RearrangeExp(std::vector<int> Perm, VName Arr)
       : Exp(ClassKind), Perm(std::move(Perm)), Arr(std::move(Arr)) {}
-  ExpPtr clone() const override;
+  RearrangeExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Perm);
+    Fn(kArray, X.Arr);
+  }
 };
 
 /// reshape (d1, ..., dk) a — same elements, new regular shape.
@@ -299,7 +389,11 @@ public:
 
   ReshapeExp(std::vector<SubExp> NewShape, VName Arr)
       : Exp(ClassKind), NewShape(std::move(NewShape)), Arr(std::move(Arr)) {}
-  ExpPtr clone() const override;
+  ReshapeExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.NewShape);
+    Fn(kArray, X.Arr);
+  }
 };
 
 /// concat a1 ... ak along the outer dimension.
@@ -310,7 +404,10 @@ public:
 
   explicit ConcatExp(std::vector<VName> Arrays)
       : Exp(ClassKind), Arrays(std::move(Arrays)) {}
-  ExpPtr clone() const override;
+  ConcatExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kArray, X.Arrays);
+  }
 };
 
 /// slice a off len stride — the rows off, off+stride, ..., (len of them);
@@ -330,7 +427,13 @@ public:
            SubExp Stride = SubExp::constant(PrimValue::makeI32(1)))
       : Exp(ClassKind), Arr(std::move(Arr)), Offset(std::move(Offset)),
         Len(std::move(Len)), Stride(std::move(Stride)) {}
-  ExpPtr clone() const override;
+  SliceExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kArray, X.Arr);
+    Fn(kOperand, X.Offset);
+    Fn(kOperand, X.Len);
+    Fn(kOperand, X.Stride);
+  }
 };
 
 /// copy a — a fresh, alias-free duplicate (used to satisfy uniqueness).
@@ -340,7 +443,10 @@ public:
   VName Arr;
 
   explicit CopyExp(VName Arr) : Exp(ClassKind), Arr(std::move(Arr)) {}
-  ExpPtr clone() const override;
+  CopyExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kArray, X.Arr);
+  }
 };
 
 /// map f a1 ... aq over arrays of outer size Width.
@@ -354,7 +460,12 @@ public:
   MapExp(SubExp Width, Lambda Fn, std::vector<VName> Arrays)
       : Exp(ClassKind), Width(std::move(Width)), Fn(std::move(Fn)),
         Arrays(std::move(Arrays)) {}
-  ExpPtr clone() const override;
+  MapExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Width);
+    Fn(kArray, X.Arrays);
+    Fn(kLambda, X.Fn);
+  }
 };
 
 /// reduce f (n1, ..., nk) a1 ... ak — f must be associative (a programmer
@@ -367,14 +478,21 @@ public:
   Lambda Fn;
   std::vector<SubExp> Neutral;
   std::vector<VName> Arrays;
-  bool Commutative;
+  bool Commutative = false;
 
   ReduceExp(SubExp Width, Lambda Fn, std::vector<SubExp> Neutral,
             std::vector<VName> Arrays, bool Commutative = false)
       : Exp(ClassKind), Width(std::move(Width)), Fn(std::move(Fn)),
         Neutral(std::move(Neutral)), Arrays(std::move(Arrays)),
         Commutative(Commutative) {}
-  ExpPtr clone() const override;
+  ReduceExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Width);
+    Fn(kOperand, X.Neutral);
+    Fn(kArray, X.Arrays);
+    Fn(kPayload, X.Commutative);
+    Fn(kLambda, X.Fn);
+  }
 };
 
 /// scan f (n1, ..., nk) a1 ... ak — inclusive prefix sums.
@@ -390,7 +508,13 @@ public:
           std::vector<VName> Arrays)
       : Exp(ClassKind), Width(std::move(Width)), Fn(std::move(Fn)),
         Neutral(std::move(Neutral)), Arrays(std::move(Arrays)) {}
-  ExpPtr clone() const override;
+  ScanExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Width);
+    Fn(kOperand, X.Neutral);
+    Fn(kArray, X.Arrays);
+    Fn(kLambda, X.Fn);
+  }
 };
 
 /// reduce_by_index dest f ne is vs1 ... vsq — the generalized histogram
@@ -421,7 +545,16 @@ public:
         CombineFn(std::move(CombineFn)), Neutral(std::move(Neutral)),
         ValueFn(std::move(ValueFn)), IndexArr(std::move(IndexArr)),
         ValueArrs(std::move(ValueArrs)) {}
-  ExpPtr clone() const override;
+  ReduceByIndexExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kOperand, X.Width);
+    Fn(kArray, X.Dest);
+    Fn(kOperand, X.Neutral);
+    Fn(kArray, X.IndexArr);
+    Fn(kArray, X.ValueArrs);
+    Fn(kLambda, X.CombineFn);
+    Fn(kLambda, X.ValueFn);
+  }
 };
 
 /// The streaming SOACs of Section 4 (Fig 8), unified in one node.
@@ -441,10 +574,10 @@ public:
   static constexpr ExpKind ClassKind = ExpKind::Stream;
   enum class FormKind : uint8_t { Par, Red, Seq };
 
-  FormKind Form;
+  FormKind Form = FormKind::Par;
   SubExp Width;
   Lambda ReduceFn; ///< Only meaningful for Red.
-  int NumAccs;
+  int NumAccs = 0;
   std::vector<SubExp> AccInit;
   Lambda FoldFn;
   std::vector<VName> Arrays;
@@ -456,7 +589,16 @@ public:
         ReduceFn(std::move(ReduceFn)), NumAccs(NumAccs),
         AccInit(std::move(AccInit)), FoldFn(std::move(FoldFn)),
         Arrays(std::move(Arrays)) {}
-  ExpPtr clone() const override;
+  StreamExp() : Exp(ClassKind) {}
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Form);
+    Fn(kPayload, X.NumAccs);
+    Fn(kOperand, X.Width);
+    Fn(kOperand, X.AccInit);
+    Fn(kArray, X.Arrays);
+    Fn(kLambda, X.ReduceFn, X.Form == FormKind::Red);
+    Fn(kLambda, X.FoldFn);
+  }
 
   const char *formName() const {
     switch (Form) {
@@ -495,6 +637,13 @@ public:
     Type Ty;
     std::vector<int> LayoutPerm;
     bool Tiled = false;
+
+    template <class Self, class F> static void fields(Self &X, F &&Fn) {
+      Fn(kArray, X.Arr);
+      Fn(kType, X.Ty);
+      Fn(kPayload, X.LayoutPerm);
+      Fn(kPayload, X.Tiled);
+    }
   };
 
   OpKind Op;
@@ -521,7 +670,21 @@ public:
   bool TransposedOutputs = false;
 
   KernelExp() : Exp(ClassKind), Op(OpKind::ThreadBody) {}
-  ExpPtr clone() const override;
+  template <class Self, class F> static void fields(Self &X, F &&Fn) {
+    Fn(kPayload, X.Op);
+    Fn(kPayload, X.TransposedOutputs);
+    Fn(kOperand, X.GridDims);
+    Fn(kOperand, X.SegSize, X.isSegmented());
+    Fn(kArray, X.HistDest, X.Op == OpKind::SegHist);
+    Fn(kOperand, X.HistWidth, X.Op == OpKind::SegHist);
+    Fn(kOperand, X.Neutral);
+    Fn(kInputs, X.Inputs);
+    Fn(kType, X.RetTypes);
+    Fn(kBinder, X.ThreadIndices);
+    Fn(kBinder, X.SegIndex, X.isSegmented());
+    Fn(kLambda, X.ReduceFn, X.usesReduceFn());
+    Fn(kBody, X.ThreadBody);
+  }
 
   /// SegReduce/SegScan: grid × SegSize threads with a per-segment combine.
   /// SegHist is NOT segmented — it is grid-shaped like ThreadBody (one

@@ -441,51 +441,6 @@ public:
   }
 
 private:
-  /// Names bound by the binder expression itself (lambda params etc.).
-  static NameSet binderBound(const Exp &E) {
-    NameSet S;
-    switch (E.kind()) {
-    case ExpKind::Loop: {
-      const auto *L = expCast<LoopExp>(&E);
-      for (const Param &P : L->MergeParams)
-        S.insert(P.Name);
-      S.insert(L->IndexVar);
-      break;
-    }
-    case ExpKind::Map:
-      for (const Param &P : expCast<MapExp>(&E)->Fn.Params)
-        S.insert(P.Name);
-      break;
-    case ExpKind::Reduce:
-      for (const Param &P : expCast<ReduceExp>(&E)->Fn.Params)
-        S.insert(P.Name);
-      break;
-    case ExpKind::Scan:
-      for (const Param &P : expCast<ScanExp>(&E)->Fn.Params)
-        S.insert(P.Name);
-      break;
-    case ExpKind::Stream: {
-      const auto *St = expCast<StreamExp>(&E);
-      for (const Param &P : St->ReduceFn.Params)
-        S.insert(P.Name);
-      for (const Param &P : St->FoldFn.Params)
-        S.insert(P.Name);
-      break;
-    }
-    case ExpKind::ReduceByIndex: {
-      const auto *R = expCast<ReduceByIndexExp>(&E);
-      for (const Param &P : R->CombineFn.Params)
-        S.insert(P.Name);
-      for (const Param &P : R->ValueFn.Params)
-        S.insert(P.Name);
-      break;
-    }
-    default:
-      break;
-    }
-    return S;
-  }
-
   static bool hoistable(const Exp &E) {
     // Cheap, pure, *total* expressions without nested bodies.  Loops and
     // SOACs stay put.  iota/replicate hoisting is the paper's aggressive
@@ -518,7 +473,8 @@ private:
 
       bool IsBinder = S.E->kind() == ExpKind::Loop || S.E->isSOAC();
       if (IsBinder && S.E->kind() != ExpKind::If) {
-        NameSet Bound = binderBound(*S.E);
+        NameSet Bound;
+        forEachBoundName(*S.E, [&](const VName &N) { Bound.insert(N); });
         forEachChildBody(*S.E, [&](Body &Inner) {
           std::vector<Stm> Stay;
           for (Stm &IS : Inner.Stms) {

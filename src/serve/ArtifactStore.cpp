@@ -6,18 +6,21 @@
 //
 // The binary format is deliberately dumb: a magic/version header, the
 // saved fingerprint, then a field-by-field encoding of CompileResult in
-// declaration order.  There is no forward/backward compatibility — the
-// version bump *is* the migration story (an old file fails the header
-// check and the server recompiles).  Robustness comes from the decoder
-// never trusting the input: every read is bounds-checked, every count is
-// sanity-capped, and the decoded artifact must reproduce the recorded
-// fingerprint before anyone gets to run it.
+// declaration order.  Expressions are encoded from their field lists
+// (ir/Fields.h): the kind, the source location, then every field in list
+// order, so a new IR field is persisted without an edit here.  There is
+// no forward/backward compatibility — the version bump *is* the migration
+// story (an old file fails the header check and the server recompiles).
+// Robustness comes from the decoder never trusting the input: every read
+// is bounds-checked, every count is sanity-capped, and the decoded
+// artifact must reproduce the recorded fingerprint before anyone gets to
+// run it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/ArtifactStore.h"
 
-#include "ir/IR.h"
+#include "ir/Fields.h"
 
 #include <cstdio>
 #include <cstring>
@@ -31,7 +34,7 @@ using namespace fut::serve;
 namespace {
 
 constexpr char kMagic[4] = {'F', 'U', 'T', 'A'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 /// Upper bound on any single decoded count (functions, statements,
 /// dimensions, ...).  Real artifacts are far below it; a corrupt length
 /// field fails fast instead of attempting a multi-gigabyte reserve.
@@ -90,234 +93,74 @@ struct Writer {
     else
       name(S.getVar());
   }
-  void type(const Type &T) {
-    u8(static_cast<uint8_t>(T.elemKind()));
-    boolean(T.isUnique());
-    u64(T.shape().size());
-    for (const Dim &D : T.shape())
-      sub(D);
-  }
-  void param(const Param &P) {
-    name(P.Name);
-    type(P.Ty);
-  }
 
-  template <typename T, typename F> void vec(const std::vector<T> &V, F Fn) {
+  // One put per IR field type; expressions are encoded field by field from
+  // their field lists (ir/Fields.h), after the kind and source location.
+  void put(const SubExp &S) { sub(S); }
+  void put(const VName &N) { name(N); }
+  void put(const std::string &S) { str(S); }
+  void put(bool V) { boolean(V); }
+  void put(int V) { i32(V); }
+  template <class T> std::enable_if_t<std::is_enum_v<T>> put(T V) {
+    u8(static_cast<uint8_t>(V));
+  }
+  void put(const ConvOp &Op) {
+    put(Op.From);
+    put(Op.To);
+  }
+  void put(const Type &T) {
+    put(T.elemKind());
+    put(T.isUnique());
+    put(T.shape());
+  }
+  void put(const Param &P) {
+    put(P.Name);
+    put(P.Ty);
+  }
+  template <class T> void put(const std::vector<T> &V) {
     u64(V.size());
     for (const T &X : V)
-      Fn(X);
+      put(X);
   }
-  void subs(const std::vector<SubExp> &V) {
-    vec(V, [&](const SubExp &S) { sub(S); });
+  void put(const Lambda &L) {
+    put(L.Params);
+    put(L.B);
+    put(L.RetTypes);
   }
-  void names(const std::vector<VName> &V) {
-    vec(V, [&](const VName &N) { name(N); });
-  }
-  void types(const std::vector<Type> &V) {
-    vec(V, [&](const Type &T) { type(T); });
-  }
-  void params(const std::vector<Param> &V) {
-    vec(V, [&](const Param &P) { param(P); });
-  }
-
-  void body(const Body &B);
-  void lambda(const Lambda &L) {
-    params(L.Params);
-    body(L.B);
-    types(L.RetTypes);
-  }
-  void exp(const Exp &E);
-};
-
-void Writer::body(const Body &B) {
-  u64(B.Stms.size());
-  for (const Stm &S : B.Stms) {
-    params(S.Pat);
-    exp(*S.E);
-  }
-  subs(B.Result);
-}
-
-void Writer::exp(const Exp &E) {
-  u8(static_cast<uint8_t>(E.kind()));
-  switch (E.kind()) {
-  case ExpKind::SubExpE:
-    sub(expCast<SubExpExp>(&E)->Val);
-    break;
-  case ExpKind::BinOpE: {
-    const auto *X = expCast<BinOpExp>(&E);
-    u8(static_cast<uint8_t>(X->Op));
-    sub(X->A);
-    sub(X->B);
-    break;
-  }
-  case ExpKind::UnOpE: {
-    const auto *X = expCast<UnOpExp>(&E);
-    u8(static_cast<uint8_t>(X->Op));
-    sub(X->A);
-    break;
-  }
-  case ExpKind::ConvOpE: {
-    const auto *X = expCast<ConvOpExp>(&E);
-    u8(static_cast<uint8_t>(X->Op.From));
-    u8(static_cast<uint8_t>(X->Op.To));
-    sub(X->A);
-    break;
-  }
-  case ExpKind::If: {
-    const auto *X = expCast<IfExp>(&E);
-    sub(X->Cond);
-    body(X->Then);
-    body(X->Else);
-    types(X->RetTypes);
-    break;
-  }
-  case ExpKind::Index: {
-    const auto *X = expCast<IndexExp>(&E);
-    name(X->Arr);
-    subs(X->Indices);
-    break;
-  }
-  case ExpKind::Apply: {
-    const auto *X = expCast<ApplyExp>(&E);
-    str(X->Func);
-    subs(X->Args);
-    break;
-  }
-  case ExpKind::Loop: {
-    const auto *X = expCast<LoopExp>(&E);
-    params(X->MergeParams);
-    subs(X->MergeInit);
-    name(X->IndexVar);
-    sub(X->Bound);
-    body(X->LoopBody);
-    break;
-  }
-  case ExpKind::Update: {
-    const auto *X = expCast<UpdateExp>(&E);
-    name(X->Arr);
-    subs(X->Indices);
-    sub(X->Value);
-    break;
-  }
-  case ExpKind::Iota: {
-    const auto *X = expCast<IotaExp>(&E);
-    sub(X->N);
-    u8(static_cast<uint8_t>(X->Elem));
-    break;
-  }
-  case ExpKind::Replicate: {
-    const auto *X = expCast<ReplicateExp>(&E);
-    sub(X->N);
-    sub(X->Val);
-    type(X->ValType);
-    break;
-  }
-  case ExpKind::Rearrange: {
-    const auto *X = expCast<RearrangeExp>(&E);
-    u64(X->Perm.size());
-    for (int P : X->Perm)
-      i32(P);
-    name(X->Arr);
-    break;
-  }
-  case ExpKind::Reshape: {
-    const auto *X = expCast<ReshapeExp>(&E);
-    subs(X->NewShape);
-    name(X->Arr);
-    break;
-  }
-  case ExpKind::Concat:
-    names(expCast<ConcatExp>(&E)->Arrays);
-    break;
-  case ExpKind::Copy:
-    name(expCast<CopyExp>(&E)->Arr);
-    break;
-  case ExpKind::Slice: {
-    const auto *X = expCast<SliceExp>(&E);
-    name(X->Arr);
-    sub(X->Offset);
-    sub(X->Len);
-    sub(X->Stride);
-    break;
-  }
-  case ExpKind::Map: {
-    const auto *X = expCast<MapExp>(&E);
-    sub(X->Width);
-    lambda(X->Fn);
-    names(X->Arrays);
-    break;
-  }
-  case ExpKind::Reduce: {
-    const auto *X = expCast<ReduceExp>(&E);
-    sub(X->Width);
-    lambda(X->Fn);
-    subs(X->Neutral);
-    names(X->Arrays);
-    boolean(X->Commutative);
-    break;
-  }
-  case ExpKind::Scan: {
-    const auto *X = expCast<ScanExp>(&E);
-    sub(X->Width);
-    lambda(X->Fn);
-    subs(X->Neutral);
-    names(X->Arrays);
-    break;
-  }
-  case ExpKind::Stream: {
-    const auto *X = expCast<StreamExp>(&E);
-    u8(static_cast<uint8_t>(X->Form));
-    sub(X->Width);
-    lambda(X->ReduceFn);
-    i32(X->NumAccs);
-    subs(X->AccInit);
-    lambda(X->FoldFn);
-    names(X->Arrays);
-    break;
-  }
-  case ExpKind::ReduceByIndex: {
-    const auto *X = expCast<ReduceByIndexExp>(&E);
-    sub(X->Width);
-    name(X->Dest);
-    lambda(X->CombineFn);
-    sub(X->Neutral);
-    lambda(X->ValueFn);
-    name(X->IndexArr);
-    names(X->ValueArrs);
-    break;
-  }
-  case ExpKind::Kernel: {
-    const auto *X = expCast<KernelExp>(&E);
-    u8(static_cast<uint8_t>(X->Op));
-    subs(X->GridDims);
-    names(X->ThreadIndices);
-    sub(X->SegSize);
-    name(X->SegIndex);
-    lambda(X->ReduceFn);
-    subs(X->Neutral);
-    u64(X->Inputs.size());
-    for (const KernelExp::KInput &In : X->Inputs) {
-      name(In.Arr);
-      type(In.Ty);
-      u64(In.LayoutPerm.size());
-      for (int P : In.LayoutPerm)
-        i32(P);
-      boolean(In.Tiled);
+  void put(const Body &B) {
+    u64(B.Stms.size());
+    for (const Stm &S : B.Stms) {
+      put(S.Pat);
+      put(*S.E);
     }
-    body(X->ThreadBody);
-    types(X->RetTypes);
-    name(X->HistDest);
-    sub(X->HistWidth);
-    boolean(X->TransposedOutputs);
-    break;
+    put(B.Result);
   }
+  void put(const KernelExp::KInput &In) {
+    forEachField(In, [&](auto, const auto &F, bool) { put(F); });
   }
-}
+  void put(const Exp &E) {
+    put(E.kind());
+    put(E.Loc.Line);
+    put(E.Loc.Col);
+    forEachField(E, [&](auto, const auto &F, bool) { put(F); });
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // Decoder
 //===----------------------------------------------------------------------===//
+
+/// The last valid value of each enum the decoder reads.
+constexpr ExpKind lastOf(ExpKind) { return ExpKind::Kernel; }
+constexpr ScalarKind lastOf(ScalarKind) { return ScalarKind::F64; }
+constexpr BinOp lastOf(BinOp) { return BinOp::Geq; }
+constexpr UnOp lastOf(UnOp) { return UnOp::Floor; }
+constexpr StreamExp::FormKind lastOf(StreamExp::FormKind) {
+  return StreamExp::FormKind::Seq;
+}
+constexpr KernelExp::OpKind lastOf(KernelExp::OpKind) {
+  return KernelExp::OpKind::SegHist;
+}
 
 struct Reader {
   const std::string &In;
@@ -392,11 +235,9 @@ struct Reader {
     int Tag = i32();
     return VName(std::move(Base), Tag);
   }
-  ScalarKind scalarKind() {
-    return static_cast<ScalarKind>(tag(static_cast<uint8_t>(ScalarKind::F64)));
-  }
   PrimValue prim() {
-    ScalarKind K = scalarKind();
+    ScalarKind K{};
+    get(K);
     switch (K) {
     case ScalarKind::Bool:
       return PrimValue::makeBool(u8() != 0);
@@ -417,232 +258,72 @@ struct Reader {
       return SubExp::constant(prim());
     return SubExp::var(name());
   }
-  Type type() {
-    ScalarKind K = scalarKind();
+
+  // The inverse of Writer::put, one get per IR field type.
+  void get(SubExp &S) { S = sub(); }
+  void get(VName &N) { N = name(); }
+  void get(std::string &S) { S = str(); }
+  void get(bool &V) { V = boolean(); }
+  void get(int &V) { V = i32(); }
+  template <class T> std::enable_if_t<std::is_enum_v<T>> get(T &V) {
+    V = static_cast<T>(tag(static_cast<uint8_t>(lastOf(V))));
+  }
+  void get(ConvOp &Op) {
+    get(Op.From);
+    get(Op.To);
+  }
+  void get(Type &T) {
+    ScalarKind K{};
+    get(K);
     bool Unique = boolean();
-    std::vector<Dim> Shape(count());
-    for (Dim &D : Shape)
-      D = sub();
-    return Type(K, std::move(Shape), Unique);
+    std::vector<Dim> Shape;
+    get(Shape);
+    T = Type(K, std::move(Shape), Unique);
   }
-  Param param() {
-    VName N = name();
-    Type T = type();
-    return Param(std::move(N), std::move(T));
+  void get(Param &P) {
+    get(P.Name);
+    get(P.Ty);
   }
-
-  std::vector<SubExp> subs() {
-    std::vector<SubExp> V(count());
-    for (SubExp &S : V)
-      S = sub();
-    return V;
+  template <class T> void get(std::vector<T> &V) {
+    size_t N = count();
+    V.clear();
+    for (size_t I = 0; I < N && !Fail; ++I)
+      get(V.emplace_back());
   }
-  std::vector<VName> names() {
-    std::vector<VName> V(count());
-    for (VName &N : V)
-      N = name();
-    return V;
+  void get(Lambda &L) {
+    get(L.Params);
+    get(L.B);
+    get(L.RetTypes);
   }
-  std::vector<Type> types() {
-    std::vector<Type> V(count());
-    for (Type &T : V)
-      T = type();
-    return V;
-  }
-  std::vector<Param> params() {
-    std::vector<Param> V(count());
-    for (Param &P : V)
-      P = param();
-    return V;
-  }
-  std::vector<int> ints() {
-    std::vector<int> V(count());
-    for (int &X : V)
-      X = i32();
-    return V;
-  }
-
-  Body body();
-  Lambda lambda() {
-    Lambda L;
-    L.Params = params();
-    L.B = body();
-    L.RetTypes = types();
-    return L;
-  }
-  ExpPtr exp();
-};
-
-Body Reader::body() {
-  Body B;
-  size_t N = count();
-  B.Stms.reserve(Fail ? 0 : N);
-  for (size_t I = 0; I < N && !Fail; ++I) {
-    std::vector<Param> Pat = params();
-    ExpPtr E = exp();
-    if (Fail || !E)
-      break;
-    B.Stms.emplace_back(std::move(Pat), std::move(E));
-  }
-  B.Result = subs();
-  return B;
-}
-
-ExpPtr Reader::exp() {
-  ExpKind K =
-      static_cast<ExpKind>(tag(static_cast<uint8_t>(ExpKind::Kernel)));
-  if (Fail)
-    return nullptr;
-  switch (K) {
-  case ExpKind::SubExpE:
-    return std::make_unique<SubExpExp>(sub());
-  case ExpKind::BinOpE: {
-    BinOp Op = static_cast<BinOp>(tag(static_cast<uint8_t>(BinOp::Geq)));
-    SubExp A = sub(), B = sub();
-    return std::make_unique<BinOpExp>(Op, std::move(A), std::move(B));
-  }
-  case ExpKind::UnOpE: {
-    UnOp Op = static_cast<UnOp>(tag(static_cast<uint8_t>(UnOp::Floor)));
-    return std::make_unique<UnOpExp>(Op, sub());
-  }
-  case ExpKind::ConvOpE: {
-    ConvOp Op;
-    Op.From = scalarKind();
-    Op.To = scalarKind();
-    return std::make_unique<ConvOpExp>(Op, sub());
-  }
-  case ExpKind::If: {
-    SubExp Cond = sub();
-    Body Then = body(), Else = body();
-    return std::make_unique<IfExp>(std::move(Cond), std::move(Then),
-                                   std::move(Else), types());
-  }
-  case ExpKind::Index: {
-    VName Arr = name();
-    return std::make_unique<IndexExp>(std::move(Arr), subs());
-  }
-  case ExpKind::Apply: {
-    std::string F = str();
-    return std::make_unique<ApplyExp>(std::move(F), subs());
-  }
-  case ExpKind::Loop: {
-    std::vector<Param> MP = params();
-    std::vector<SubExp> MI = subs();
-    VName IV = name();
-    SubExp Bound = sub();
-    Body B = body();
-    return std::make_unique<LoopExp>(std::move(MP), std::move(MI),
-                                     std::move(IV), std::move(Bound),
-                                     std::move(B));
-  }
-  case ExpKind::Update: {
-    VName Arr = name();
-    std::vector<SubExp> Idx = subs();
-    SubExp V = sub();
-    return std::make_unique<UpdateExp>(std::move(Arr), std::move(Idx),
-                                       std::move(V));
-  }
-  case ExpKind::Iota: {
-    SubExp N = sub();
-    ScalarKind Elem = scalarKind();
-    return std::make_unique<IotaExp>(std::move(N), Elem);
-  }
-  case ExpKind::Replicate: {
-    SubExp N = sub(), V = sub();
-    return std::make_unique<ReplicateExp>(std::move(N), std::move(V), type());
-  }
-  case ExpKind::Rearrange: {
-    std::vector<int> Perm = ints();
-    return std::make_unique<RearrangeExp>(std::move(Perm), name());
-  }
-  case ExpKind::Reshape: {
-    std::vector<SubExp> Shape = subs();
-    return std::make_unique<ReshapeExp>(std::move(Shape), name());
-  }
-  case ExpKind::Concat:
-    return std::make_unique<ConcatExp>(names());
-  case ExpKind::Copy:
-    return std::make_unique<CopyExp>(name());
-  case ExpKind::Slice: {
-    VName Arr = name();
-    SubExp Off = sub(), Len = sub(), Stride = sub();
-    return std::make_unique<SliceExp>(std::move(Arr), std::move(Off),
-                                      std::move(Len), std::move(Stride));
-  }
-  case ExpKind::Map: {
-    SubExp W = sub();
-    Lambda Fn = lambda();
-    return std::make_unique<MapExp>(std::move(W), std::move(Fn), names());
-  }
-  case ExpKind::Reduce: {
-    SubExp W = sub();
-    Lambda Fn = lambda();
-    std::vector<SubExp> Ne = subs();
-    std::vector<VName> Arrs = names();
-    bool Comm = boolean();
-    return std::make_unique<ReduceExp>(std::move(W), std::move(Fn),
-                                       std::move(Ne), std::move(Arrs), Comm);
-  }
-  case ExpKind::Scan: {
-    SubExp W = sub();
-    Lambda Fn = lambda();
-    std::vector<SubExp> Ne = subs();
-    return std::make_unique<ScanExp>(std::move(W), std::move(Fn),
-                                     std::move(Ne), names());
-  }
-  case ExpKind::Stream: {
-    StreamExp::FormKind Form = static_cast<StreamExp::FormKind>(
-        tag(static_cast<uint8_t>(StreamExp::FormKind::Seq)));
-    SubExp W = sub();
-    Lambda RFn = lambda();
-    int NumAccs = i32();
-    std::vector<SubExp> Acc = subs();
-    Lambda FFn = lambda();
-    return std::make_unique<StreamExp>(Form, std::move(W), std::move(RFn),
-                                       NumAccs, std::move(Acc),
-                                       std::move(FFn), names());
-  }
-  case ExpKind::ReduceByIndex: {
-    SubExp W = sub();
-    VName Dest = name();
-    Lambda CFn = lambda();
-    SubExp Ne = sub();
-    Lambda VFn = lambda();
-    VName Idx = name();
-    return std::make_unique<ReduceByIndexExp>(
-        std::move(W), std::move(Dest), std::move(CFn), std::move(Ne),
-        std::move(VFn), std::move(Idx), names());
-  }
-  case ExpKind::Kernel: {
-    auto X = std::make_unique<KernelExp>();
-    X->Op = static_cast<KernelExp::OpKind>(
-        tag(static_cast<uint8_t>(KernelExp::OpKind::SegHist)));
-    X->GridDims = subs();
-    X->ThreadIndices = names();
-    X->SegSize = sub();
-    X->SegIndex = name();
-    X->ReduceFn = lambda();
-    X->Neutral = subs();
-    size_t NI = count();
-    for (size_t I = 0; I < NI && !Fail; ++I) {
-      KernelExp::KInput In;
-      In.Arr = name();
-      In.Ty = type();
-      In.LayoutPerm = ints();
-      In.Tiled = boolean();
-      X->Inputs.push_back(std::move(In));
+  void get(Body &B) {
+    size_t N = count();
+    for (size_t I = 0; I < N && !Fail; ++I) {
+      std::vector<Param> Pat;
+      get(Pat);
+      ExpPtr E = exp();
+      if (Fail || !E)
+        break;
+      B.Stms.emplace_back(std::move(Pat), std::move(E));
     }
-    X->ThreadBody = body();
-    X->RetTypes = types();
-    X->HistDest = name();
-    X->HistWidth = sub();
-    X->TransposedOutputs = boolean();
-    return X;
+    get(B.Result);
   }
+  void get(KernelExp::KInput &In) {
+    forEachField(In, [&](auto, auto &F, bool) { get(F); });
   }
-  Fail = true;
-  return nullptr;
-}
+  ExpPtr exp() {
+    ExpKind K{};
+    get(K);
+    if (Fail)
+      return nullptr;
+    ExpPtr E = withExpClass(K, [](auto Class) -> ExpPtr {
+      return std::make_unique<typename decltype(Class)::type>();
+    });
+    get(E->Loc.Line);
+    get(E->Loc.Col);
+    forEachField(*E, [&](auto, auto &F, bool) { get(F); });
+    return E;
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // The plans and statistics
@@ -753,7 +434,7 @@ void putShardPlan(Writer &W, const shard::ShardPlan &SP) {
         W.name(In.Arr);
         W.u8(static_cast<uint8_t>(In.Class));
       }
-      W.names(K.Outputs);
+      W.put(K.Outputs);
     }
     W.u64(FP.Transfers.size());
     for (const shard::TransferEdge &T : FP.Transfers) {
@@ -798,7 +479,7 @@ shard::ShardPlan getShardPlan(Reader &R) {
             R.tag(static_cast<uint8_t>(shard::InputClass::Broadcast)));
         K.Inputs.push_back(std::move(In));
       }
-      K.Outputs = R.names();
+      R.get(K.Outputs);
       FP.Kernels.push_back(std::move(K));
     }
     size_t NT = R.count();
@@ -834,9 +515,9 @@ std::string serve::serializeArtifact(const CompileResult &C) {
   W.u64(C.P.Funs.size());
   for (const FunDef &F : C.P.Funs) {
     W.str(F.Name);
-    W.params(F.Params);
-    W.types(F.RetTypes);
-    W.body(F.FBody);
+    W.put(F.Params);
+    W.put(F.RetTypes);
+    W.put(F.FBody);
   }
 
   W.i32(C.Fusion.Vertical);
@@ -876,9 +557,9 @@ ErrorOr<CompileResult> serve::deserializeArtifact(const std::string &Bytes) {
   for (size_t I = 0; I < NF && !R.Fail; ++I) {
     FunDef F;
     F.Name = R.str();
-    F.Params = R.params();
-    F.RetTypes = R.types();
-    F.FBody = R.body();
+    R.get(F.Params);
+    R.get(F.RetTypes);
+    R.get(F.FBody);
     P.Funs.push_back(std::move(F));
   }
   C.P = DeviceProgram(std::move(P));

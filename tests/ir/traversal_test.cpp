@@ -174,6 +174,43 @@ TEST(RenamingTest, RenamedBodyEvaluatesIdentically) {
   EXPECT_EQ(R1[0], R2[0]);
 }
 
+TEST(FieldListTest, AbsentFieldsAreRewrittenButNotRead) {
+  // A thread-body kernel's segment size is absent: it is no operand and no
+  // free variable, but substitution still rewrites it.
+  NameSource NS;
+  VName N = NS.fresh("n"), S = NS.fresh("s"), T = NS.fresh("t");
+  KernelExp K;
+  K.GridDims = {SubExp::var(N)};
+  K.ThreadIndices = {NS.fresh("i")};
+  K.SegSize = SubExp::var(S);
+  std::vector<SubExp> Ops;
+  forEachFreeOperand(K, [&](const SubExp &Op) { Ops.push_back(Op); });
+  EXPECT_EQ(Ops, std::vector<SubExp>{SubExp::var(N)});
+  EXPECT_FALSE(freeVarsInExp(K).count(S));
+  substituteInExp({{S, SubExp::var(T)}}, K);
+  EXPECT_EQ(K.SegSize, SubExp::var(T));
+
+  // Segmented, the same field is read.
+  K.Op = KernelExp::OpKind::SegReduce;
+  EXPECT_TRUE(freeVarsInExp(K).count(T));
+}
+
+TEST(FieldListTest, CloneKeepsEveryFieldAndTheLocation) {
+  NameSource NS;
+  VName Xs = NS.fresh("xs");
+  VName C = NS.fresh("c");
+  ExpPtr E;
+  makeMapPlusC(NS, Xs, C, E);
+  E->Loc = SrcLoc{7, 3};
+  ExpPtr Copy = E->clone();
+  EXPECT_EQ(printExp(*Copy), printExp(*E));
+  EXPECT_EQ(Copy->Loc.str(), "7:3");
+  // A deep copy: the lambda body is not shared.
+  auto *M = expCast<MapExp>(Copy.get());
+  M->Fn.B.Stms.clear();
+  EXPECT_NE(printExp(*Copy), printExp(*E));
+}
+
 TEST(PermTest, ComposeAndInvert) {
   std::vector<int> P = {2, 0, 1};
   EXPECT_EQ(composePerms(P, inversePerm(P)), identityPerm(3));

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/Traversal.h"
 #include "serve/ArtifactStore.h"
 #include "serve/Serve.h"
 
@@ -71,6 +72,29 @@ std::vector<Value> run(const CompileResult &C, const std::vector<Value> &Args,
   return R ? R->Outputs : std::vector<Value>{};
 }
 
+/// Gives every expression a distinct known source location, numbered in
+/// program order: the desugarer does not record them yet.
+void stampLocs(Body &B, int &Next) {
+  for (Stm &S : B.Stms) {
+    S.E->Loc = SrcLoc{++Next, 1};
+    forEachChildBody(*S.E, [&](Body &Inner) { stampLocs(Inner, Next); });
+  }
+}
+
+/// Every expression's source location as "line:col", in program order.
+void collectLocs(const Body &B, std::vector<std::string> &Out) {
+  for (const Stm &S : B.Stms) {
+    Out.push_back(S.E->Loc.str());
+    forEachChildBody(*S.E, [&](const Body &Inner) { collectLocs(Inner, Out); });
+  }
+}
+std::vector<std::string> locsOf(const Program &P) {
+  std::vector<std::string> Out;
+  for (const FunDef &F : P.Funs)
+    collectLocs(F.FBody, Out);
+  return Out;
+}
+
 ServeRequest request(const char *Source, int32_t N,
                      const CompilerOptions &Opts = {}) {
   ServeRequest R;
@@ -82,6 +106,9 @@ ServeRequest request(const char *Source, int32_t N,
 
 TEST(ArtifactStoreTest, SerializationRoundTripsTheWholeArtifact) {
   CompileResult C = compile(kHist);
+  int NumExps = 0;
+  for (FunDef &F : C.P.Funs)
+    stampLocs(F.FBody, NumExps);
   std::string Bytes = serializeArtifact(C);
   auto D = deserializeArtifact(Bytes);
   ASSERT_TRUE(static_cast<bool>(D)) << D.getError().str();
@@ -94,6 +121,13 @@ TEST(ArtifactStoreTest, SerializationRoundTripsTheWholeArtifact) {
   EXPECT_EQ(D->Flatten.SegHists, C.Flatten.SegHists);
   EXPECT_EQ(D->Fusion.Vertical, C.Fusion.Vertical);
   EXPECT_EQ(D->Locality.CoalescedInputs, C.Locality.CoalescedInputs);
+
+  // Source locations survive too: the printer omits them, so the checks
+  // above cannot see them.
+  std::vector<std::string> Locs = locsOf(C.P);
+  ASSERT_GT(NumExps, 0);
+  ASSERT_EQ(Locs.front(), "1:1");
+  EXPECT_EQ(locsOf(D->P), Locs);
 
   // And it executes: same outputs from the decoded program and plan.
   std::vector<Value> Args = {Value::scalar(PrimValue::makeI32(96))};
