@@ -1387,6 +1387,12 @@ bool Interpreter::evalLoop(const InterpStm &S, InterpFrame &F,
       return false;
     Merge.push_back(*V);
   }
+  if (Merge.size() != X.MergeParams.size())
+    return fail(CompilerError(X.Loc, "loop merge arity mismatch: " +
+                                         std::to_string(X.MergeParams.size()) +
+                                         " parameters, " +
+                                         std::to_string(Merge.size()) +
+                                         " initial values"));
   const InterpBinding &Index = R.Binds.back();
   const InterpBody &LoopBody = R.Bodies[0];
   std::vector<Value> Next;
@@ -1525,6 +1531,8 @@ bool Interpreter::evalScan(const InterpStm &S, InterpFrame &F,
     for (size_t J = 0; J < Acc.size() && J < Columns.size(); ++J)
       Columns[J].add(Acc[J]);
   }
+  if (W == 0 && X.Fn.RetTypes.size() < Columns.size())
+    return fail(CompilerError(E.Loc, "scan operator arity mismatch"));
   for (size_t J = 0; J < Columns.size(); ++J) {
     if (W == 0) {
       Out.push_back(Value::array(X.Fn.RetTypes[J].elemKind(), {0}, {}));
@@ -1818,6 +1826,8 @@ bool Interpreter::evalKernel(const InterpStm &S, InterpFrame &F,
   for (int64_t G = 0; G < NumGroups; ++G) {
     if (!K.isSegmented()) {
       FUT_OK(RunThread(Idx, -1));
+      if (Res.size() != NumRes)
+        return fail(CompilerError(K.Loc, "kernel thread body arity mismatch"));
       for (size_t J = 0; J < NumRes; ++J)
         PerPos[J].push_back(std::move(Res[J]));
     } else {
@@ -1837,6 +1847,8 @@ bool Interpreter::evalKernel(const InterpStm &S, InterpFrame &F,
           Args.push_back(std::move(V));
         Acc.clear();
         FUT_OK(callLambda(ReduceFn, Args, F, Acc));
+        if (Acc.size() != NumRes)
+          return fail(CompilerError(K.Loc, "kernel operator arity mismatch"));
         if (K.Op == KernelExp::OpKind::SegScan)
           for (size_t J = 0; J < NumRes; ++J)
             ScanCols[J].push_back(Acc[J]);

@@ -695,6 +695,110 @@ TEST(InterpTest, ReduceByIndexUpdatesItsDestinationInPlace) {
 }
 
 //===----------------------------------------------------------------------===//
+// Malformed arities fail with an error instead of reading past a vector
+//===----------------------------------------------------------------------===//
+
+TEST(InterpTest, LoopWithMoreMergeParamsThanInitialValuesFails) {
+  // loop (acc = 0, extra) for i < n do (acc, extra)
+  Program P = vecProgram(
+      [](NameSource &NS, VName N, VName) {
+        BodyBuilder BB(NS);
+        VName Acc = NS.fresh("acc"), Extra = NS.fresh("extra");
+        BodyBuilder LB(NS);
+        std::vector<Param> Pat = {Param(NS.fresh("a"), i32s()),
+                                  Param(NS.fresh("b"), i32s())};
+        BB.append(Pat, std::make_unique<LoopExp>(
+                           std::vector<Param>{Param(Acc, i32s()),
+                                              Param(Extra, i32s())},
+                           std::vector<SubExp>{i32(0)}, NS.fresh("i"),
+                           SubExp::var(N),
+                           LB.finish({SubExp::var(Acc), SubExp::var(Extra)})));
+        return BB.finish({SubExp::var(Pat[0].Name)});
+      },
+      {i32s()});
+  Interpreter I(P);
+  EXPECT_ERR_CONTAINS(I.run({i32val(2), vec({1, 2})}),
+                      "loop merge arity mismatch: 2 parameters, 1 initial "
+                      "values");
+}
+
+TEST(InterpTest, KernelThreadBodyReturningTooFewValuesFails) {
+  // kernel over i < n returning two arrays from a one-value thread body
+  Program P = vecProgram(
+      [](NameSource &NS, VName N, VName Xs) {
+        BodyBuilder BB(NS);
+        auto K = std::make_unique<KernelExp>();
+        VName I = NS.fresh("i");
+        K->GridDims = {SubExp::var(N)};
+        K->ThreadIndices = {I};
+        BodyBuilder TB(NS);
+        SubExp X = TB.index(Xs, {SubExp::var(I)}, i32s());
+        K->ThreadBody = TB.finish({X});
+        K->RetTypes = {i32v(SubExp::var(N)), i32v(SubExp::var(N))};
+        std::vector<Param> Pat = {Param(NS.fresh("ys"), i32v(SubExp::var(N))),
+                                  Param(NS.fresh("zs"), i32v(SubExp::var(N)))};
+        BB.append(Pat, std::move(K));
+        return BB.finish({SubExp::var(Pat[0].Name)});
+      },
+      {i32v(SubExp())});
+  Interpreter I(P);
+  EXPECT_ERR_CONTAINS(I.run({i32val(2), vec({1, 2})}),
+                      "kernel thread body arity mismatch");
+}
+
+TEST(InterpTest, SegmentedKernelOperatorReturningTooFewValuesFails) {
+  // a segmented reduction over (xs[j], xs[j]) whose operator keeps one
+  // of its two accumulators
+  Program P = vecProgram(
+      [](NameSource &NS, VName N, VName Xs) {
+        BodyBuilder BB(NS);
+        auto K = std::make_unique<KernelExp>();
+        K->Op = KernelExp::OpKind::SegReduce;
+        VName J = NS.fresh("j");
+        K->SegSize = SubExp::var(N);
+        K->SegIndex = J;
+        K->Neutral = {i32(0), i32(0)};
+        std::vector<Param> Ps;
+        for (const char *Name : {"a0", "a1", "x0", "x1"})
+          Ps.emplace_back(NS.fresh(Name), i32s());
+        Body Keep({}, {SubExp::var(Ps[0].Name)});
+        K->ReduceFn = Lambda(Ps, std::move(Keep), {i32s(), i32s()});
+        BodyBuilder TB(NS);
+        SubExp X = TB.index(Xs, {SubExp::var(J)}, i32s());
+        K->ThreadBody = TB.finish({X, X});
+        K->RetTypes = {i32s(), i32s()};
+        std::vector<Param> Pat = {Param(NS.fresh("s"), i32s()),
+                                  Param(NS.fresh("t"), i32s())};
+        BB.append(Pat, std::move(K));
+        return BB.finish({SubExp::var(Pat[0].Name)});
+      },
+      {i32s()});
+  Interpreter I(P);
+  EXPECT_ERR_CONTAINS(I.run({i32val(2), vec({1, 2})}),
+                      "kernel operator arity mismatch");
+}
+
+TEST(InterpTest, EmptyScanWithFewerOperatorResultsThanNeutralsFails) {
+  // scan (+) (0, 0) xs xs at width 0, with a one-result operator
+  Program P = vecProgram(
+      [](NameSource &NS, VName N, VName Xs) {
+        BodyBuilder BB(NS);
+        std::vector<Param> Pat = {Param(NS.fresh("ys"), i32v(SubExp::var(N))),
+                                  Param(NS.fresh("zs"), i32v(SubExp::var(N)))};
+        BB.append(Pat, std::make_unique<ScanExp>(
+                           SubExp::var(N),
+                           binOpLambda(BinOp::Add, ScalarKind::I32, NS),
+                           std::vector<SubExp>{i32(0), i32(0)},
+                           std::vector<VName>{Xs, Xs}));
+        return BB.finish({SubExp::var(Pat[0].Name)});
+      },
+      {i32v(SubExp())});
+  Interpreter I(P);
+  EXPECT_ERR_CONTAINS(I.run({i32val(0), vec({})}),
+                      "scan operator arity mismatch");
+}
+
+//===----------------------------------------------------------------------===//
 // Resolved operands and unboxed scalars
 //===----------------------------------------------------------------------===//
 
