@@ -78,9 +78,17 @@ struct GradRender {
 
   explicit GradRender(int64_t N) : N(N) {}
 
-  std::string arr() const { return "a" + std::to_string(NextArr); }
-  std::string newArr() { return "a" + std::to_string(++NextArr); }
-  std::string newScalar() { return "s" + std::to_string(NextScalar++); }
+  std::string arr() const { return numbered('a', NextArr); }
+  std::string newArr() { return numbered('a', ++NextArr); }
+  std::string newScalar() { return numbered('s', NextScalar++); }
+
+  /// Prefix then N, built by appending: GCC 12 reports a false -Wrestrict
+  /// for `"literal" + std::string&&` in Release builds.
+  static std::string numbered(char Prefix, int N) {
+    std::string S(1, Prefix);
+    S += std::to_string(N);
+    return S;
+  }
 
   /// A small additive term reading the scalar pool (or a constant when
   /// shrinking has emptied it); scaled down so chains stay contractive.

@@ -27,8 +27,9 @@ std::string names(const std::vector<VName> &Ns) {
 std::string pattern(const std::vector<Param> &Ps) {
   if (Ps.size() == 1)
     return Ps[0].str();
-  return "(" + joinMapped(Ps, ", ", [](const Param &P) { return P.str(); }) +
-         ")";
+  return std::string("(")
+      .append(joinMapped(Ps, ", ", [](const Param &P) { return P.str(); }))
+      .append(")");
 }
 
 } // namespace
@@ -37,7 +38,9 @@ std::string fut::printLambda(const Lambda &L, int Indent) {
   std::ostringstream OS;
   OS << "(\\"
      << joinMapped(L.Params, " ",
-                   [](const Param &P) { return "(" + P.str() + ")"; })
+                   [](const Param &P) {
+                     return std::string("(").append(P.str()).append(")");
+                   })
      << ": ("
      << joinMapped(L.RetTypes, ", ", [](const Type &T) { return T.str(); })
      << ") ->\n";
@@ -241,7 +244,9 @@ std::string fut::printFunDef(const FunDef &F) {
   std::ostringstream OS;
   OS << "fun " << F.Name << " "
      << joinMapped(F.Params, " ",
-                   [](const Param &P) { return "(" + P.str() + ")"; })
+                   [](const Param &P) {
+                     return std::string("(").append(P.str()).append(")");
+                   })
      << ": ("
      << joinMapped(F.RetTypes, ", ", [](const Type &T) { return T.str(); })
      << ") =\n"

@@ -171,8 +171,11 @@ public:
 
   std::string str() const {
     std::string S = Unique ? "*" : "";
-    for (const Dim &D : Shape)
-      S += "[" + D.str() + "]";
+    for (const Dim &D : Shape) {
+      S += '[';
+      S += D.str();
+      S += ']';
+    }
     S += scalarKindName(Elem);
     return S;
   }

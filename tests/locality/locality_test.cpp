@@ -151,8 +151,9 @@ TEST(LocalityTest, ArrayResultsAreStoredTransposed) {
   // per-thread array result is marked transposed.
   const KernelExp *K = firstKernel(C.P.Funs[0].FBody);
   ASSERT_NE(K, nullptr);
-  if (K->GridDims.size() == 1)
+  if (K->GridDims.size() == 1) {
     EXPECT_TRUE(K->TransposedOutputs) << printProgram(C.P);
+  }
 }
 
 TEST(LocalityTest, MixedAccessPatternTilesWholesaleReads) {

@@ -184,8 +184,9 @@ TEST(MemPlanHoisting, TwoDeepLoopNestGetsHoistedDoubleBuffer) {
   EXPECT_GE(HoistedEntries, 2); // At least result + merge param.
   EXPECT_GE(HalfOne, 1);        // A merge param reads the other half.
   for (const mem::SlabInfo &S : FP->Slabs)
-    if (S.Hoisted && S.Bytes >= 0)
+    if (S.Hoisted && S.Bytes >= 0) {
       EXPECT_EQ(S.Bytes % 2, 0); // Two equal halves.
+    }
 
   expectPlanOk(C);
 }
