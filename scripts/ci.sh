@@ -80,6 +80,17 @@ if grep -rn --include='*.cpp' --include='*.h' 'approxEqual' src |
   exit 1
 fi
 
+echo "== one IR schema: per-kind code is derived from the field lists =="
+# Each expression class lists its fields once (fields() in src/ir/IR.h);
+# the traversals, clone and the artifact codec are derived from those
+# lists through src/ir/Fields.h, so none of them may switch on the
+# expression kind again.
+if grep -n 'case ExpKind::' src/ir/Traversal.cpp src/ir/IR.cpp \
+    src/serve/ArtifactStore.cpp; then
+  echo "a per-kind switch is back: derive it from the field lists instead"
+  exit 1
+fi
+
 echo "== thread hygiene: code on the warp pool never reaches the trace session =="
 # KernelSim runs a large launch's warp ranges on a pool of host threads.
 # TraceSession is global and not thread-safe, so kernel spans stay on the
