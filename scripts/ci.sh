@@ -10,10 +10,11 @@
 # main suite.  Every compiled-vs-reference check takes its reference from
 # fuzz::referenceRun and compares outputs with firstDifference
 # (src/interp/Value.h); fuzz::runSourceDifferential (src/fuzz) wraps both
-# for the DifferentialTest legs, the regression corpus and every
-# futharkcc-fuzz sweep below.  Each filtered
+# for the DifferentialTest configurations, the regression corpus and the
+# one futharkcc-fuzz sweep over the leg table below.  Each filtered
 # ctest leg runs with --no-tests=error, so a filter that stops matching
-# after a rename fails instead of passing on zero tests.
+# after a rename fails instead of passing on zero tests; the fuzz sweep's
+# summary must likewise list every leg with all its seeds.
 #
 # Environment:
 #   FUTHARKCC_SANITIZE=ON   build with ASan+UBSan (default OFF)
@@ -103,25 +104,32 @@ for f in src/gpusim/KernelSim.cpp src/gpusim/WarpPool.cpp; do
   fi
 done
 
-echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
-# A deterministic 3000-program sweep through the full pipeline (with the
-# IR verifier, the only pass-boundary IR check, enabled after every pass)
-# against the reference interpreter.  Runs in every configuration, so the
-# sanitized matrix leg executes it under ASan+UBSan.  The sweep takes
-# about 9 s single-threaded on a Xeon with the default (RelWithDebInfo)
-# build.
+echo "== differential fuzz sweep: every leg against one reference run =="
+# A deterministic 3000-program sweep.  Each seed runs once on the
+# reference interpreter and, on every leg of fuzz::sweepLegs(), through
+# the full pipeline (with the IR verifier, the only pass-boundary IR
+# check, enabled after every pass) on the simulated device; it compiles
+# once per device count.  Legs: default; split (DeviceParams::
+# ForceSplitRanges, which cuts every launch that can split into ranges
+# of less than a warp: no fuzz launch splits by itself, see
+# WarpRanges.FuzzKernelsNeverSplit); devices2 (sharded); hist-global and
+# hist-global-devices2 (the global-atomic histogram lowering, alone and
+# with partial-histogram merges); pipeline (the pipeline cost model).
+# Each leg must give the reference's outputs bit for bit or its identical
+# typed error; split must keep default's cost line byte for byte, and
+# pipeline default's model-independent counters (launches, traffic,
+# atomics, coalescing split).  Runs in every configuration, so the
+# sanitized matrix leg executes it under ASan+UBSan.  The summary must
+# list every leg with all 3000 seeds, so a leg dropped from the table
+# fails the run instead of passing unchecked.
 "$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 \
-  --out "$BUILD_DIR"/fuzz-failures
-
-echo "== warp-range oracle: forced splits change nothing =="
-# No fuzz launch is large enough to split into warp ranges on its own
-# (WarpRanges.FuzzKernelsNeverSplit), so the range, lane-sharing and
-# merge code of KernelSim would see only the suite.  The ForceSplitRanges
-# test hook splits every launch that can split into ranges of less than a
-# warp, cut inside warps; each seed's device leg must then give the same
-# cost line, outputs and typed errors as without it.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --split-ranges \
-  --out "$BUILD_DIR"/fuzz-failures-split
+  --out "$BUILD_DIR"/fuzz-failures 2>&1 | tee "$BUILD_DIR"/ci_fuzz.log
+for leg in default split devices2 hist-global hist-global-devices2 pipeline; do
+  grep -q "^leg $leg: 3000 seeds, 0 failure(s)," "$BUILD_DIR"/ci_fuzz.log || {
+    echo "fuzz summary lacks leg $leg with 3000 clean seeds"
+    exit 1
+  }
+done
 
 echo "== mem-plan leg: plan verifier + observed peak within the plan =="
 # Observed PeakDeviceBytes stays within the plan-derived bound on the
@@ -284,18 +292,15 @@ print(f"ok: {tp['requests_per_sec']:.0f} req/s simulated, "
       f"soak {soak['completed']:.0f}/{soak['requests']:.0f} under faults")
 EOF
 
-echo "== shard leg: multi-device differential, fuzz and scaling =="
+echo "== shard leg: multi-device differential and scaling =="
 # The sharding test layer: property tests that the shard-plan verifier
 # rejects corrupted plans (overlapping ownership, dropped transfers,
 # over-budget shards), the pinned plan dumps + N=1 no-op invariant, and
 # the 20-seed differential sweep at 1/2/4 devices (Sharded* legs).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ShardVerifyTest|ShardPlanGolden|Sharded'
-# Fixed-seed differential fuzz through the sharded path: 3000 seeds at
-# two devices, bit-identical to the reference interpreter (about 9 s on
-# the default build).
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --devices 2 \
-  --out "$BUILD_DIR"/fuzz-failures-shard
+# The fuzz sweep's devices2 and hist-global-devices2 legs cover the
+# sharded path on 3000 seeds.
 # --print-shard-plan dumps the decomposition for a real program.
 "$BUILD_DIR"/src/driver/futharkcc --devices 4 --print-shard-plan \
   examples/kmeans.fut > "$BUILD_DIR"/ci_shardplan.txt 2>/dev/null
@@ -333,15 +338,8 @@ echo "== histogram leg: lowering switch, atomic accounting, contention =="
 # and the pinned hist-merge shard plan.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'HistLoweringTest|HistFaultsTest|ShardPlanGolden'
-# The default fuzz sweeps above exercise reduce_by_index under the local
-# lowering; these two re-run the 3000-seed corpus with the global-atomic
-# strategy forced (threshold 0), alone and through the two-device sharded
-# path with partial-histogram merges.  Bit-identical to the interpreter on
-# every seed.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --hist-global \
-  --out "$BUILD_DIR"/fuzz-failures-hist
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --hist-global \
-  --devices 2 --out "$BUILD_DIR"/fuzz-failures-hist-shard
+# The fuzz sweep's hist-global legs cover the global-atomic strategy on
+# 3000 seeds, alone and with partial-histogram merges.
 # bench_histogram exits 1 itself unless the CGO'20 shapes verify against
 # the interpreter and beat their reference baselines, conflicts fall
 # monotonically as the width grows, and the lowering switch trades
@@ -374,21 +372,15 @@ print(f"ok: {len(shapes)} shapes >= 1.0x; conflicts {int(confl[0])} -> "
       f"{int(switch['global']['atomic_conflicts'])} conflicts")
 EOF
 
-echo "== cost-model leg: roofline vs pipeline, cross-model fuzz, tuner =="
+echo "== cost-model leg: roofline vs pipeline, tuner =="
 # The pluggable CostModel seam: unit suites for the seam itself (exact
 # roofline formula, typed Config errors, profile observables) and the
 # autotuner's contracts.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'CostModelTest|TuneTest'
-# Differential fuzz with the pipeline model charged: whatever prices the
-# cycles, outputs stay bit-identical to the reference interpreter.
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 \
-  --cost-model pipeline --out "$BUILD_DIR"/fuzz-failures-pipeline
-# Cross-model agreement oracle over 3000 seeds: both models on the same
-# compiled artifact must produce bit-identical outputs and exactly equal
-# model-independent counters (traffic, atomics, coalescing split).
-"$BUILD_DIR"/src/fuzz/futharkcc-fuzz --seed-range 1..3000 --cross-model \
-  --out "$BUILD_DIR"/fuzz-failures-crossmodel
+# The fuzz sweep's pipeline leg covers the other model on 3000 seeds:
+# outputs bit-identical to the reference interpreter, and default's
+# model-independent counters.
 # bench_costmodel runs the sixteen-benchmark suite under both models,
 # asserts output/counter agreement per benchmark, and records the E16
 # calibration table (roofline vs pipeline cycles, divergence profile).

@@ -26,19 +26,7 @@ namespace {
 bool activeType(const Type &T) { return isFloatKind(T.elemKind()); }
 
 SubExp zeroConst(ScalarKind K) {
-  switch (K) {
-  case ScalarKind::F32:
-    return f32c(0.0f);
-  case ScalarKind::F64:
-    return f64c(0.0);
-  case ScalarKind::I32:
-    return i32(0);
-  case ScalarKind::I64:
-    return i64c(0);
-  case ScalarKind::Bool:
-    return boolc(false);
-  }
-  return i32(0);
+  return SubExp::constant(PrimValue::zeroOf(K));
 }
 
 SubExp oneConst(ScalarKind K) {

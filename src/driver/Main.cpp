@@ -164,7 +164,14 @@ int main(int argc, char **argv) {
   bool TraceSummary = false;
   std::string TraceOut;
   CompilerOptions Opts;
-  gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780();
+  // The --device preset applies first, wherever it is, so that the device
+  // flags on either side of it refine it.
+  auto Preset = gpusim::devicePresetFromArgs(argc, argv, "--run");
+  if (!Preset) {
+    fprintf(stderr, "%s\n", Preset.getError().Message.c_str());
+    return 2;
+  }
+  gpusim::DeviceParams DP = *Preset;
   gpusim::ResilienceParams RP;
   std::vector<std::string> RunArgs;
 
@@ -217,15 +224,8 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (A == "--device") {
-      if (++I >= argc) {
+      if (++I >= argc) { // the preset is already applied
         usage();
-        return 2;
-      }
-      std::string Name = argv[I];
-      if (Name == "w8100")
-        DP = gpusim::DeviceParams::w8100();
-      else if (Name != "gtx780") {
-        fprintf(stderr, "unknown device '%s'\n", Name.c_str());
         return 2;
       }
     } else if (A == "--cost-model" || A.rfind("--cost-model=", 0) == 0) {

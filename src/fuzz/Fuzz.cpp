@@ -11,8 +11,6 @@
 #include "parser/Desugar.h"
 #include "support/Utils.h"
 
-#include <functional>
-#include <optional>
 #include <sstream>
 
 using namespace fut;
@@ -309,230 +307,193 @@ fut::fuzz::referenceRun(const std::string &Source,
   return Out;
 }
 
-Outcome fut::fuzz::runSourceDifferential(const std::string &Source,
-                                         const std::vector<Value> &Args,
-                                         const gpusim::DeviceParams &DP,
-                                         int Devices,
-                                         const gpusim::ResilienceParams &RP) {
-  auto Fail = [&](const std::string &What) {
-    Outcome O;
-    O.Ok = false;
-    O.Message = What + "\nprogram:\n" + Source;
-    return O;
-  };
-
-  auto Ref = referenceRun(Source, Args);
-
-  // Subject: the full pipeline (with the IR verifier after every pass)
-  // on the simulated device, running the plan the compiler made.
-  NameSource Names;
-  CompilerOptions CO;
-  CO.Devices = Devices;
-  auto C = compileSource(Source, Names, CO);
-  if (!C)
-    return Fail("compilation failed: " + C.getError().str());
-  DeviceRunOptions RO;
-  RO.Device = DP;
-  RO.Resilience = RP;
-  RO.MemPlan = &C->MemPlan;
-  if (Devices > 1) {
-    RO.Shards = &C->Shards;
-    RO.Devices = Devices;
-  }
-  auto R = runOnDevice(C->P, Args, RO);
-
-  // A typed runtime error is a legitimate program outcome; the two sides
-  // must agree on it exactly, like they must agree on values.
-  if (!Ref && !R) {
-    const CompilerError &RE = Ref.getError(), &DE = R.getError();
-    if (RE.isRuntime() && RE.Kind == DE.Kind && RE.Message == DE.Message) {
-      Outcome O;
-      O.Ok = true;
-      O.BothFailed = true;
-      return O;
-    }
-    return Fail("error mismatch\n  device:    " + DE.str() +
-                "\n  reference: " + RE.str());
-  }
-  if (!Ref)
-    return Fail("only the reference failed: " + Ref.getError().str());
-  if (!R)
-    return Fail("only the device failed: " + R.getError().str());
-
-  std::string Diff = firstDifference(R->Outputs, *Ref);
-  if (!Diff.empty())
-    return Fail("device (got) vs reference (want): " + Diff);
-
-  Outcome O;
-  O.Ok = true;
-  return O;
-}
-
-Outcome fut::fuzz::runDifferential(const FuzzCase &C,
-                                   const gpusim::DeviceParams &DP,
-                                   int Devices,
-                                   const gpusim::ResilienceParams &RP) {
-  Outcome O = runSourceDifferential(C.Source, C.Args, DP, Devices, RP);
-  if (!O.Ok)
-    O.Message = "seed: " + std::to_string(C.Seed) + "\n" + O.Message;
-  return O;
+const std::vector<Leg> &fut::fuzz::sweepLegs() {
+  static const std::vector<Leg> Legs = [] {
+    gpusim::DeviceParams Split = gpusim::DeviceParams::gtx780();
+    Split.ForceSplitRanges = true;
+    gpusim::DeviceParams HistGlobal = gpusim::DeviceParams::gtx780();
+    HistGlobal.HistLocalWidthMax = 0;
+    gpusim::DeviceParams Pipeline = gpusim::DeviceParams::gtx780();
+    Pipeline.CostModelName = "pipeline";
+    return std::vector<Leg>{
+        {.Name = "default"},
+        {.Name = "split",
+         .Device = Split,
+         .Check = Leg::Twin::CostLine,
+         .TwinOf = "default"},
+        {.Name = "devices2", .Devices = 2},
+        {.Name = "hist-global", .Device = HistGlobal},
+        {.Name = "hist-global-devices2", .Device = HistGlobal, .Devices = 2},
+        {.Name = "pipeline",
+         .Device = Pipeline,
+         .Check = Leg::Twin::Counters,
+         .TwinOf = "default"},
+    };
+  }();
+  return Legs;
 }
 
 namespace {
 
-/// Runs \p C's compiled program on the device under \p DP.
-ErrorOr<gpusim::RunResult> runCompiledOn(const CompileResult &Compiled,
-                                 const FuzzCase &C,
-                                 const gpusim::DeviceParams &DP, int Devices) {
-  DeviceRunOptions RO;
-  RO.Device = DP;
-  RO.MemPlan = &Compiled.MemPlan;
-  if (Devices > 1) {
-    RO.Shards = &Compiled.Shards;
-    RO.Devices = Devices;
+/// A leg's device run against the reference: bit-identical outputs, or
+/// the identical typed runtime error; "" or what differs.
+std::string disagreement(const ErrorOr<std::vector<Value>> &Ref,
+                         const ErrorOr<gpusim::RunResult> &Dev) {
+  if (!Ref && !Dev) {
+    const CompilerError &RE = Ref.getError(), &DE = Dev.getError();
+    if (RE.isRuntime() && RE.Kind == DE.Kind && RE.Message == DE.Message)
+      return "";
+    return "error mismatch\n  device:    " + DE.str() +
+           "\n  reference: " + RE.str();
   }
-  return runOnDevice(Compiled.P, C.Args, RO);
+  if (!Ref)
+    return "only the reference failed: " + Ref.getError().str();
+  if (!Dev)
+    return "only the device failed: " + Dev.getError().str();
+  std::string Diff = firstDifference(Dev->Outputs, *Ref);
+  return Diff.empty() ? "" : "device (got) vs reference (want): " + Diff;
 }
 
-/// Two device legs of one program that must agree, \p A and \p B named
-/// \p NameA and \p NameB: a mismatch when only one failed or they failed
-/// differently, agreement when both failed alike, and nothing when both
-/// succeeded (their results are the caller's to compare).
-std::optional<Outcome> agreeOnErrors(
-    const ErrorOr<gpusim::RunResult> &A, const ErrorOr<gpusim::RunResult> &B,
-    const std::string &NameA, const std::string &NameB,
-    const std::function<Outcome(const std::string &)> &Fail) {
-  if (A && B)
-    return std::nullopt;
-  if (!A && !B) {
-    if (A.getError().Kind == B.getError().Kind &&
-        A.getError().Message == B.getError().Message) {
-      Outcome O;
-      O.Ok = true;
-      O.BothFailed = true;
-      return O;
-    }
-    return Fail("error mismatch\n  " + NameA + ": " + A.getError().str() +
-                "\n  " + NameB + ": " + B.getError().str());
-  }
-  return !A ? Fail("only " + NameA + " failed: " + A.getError().str())
-            : Fail("only " + NameB + " failed: " + B.getError().str());
+/// The twin check of \p Twin (run \p T) against its base leg (run \p B);
+/// "" or what differs.
+std::string twinDisagreement(const Leg &Twin, const gpusim::CostReport &T,
+                             const gpusim::CostReport &B) {
+  const std::string &Base = Twin.TwinOf;
+  if (Twin.Check == Leg::Twin::CostLine)
+    return T.str() == B.str() ? ""
+                              : "cost line differs from leg " + Base +
+                                    "\n  " + Base + ": " + B.str() + "\n  " +
+                                    Twin.Name + ": " + T.str();
+  // The cost model prices cycles; it must not change the traffic.
+  const std::pair<const char *, int64_t gpusim::CostReport::*> Counters[] = {
+      {"KernelLaunches", &gpusim::CostReport::KernelLaunches},
+      {"GlobalTransactions", &gpusim::CostReport::GlobalTransactions},
+      {"TransferredBytes", &gpusim::CostReport::TransferredBytes},
+      {"AtomicTransactions", &gpusim::CostReport::AtomicTransactions},
+      {"AtomicConflicts", &gpusim::CostReport::AtomicConflicts},
+      {"LocalAccesses", &gpusim::CostReport::LocalAccesses},
+  };
+  for (const auto &[Name, Field] : Counters)
+    if (T.*Field != B.*Field)
+      return std::string("counter ") + Name + " differs from leg " + Base +
+             "\n  " + Base + ": " + std::to_string(B.*Field) + "\n  " +
+             Twin.Name + ": " + std::to_string(T.*Field);
+  for (const auto &[Name, CR] :
+       {std::pair{&Base, &B}, std::pair{&Twin.Name, &T}})
+    if (CR->CoalescedTransactions + CR->ScatteredTransactions !=
+        CR->GlobalTransactions)
+      return "coalescing decomposition broken on leg " + *Name + ": " +
+             std::to_string(CR->CoalescedTransactions) + " + " +
+             std::to_string(CR->ScatteredTransactions) +
+             " != " + std::to_string(CR->GlobalTransactions);
+  return "";
+}
+
+const Leg *findLeg(const std::vector<Leg> &Legs, const std::string &Name) {
+  for (const Leg &L : Legs)
+    if (L.Name == Name)
+      return &L;
+  return nullptr;
 }
 
 } // namespace
 
-Outcome fut::fuzz::runCrossModel(const FuzzCase &C,
-                                 const gpusim::DeviceParams &DP,
-                                 int Devices) {
-  auto Fail = [&](const std::string &What) {
-    Outcome O;
-    O.Ok = false;
-    O.Message = "seed: " + std::to_string(C.Seed) + "\ncross-model " + What +
-                "\nprogram:\n" + C.Source;
-    return O;
+std::vector<Outcome>
+fut::fuzz::runSourceDifferential(const std::string &Source,
+                                 const std::vector<Value> &Args,
+                                 const std::vector<Leg> &Legs) {
+  std::vector<Outcome> Out(Legs.size());
+  auto Fail = [&](size_t I, const std::string &What) {
+    Out[I].Ok = false;
+    Out[I].Message =
+        "leg " + Legs[I].Name + ": " + What + "\nprogram:\n" + Source;
   };
 
-  NameSource Names;
-  CompilerOptions CO;
-  CO.Devices = Devices;
-  auto Compiled = compileSource(C.Source, Names, CO);
-  if (!Compiled)
-    return Fail("compilation failed: " + Compiled.getError().str());
+  auto Ref = referenceRun(Source, Args);
 
-  auto RunUnder = [&](const char *Model) {
-    gpusim::DeviceParams Under = DP;
-    Under.CostModelName = Model;
-    return runCompiledOn(*Compiled, C, Under, Devices);
+  // Subject: the full pipeline (with the IR verifier after every pass),
+  // compiled once per device count, the only compiler option a leg sets.
+  std::vector<std::pair<int, ErrorOr<CompileResult>>> Builds;
+  Builds.reserve(Legs.size());
+  auto Build = [&](int Devices) -> const ErrorOr<CompileResult> & {
+    for (const auto &[D, C] : Builds)
+      if (D == Devices)
+        return C;
+    NameSource Names;
+    CompilerOptions CO;
+    CO.Devices = Devices;
+    return Builds.emplace_back(Devices, compileSource(Source, Names, CO))
+        .second;
   };
-  auto Roof = RunUnder("roofline");
-  auto Pipe = RunUnder("pipeline");
-  if (auto Disagreed = agreeOnErrors(Roof, Pipe, "roofline", "pipeline", Fail))
-    return *Disagreed;
 
-  std::string Diff = firstDifference(Pipe->Outputs, Roof->Outputs);
-  if (!Diff.empty())
-    return Fail("pipeline (got) vs roofline (want): " + Diff);
+  // One device run per leg, on the plans the compiler made.
+  std::vector<ErrorOr<gpusim::RunResult>> Runs;
+  Runs.reserve(Legs.size());
+  for (size_t I = 0; I < Legs.size(); ++I) {
+    const Leg &L = Legs[I];
+    const ErrorOr<CompileResult> &C = Build(L.Devices);
+    if (!C) {
+      Runs.push_back(C.getError());
+      Fail(I, "compilation failed: " + C.getError().str());
+      continue;
+    }
+    DeviceRunOptions RO;
+    RO.Device = L.Device;
+    RO.Resilience = L.Resilience;
+    RO.MemPlan = &C->MemPlan;
+    if (L.Devices > 1) {
+      RO.Shards = &C->Shards;
+      RO.Devices = L.Devices;
+    }
+    Runs.push_back(runOnDevice(C->P, Args, RO));
+    std::string What = disagreement(Ref, Runs.back());
+    if (What.empty()) {
+      Out[I].Ok = true;
+      Out[I].BothFailed = !Ref;
+    } else {
+      Fail(I, What);
+    }
+  }
 
-  // Model-independent counters: the model prices cycles, it does not
-  // change the traffic.  Each pair must be exactly equal, and the
-  // coalescing decomposition must account for every global transaction
-  // under both models.
-  const gpusim::CostReport &RC = Roof->Cost;
-  const gpusim::CostReport &PC = Pipe->Cost;
-  auto CounterMismatch = [&](const char *Name, int64_t A, int64_t B) {
-    return Fail(std::string("counter ") + Name +
-                " differs\n  roofline: " + std::to_string(A) +
-                "\n  pipeline: " + std::to_string(B));
-  };
-  if (RC.KernelLaunches != PC.KernelLaunches)
-    return CounterMismatch("KernelLaunches", RC.KernelLaunches,
-                           PC.KernelLaunches);
-  if (RC.GlobalTransactions != PC.GlobalTransactions)
-    return CounterMismatch("GlobalTransactions", RC.GlobalTransactions,
-                           PC.GlobalTransactions);
-  if (RC.TransferredBytes != PC.TransferredBytes)
-    return CounterMismatch("TransferredBytes", RC.TransferredBytes,
-                           PC.TransferredBytes);
-  if (RC.AtomicTransactions != PC.AtomicTransactions)
-    return CounterMismatch("AtomicTransactions", RC.AtomicTransactions,
-                           PC.AtomicTransactions);
-  if (RC.AtomicConflicts != PC.AtomicConflicts)
-    return CounterMismatch("AtomicConflicts", RC.AtomicConflicts,
-                           PC.AtomicConflicts);
-  if (RC.LocalAccesses != PC.LocalAccesses)
-    return CounterMismatch("LocalAccesses", RC.LocalAccesses,
-                           PC.LocalAccesses);
-  for (const gpusim::CostReport *CR : {&RC, &PC})
-    if (CR->CoalescedTransactions + CR->ScatteredTransactions !=
-        CR->GlobalTransactions)
-      return Fail(std::string("coalescing decomposition broken under ") +
-                  CR->CostModelUsed + ": " +
-                  std::to_string(CR->CoalescedTransactions) + " + " +
-                  std::to_string(CR->ScatteredTransactions) +
-                  " != " + std::to_string(CR->GlobalTransactions));
-
-  Outcome O;
-  O.Ok = true;
-  return O;
+  // The twin checks reuse the runs: only two that succeeded have a cost
+  // report to compare (two that failed already agree with the reference).
+  for (size_t I = 0; I < Legs.size(); ++I) {
+    const Leg &L = Legs[I];
+    if (L.Check == Leg::Twin::None || !Out[I].Ok)
+      continue;
+    const Leg *Base = findLeg(Legs, L.TwinOf);
+    if (!Base) {
+      Fail(I, "twin of leg " + L.TwinOf + ", which is not run");
+      continue;
+    }
+    const auto &T = Runs[I], &B = Runs[static_cast<size_t>(Base - &Legs[0])];
+    if (!T || !B)
+      continue;
+    std::string What = twinDisagreement(L, T->Cost, B->Cost);
+    if (!What.empty())
+      Fail(I, What);
+  }
+  return Out;
 }
 
-Outcome fut::fuzz::runSplitRanges(const FuzzCase &C,
-                                  const gpusim::DeviceParams &DP,
-                                  int Devices) {
-  auto Fail = [&](const std::string &What) {
-    Outcome O;
-    O.Ok = false;
-    O.Message = "seed: " + std::to_string(C.Seed) + "\nsplit ranges " + What +
-                "\nprogram:\n" + C.Source;
-    return O;
-  };
+std::vector<Outcome> fut::fuzz::runDifferential(const FuzzCase &C,
+                                                const std::vector<Leg> &Legs) {
+  std::vector<Outcome> Out = runSourceDifferential(C.Source, C.Args, Legs);
+  for (Outcome &O : Out)
+    if (!O.Ok)
+      O.Message = "seed: " + std::to_string(C.Seed) + "\n" + O.Message;
+  return Out;
+}
 
-  NameSource Names;
-  CompilerOptions CO;
-  CO.Devices = Devices;
-  auto Compiled = compileSource(C.Source, Names, CO);
-  if (!Compiled)
-    return Fail("compilation failed: " + Compiled.getError().str());
-
-  auto Run = [&](bool Split) {
-    gpusim::DeviceParams Under = DP;
-    Under.ForceSplitRanges = Split;
-    return runCompiledOn(*Compiled, C, Under, Devices);
-  };
-  auto Whole = Run(false);
-  auto Split = Run(true);
-  if (auto Disagreed = agreeOnErrors(Whole, Split, "whole", "split", Fail))
-    return *Disagreed;
-  std::string Diff = firstDifference(Split->Outputs, Whole->Outputs);
-  if (!Diff.empty())
-    return Fail("split (got) vs whole (want): " + Diff);
-  if (Split->Cost.str() != Whole->Cost.str())
-    return Fail("cost line differs\n  whole: " + Whole->Cost.str() +
-                "\n  split: " + Split->Cost.str());
-
-  Outcome O;
-  O.Ok = true;
-  return O;
+std::vector<Leg> fut::fuzz::rerunLegs(const std::vector<Leg> &Legs,
+                                      size_t Failing) {
+  std::vector<Leg> Rerun;
+  const Leg &L = Legs[Failing];
+  if (const Leg *Base = L.Check == Leg::Twin::None ? nullptr
+                                                   : findLeg(Legs, L.TwinOf))
+    Rerun.push_back(*Base);
+  Rerun.push_back(L);
+  return Rerun;
 }
 
 //===----------------------------------------------------------------------===//
@@ -540,14 +501,12 @@ Outcome fut::fuzz::runSplitRanges(const FuzzCase &C,
 //===----------------------------------------------------------------------===//
 
 ShrinkResult fut::fuzz::shrink(const Plan &P, uint64_t Seed,
-                               const gpusim::DeviceParams &DP, int Devices) {
-  // Candidates rerun under the same device configuration the failure was
-  // found with, so mode-specific failures (--hist-global sweeps, --devices
-  // sharding sweeps) keep failing while they shrink.
+                               const std::vector<Leg> &Legs, size_t Failing) {
+  std::vector<Leg> Rerun = rerunLegs(Legs, Failing);
   ShrinkResult SR = shrinkPlan(
       P,
       [&](const Plan &Cand) {
-        Outcome O = runDifferential(renderPlan(Cand, Seed), DP, Devices);
+        Outcome O = runDifferential(renderPlan(Cand, Seed), Rerun).back();
         return O.Ok ? std::string() : O.Message;
       },
       [](Plan &Q) {

@@ -7,13 +7,16 @@
 /// \file
 /// The differential oracle of the tree, plus the seeded generator of small
 /// well-typed surface programs it is driven with, and a shrinker producing
-/// minimal failing .fut cases.  The oracle runs a program on the reference
-/// interpreter (frontend output, no optimisation, no faults) and through
-/// the full pipeline onto the simulated device on the compiled memory
-/// plan, under any device, device count and fault configuration, and
-/// demands bit-identical outputs (firstDifference, interp/Value.h) or the
-/// identical typed error.  futharkcc-fuzz, the regression corpus and the
-/// DifferentialTest legs all call it.  Its reference leg, referenceRun, is
+/// minimal failing .fut cases.  The oracle runs a program once on the
+/// reference interpreter (frontend output, no optimisation, no faults) and
+/// through the full pipeline onto the simulated device on the compiled
+/// memory plan, once per leg: a device, device count and fault
+/// configuration.  Each leg must give bit-identical outputs
+/// (firstDifference, interp/Value.h) or the identical typed error, and a
+/// twin leg must also match the leg it twins (the same cost line, or the
+/// same model-independent counters).  futharkcc-fuzz runs the fixed leg
+/// table, sweepLegs(); the regression corpus and the DifferentialTest
+/// configurations pass one leg each.  Its reference run, referenceRun, is
 /// shared by every other compiled-vs-reference check: the benchmark
 /// suite's Verify leg, futharkcc-serve --check and the simulator tests,
 /// each comparing with the same firstDifference.
@@ -112,7 +115,7 @@ FuzzCase renderPlan(const Plan &P, uint64_t Seed);
 /// samplePlan + renderPlan.
 FuzzCase generate(uint64_t Seed);
 
-/// The outcome of one differential run.
+/// The outcome of one leg of a differential run.
 struct Outcome {
   bool Ok = false;
   /// Both sides failed with the identical typed runtime error — counts as
@@ -133,51 +136,63 @@ ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
                                          InterpOptions IO = {},
                                          int64_t *CopiedConsumes = nullptr);
 
-/// Runs \p Source through referenceRun and through the full pipeline +
-/// simulated device on the compiled memory plan, comparing bit-for-bit.
-/// Typed runtime errors must agree in kind and message; any compile or
-/// verifier error is a failure.  \p DP selects the simulated device (the
-/// --hist-global and --cost-model sweeps pass non-default ones).
-/// \p Devices > 1 routes the device leg through the sharded path
-/// (compiled with a shard plan, executed on a DeviceGroup).  \p RP sets
-/// the device's fault injection, retries and interpreter fallback: results
-/// must stay identical to the reference under all of them.
-Outcome runSourceDifferential(
-    const std::string &Source, const std::vector<Value> &Args,
-    const gpusim::DeviceParams &DP = gpusim::DeviceParams::gtx780(),
-    int Devices = 1,
-    const gpusim::ResilienceParams &RP = gpusim::ResilienceParams());
+/// One device configuration of the differential oracle: the simulated
+/// device, the device count (above one the leg compiles with a shard plan
+/// and runs on a DeviceGroup) and the fault injection its run sees.  A
+/// twin leg must also equal the run of the leg named \c TwinOf, which
+/// differs from it only in something that must not change what \c Check
+/// compares.
+struct Leg {
+  enum class Twin : uint8_t {
+    None,
+    /// The whole CostReport::str() line, byte for byte.
+    CostLine,
+    /// KernelLaunches, GlobalTransactions, TransferredBytes, the atomic
+    /// counters and LocalAccesses; and on both runs, Coalesced +
+    /// Scattered == GlobalTransactions.
+    Counters,
+  };
+
+  /// Names the leg in summaries and failure messages.
+  std::string Name = "default";
+  gpusim::DeviceParams Device = gpusim::DeviceParams::gtx780();
+  int Devices = 1;
+  gpusim::ResilienceParams Resilience = {};
+  Twin Check = Twin::None;
+  std::string TwinOf = {};
+};
+
+/// The legs of a futharkcc-fuzz sweep, each checked against one reference
+/// run per seed:
+///  * default - gtx780, one device;
+///  * split - default with DeviceParams::ForceSplitRanges, a CostLine twin
+///    of default;
+///  * devices2 - sharded over two devices;
+///  * hist-global, hist-global-devices2 - the global-atomic histogram
+///    lowering (HistLocalWidthMax 0) on one and two devices;
+///  * pipeline - the pipeline cost model, a Counters twin of default.
+const std::vector<Leg> &sweepLegs();
+
+/// Runs \p Source once through referenceRun and, for each of \p Legs,
+/// through the full pipeline + simulated device on the compiled memory
+/// plan, compiling once per distinct device count.  A leg agrees when its
+/// outputs are bit-identical to the reference's, or when both failed with
+/// the identical typed runtime error; any compile or verifier error is a
+/// failure, and so is a twin check that does not hold, or a twin whose
+/// \c TwinOf is not among \p Legs.  Returns one outcome per leg, in
+/// order; a failure message starts with "leg <name>:".
+std::vector<Outcome>
+runSourceDifferential(const std::string &Source, const std::vector<Value> &Args,
+                      const std::vector<Leg> &Legs = {Leg()});
 
 /// runSourceDifferential on a generated case; a failure message starts
 /// with the case's seed.
-Outcome runDifferential(
-    const FuzzCase &C,
-    const gpusim::DeviceParams &DP = gpusim::DeviceParams::gtx780(),
-    int Devices = 1,
-    const gpusim::ResilienceParams &RP = gpusim::ResilienceParams());
+std::vector<Outcome> runDifferential(const FuzzCase &C,
+                                     const std::vector<Leg> &Legs = {Leg()});
 
-/// Cross-model agreement oracle: compiles once and runs the device leg
-/// twice — once under the roofline cost model, once under the pipeline
-/// model — demanding bit-identical outputs (or the identical typed
-/// runtime error) and exactly equal model-independent counters
-/// (GlobalTransactions, TransferredBytes, atomic traffic, and the
-/// Coalesced + Scattered == GlobalTransactions decomposition).  The cost
-/// model prices cycles; it must never influence what the program computes
-/// or how much memory traffic it performs.
-Outcome runCrossModel(const FuzzCase &C,
-                      const gpusim::DeviceParams &DP =
-                          gpusim::DeviceParams::gtx780(),
-                      int Devices = 1);
-
-/// Warp-range oracle: compiles once and runs the device leg twice, as
-/// \p DP has it and with DeviceParams::ForceSplitRanges, which splits
-/// every launch that can split into ranges of less than a warp.  The two
-/// runs must agree byte for byte: the same cost line (CostReport::str()),
-/// bit-identical outputs, or the identical typed runtime error.
-Outcome runSplitRanges(const FuzzCase &C,
-                       const gpusim::DeviceParams &DP =
-                           gpusim::DeviceParams::gtx780(),
-                       int Devices = 1);
+/// The legs a rerun of \p Legs[\p Failing] needs: that leg, after the leg
+/// its twin check compares with when it has one.
+std::vector<Leg> rerunLegs(const std::vector<Leg> &Legs, size_t Failing);
 
 /// A shrunk failing case: the minimal plan, its rendering, the failure
 /// message of the minimal case, and the work it took.
@@ -253,16 +268,14 @@ ShrinkOutcome<PlanT> shrinkPlan(const PlanT &P, FailureFn Failure,
   return SR;
 }
 
-/// shrinkPlan under runDifferential.  \p DP and \p Devices must be the
-/// device configuration the failure was found under — a --hist-global
-/// failure only reproduces with the global-atomic lowering, and a sharding
-/// failure only with the same device count, so shrinking under the default
-/// parameters would see nothing to shrink.
+/// shrinkPlan under runDifferential on leg \p Failing of \p Legs: each
+/// candidate reruns only rerunLegs(Legs, Failing), so a failure that
+/// needs that leg's device configuration keeps failing while it shrinks,
+/// and the message is that leg's.
 using ShrinkResult = ShrinkOutcome<Plan>;
 ShrinkResult shrink(const Plan &P, uint64_t Seed,
-                    const gpusim::DeviceParams &DP =
-                        gpusim::DeviceParams::gtx780(),
-                    int Devices = 1);
+                    const std::vector<Leg> &Legs = {Leg()},
+                    size_t Failing = 0);
 
 /// Serialises \p C as a self-contained .fut regression file: comment
 /// header (one line per \p CommentLines entry), an "-- args:" line, then

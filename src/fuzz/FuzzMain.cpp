@@ -6,23 +6,26 @@
 ///
 /// \file
 /// Differentially fuzzes the compiler: for each seed, generate a small
-/// well-typed program, run it through the full pipeline + simulated device
-/// and through the reference interpreter, and demand bit-identical results
-/// (or the identical typed runtime error).  Failures are shrunk to minimal
-/// plans and written out as self-contained .fut regression files.
+/// well-typed program, run it once through the reference interpreter and,
+/// on every leg of fuzz::sweepLegs(), through the full pipeline +
+/// simulated device, and demand bit-identical results (or the identical
+/// typed runtime error) and the legs' twin checks.  Failures are shrunk on
+/// the failing leg to minimal plans and written out as self-contained .fut
+/// regression files.  The summary gives each leg's seeds, failures and
+/// agreed runtime errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzz.h"
 #include "fuzz/GradFuzz.h"
 
-#include "gpusim/CostModel.h"
 #include "support/Utils.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace fut;
@@ -33,6 +36,12 @@ namespace {
 void usage() {
   fprintf(stderr,
           "usage: futharkcc-fuzz [options]\n"
+          "Runs each seed's program once on the reference interpreter and\n"
+          "on every leg of the sweep, compared with it:\n");
+  for (const Leg &L : sweepLegs())
+    fprintf(stderr, "  %s\n", L.Name.c_str());
+  fprintf(stderr,
+          "options:\n"
           "  --seed <n>          fuzz exactly one seed\n"
           "  --seed-range <a..b> fuzz seeds a through b inclusive "
           "(default 1..100)\n"
@@ -40,23 +49,6 @@ void usage() {
           "  --out <dir>         where to write minimized .fut failures\n"
           "                      (default: fuzz-failures)\n"
           "  --no-shrink         report raw failures without minimizing\n"
-          "  --devices <n>       run the device side sharded across n\n"
-          "                      simulated devices (default 1)\n"
-          "  --hist-global       force the global-atomic histogram\n"
-          "                      lowering (local-width threshold 0), so\n"
-          "                      the sweep covers both strategies\n"
-          "  --cost-model <m>    run the device leg under cost model m\n"
-          "                      (roofline | pipeline); outputs must stay\n"
-          "                      bit-identical to the reference either way\n"
-          "  --cross-model       additionally run each seed's device leg\n"
-          "                      under BOTH cost models and demand\n"
-          "                      bit-identical outputs and exactly equal\n"
-          "                      model-independent counters\n"
-          "  --split-ranges      additionally run each seed's device leg\n"
-          "                      with every launch split into ranges of\n"
-          "                      less than a warp (a test hook) and\n"
-          "                      demand the identical cost line, outputs\n"
-          "                      and typed errors\n"
           "  --vjp               gradient-check sweep: generate smooth f64\n"
           "                      programs, compile each with --vjp=main,\n"
           "                      and compare the adjoints on the simulated\n"
@@ -72,16 +64,32 @@ bool parseRange(const std::string &S, uint64_t &Lo, uint64_t &Hi) {
          parseNumArg(S.substr(Dots + 2), Hi) && Lo <= Hi;
 }
 
+/// Writes \p Min to \p Path as a regression file whose comment header is
+/// \p Header and the failure report \p Msg up to its program, which the
+/// file holds anyway.
+void writeReproducer(const std::string &Path, const FuzzCase &Min,
+                     const std::string &Header, const std::string &Msg) {
+  std::ofstream OS(Path);
+  if (!OS) {
+    fprintf(stderr, "cannot write %s (create the directory first?)\n",
+            Path.c_str());
+    return;
+  }
+  std::vector<std::string> Comments = {Header};
+  std::istringstream Lines(Msg);
+  for (std::string Line; std::getline(Lines, Line) && Line != "program:";)
+    Comments.push_back(Line);
+  OS << toRegressionFile(Min, Comments);
+  fprintf(stderr, "wrote %s\n", Path.c_str());
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   uint64_t Lo = 1, Hi = 100;
   std::string OutDir = "fuzz-failures";
-  bool Shrink = true, Verbose = false, CrossModel = false, VjpMode = false,
-       SplitRanges = false;
+  bool Shrink = true, Verbose = false, VjpMode = false;
   int64_t DumpSeed = -1;
-  int Devices = 1;
-  gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780();
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -122,29 +130,8 @@ int main(int argc, char **argv) {
       OutDir = V;
     } else if (A == "--no-shrink") {
       Shrink = false;
-    } else if (A == "--hist-global") {
-      DP.HistLocalWidthMax = 0;
-    } else if (A == "--cost-model" || A.rfind("--cost-model=", 0) == 0) {
-      const char *V =
-          A == "--cost-model" ? Next() : A.c_str() + strlen("--cost-model=");
-      if (!V || !gpusim::CostModel::byName(V)) {
-        usage();
-        return 2;
-      }
-      DP.CostModelName = V;
-    } else if (A == "--cross-model") {
-      CrossModel = true;
-    } else if (A == "--split-ranges") {
-      SplitRanges = true;
     } else if (A == "--vjp") {
       VjpMode = true;
-    } else if (A == "--devices" || A.rfind("--devices=", 0) == 0) {
-      const char *V =
-          A == "--devices" ? Next() : A.c_str() + strlen("--devices=");
-      if (!V || !parseNumArg(V, Devices) || Devices < 1) {
-        usage();
-        return 2;
-      }
     } else if (A == "--dump") {
       const char *V = Next();
       if (!V || !parseNumArg(V, DumpSeed) || DumpSeed < 0) {
@@ -179,7 +166,7 @@ int main(int argc, char **argv) {
     for (uint64_t Seed = Lo; Seed <= Hi; ++Seed) {
       GradPlan P = sampleGradPlan(Seed);
       FuzzCase C = renderGradPlan(P, Seed);
-      GradOutcome O = runGradientCheck(C, DP);
+      GradOutcome O = runGradientCheck(C);
       MaxRelErr = std::max(MaxRelErr, O.MaxRelErr);
       if (O.Ok) {
         if (Verbose)
@@ -195,26 +182,17 @@ int main(int argc, char **argv) {
       FuzzCase Min = C;
       std::string MinMsg = O.Message;
       if (Shrink) {
-        GradShrinkResult SR = shrinkGrad(P, Seed, DP);
+        GradShrinkResult SR = shrinkGrad(P, Seed);
         Min = SR.Minimal;
         MinMsg = SR.Message;
         fprintf(stderr, "shrunk (%d steps removed, %d attempts) to:\n%s\n",
                 SR.StepsRemoved, SR.Attempts, Min.Source.c_str());
       }
 
-      std::string Path =
-          OutDir + "/gradseed" + std::to_string(Seed) + ".fut";
-      std::ofstream OS(Path);
-      if (OS) {
-        std::string FirstLine = MinMsg.substr(0, MinMsg.find('\n'));
-        OS << toRegressionFile(
-            Min, {"gradient-check failure, seed " + std::to_string(Seed),
-                  FirstLine});
-        fprintf(stderr, "wrote %s\n", Path.c_str());
-      } else {
-        fprintf(stderr, "cannot write %s (create the directory first?)\n",
-                Path.c_str());
-      }
+      writeReproducer(OutDir + "/gradseed" + std::to_string(Seed) + ".fut",
+                      Min, "gradient-check failure, seed " +
+                               std::to_string(Seed),
+                      MinMsg);
     }
     fprintf(stderr,
             "gradient-checked seeds %llu..%llu: %llu failure(s), max rel "
@@ -226,84 +204,69 @@ int main(int argc, char **argv) {
     return Failures == 0 ? 0 : 1;
   }
 
-  uint64_t Failures = 0, BothFailed = 0;
+  const std::vector<Leg> &Legs = sweepLegs();
+  struct Tally {
+    uint64_t Seeds = 0, Failures = 0, BothFailed = 0;
+  };
+  std::vector<Tally> Tallies(Legs.size());
+  uint64_t FailingSeeds = 0;
   for (uint64_t Seed = Lo; Seed <= Hi; ++Seed) {
     Plan P = samplePlan(Seed);
     FuzzCase C = renderPlan(P, Seed);
-    Outcome O = runDifferential(C, DP, Devices);
-    if (O.Ok && CrossModel) {
-      // The cross-model oracle is independent of the interpreter: both
-      // cost models must produce bit-identical outputs and exactly equal
-      // model-independent counters.  A disagreement is reported as-is —
-      // the differential shrinker would not reproduce it.
-      Outcome XM = runCrossModel(C, DP, Devices);
-      if (!XM.Ok) {
-        ++Failures;
-        fprintf(stderr, "seed %llu: CROSS-MODEL FAIL\n%s\n",
-                static_cast<unsigned long long>(Seed), XM.Message.c_str());
+    std::vector<Outcome> Os = runDifferential(C, Legs);
+    int Agreed = 0;
+    bool Failed = false;
+    for (size_t L = 0; L < Legs.size(); ++L) {
+      ++Tallies[L].Seeds;
+      if (Os[L].Ok) {
+        Tallies[L].BothFailed += Os[L].BothFailed;
+        Agreed += Os[L].BothFailed;
         continue;
       }
-    }
-    if (O.Ok && SplitRanges) {
-      // Like the cross-model oracle, independent of the interpreter: a
-      // split launch must merge to exactly what the whole launch computes
-      // and charges.
-      Outcome SR = runSplitRanges(C, DP, Devices);
-      if (!SR.Ok) {
-        ++Failures;
-        fprintf(stderr, "seed %llu: SPLIT-RANGES FAIL\n%s\n",
-                static_cast<unsigned long long>(Seed), SR.Message.c_str());
-        continue;
+      ++Tallies[L].Failures;
+      Failed = true;
+      fprintf(stderr, "seed %llu: FAIL on leg %s\n%s\n",
+              static_cast<unsigned long long>(Seed), Legs[L].Name.c_str(),
+              Os[L].Message.c_str());
+
+      FuzzCase Min = C;
+      std::string MinMsg = Os[L].Message;
+      if (Shrink) {
+        ShrinkResult SR = shrink(P, Seed, Legs, L);
+        Min = SR.Minimal;
+        MinMsg = SR.Message;
+        fprintf(stderr, "shrunk (%d steps removed, %d attempts) to:\n%s\n",
+                SR.StepsRemoved, SR.Attempts, Min.Source.c_str());
       }
-    }
-    if (O.Ok) {
-      if (O.BothFailed)
-        ++BothFailed;
-      if (Verbose)
-        fprintf(stderr, "seed %llu: ok%s\n",
-                static_cast<unsigned long long>(Seed),
-                O.BothFailed ? " (agreed runtime error)" : "");
-      continue;
-    }
 
-    ++Failures;
-    fprintf(stderr, "seed %llu: FAIL\n%s\n",
-            static_cast<unsigned long long>(Seed), O.Message.c_str());
-
-    FuzzCase Min = C;
-    std::string MinMsg = O.Message;
-    if (Shrink) {
-      ShrinkResult SR = shrink(P, Seed, DP, Devices);
-      Min = SR.Minimal;
-      MinMsg = SR.Message;
-      fprintf(stderr,
-              "shrunk (%d steps removed, %d attempts) to:\n%s\n",
-              SR.StepsRemoved, SR.Attempts, Min.Source.c_str());
+      writeReproducer(OutDir + "/seed" + std::to_string(Seed) + "-" +
+                          Legs[L].Name + ".fut",
+                      Min, "fuzzer failure, seed " + std::to_string(Seed),
+                      MinMsg);
     }
-
-    std::string Path =
-        OutDir + "/seed" + std::to_string(Seed) + ".fut";
-    std::ofstream OS(Path);
-    if (OS) {
-      // First message line only: the full report repeats the source.
-      std::string FirstLine = MinMsg.substr(0, MinMsg.find('\n'));
-      OS << toRegressionFile(
-          Min, {"fuzzer failure, seed " + std::to_string(Seed),
-                FirstLine});
-      fprintf(stderr, "wrote %s\n", Path.c_str());
-    } else {
-      fprintf(stderr,
-              "cannot write %s (create the directory first?)\n",
-              Path.c_str());
+    FailingSeeds += Failed;
+    if (Verbose && !Failed) {
+      if (Agreed)
+        fprintf(stderr, "seed %llu: ok (agreed runtime error on %d of %zu "
+                        "legs)\n",
+                static_cast<unsigned long long>(Seed), Agreed, Legs.size());
+      else
+        fprintf(stderr, "seed %llu: ok\n",
+                static_cast<unsigned long long>(Seed));
     }
   }
 
-  fprintf(stderr,
-          "fuzzed seeds %llu..%llu: %llu failure(s), %llu agreed runtime "
-          "error(s)\n",
+  for (size_t L = 0; L < Legs.size(); ++L)
+    fprintf(stderr,
+            "leg %s: %llu seeds, %llu failure(s), %llu agreed runtime "
+            "error(s)\n",
+            Legs[L].Name.c_str(),
+            static_cast<unsigned long long>(Tallies[L].Seeds),
+            static_cast<unsigned long long>(Tallies[L].Failures),
+            static_cast<unsigned long long>(Tallies[L].BothFailed));
+  fprintf(stderr, "fuzzed seeds %llu..%llu on %zu legs: %llu failing seed(s)\n",
           static_cast<unsigned long long>(Lo),
-          static_cast<unsigned long long>(Hi),
-          static_cast<unsigned long long>(Failures),
-          static_cast<unsigned long long>(BothFailed));
-  return Failures == 0 ? 0 : 1;
+          static_cast<unsigned long long>(Hi), Legs.size(),
+          static_cast<unsigned long long>(FailingSeeds));
+  return FailingSeeds == 0 ? 0 : 1;
 }

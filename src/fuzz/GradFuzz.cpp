@@ -282,8 +282,7 @@ FuzzCase fut::fuzz::generateGrad(uint64_t Seed) {
 // The gradient oracle
 //===----------------------------------------------------------------------===//
 
-GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
-                                        const gpusim::DeviceParams &DP) {
+GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C) {
   GradOutcome O;
   auto Fail = [&](const std::string &What) {
     O.Ok = false;
@@ -323,7 +322,6 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
   std::vector<Value> VArgs = C.Args;
   VArgs.push_back(Value::scalar(PrimValue::makeF64(1.0)));
   DeviceRunOptions RO;
-  RO.Device = DP;
   RO.MemPlan = &Compiled->MemPlan;
   auto R = runOnDevice(Compiled->P, VArgs, RO, "main_vjp");
   if (!R)
@@ -414,12 +412,11 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C,
 // Shrinking
 //===----------------------------------------------------------------------===//
 
-GradShrinkResult fut::fuzz::shrinkGrad(const GradPlan &P, uint64_t Seed,
-                                       const gpusim::DeviceParams &DP) {
+GradShrinkResult fut::fuzz::shrinkGrad(const GradPlan &P, uint64_t Seed) {
   GradShrinkResult SR = shrinkPlan(
       P,
       [&](const GradPlan &Cand) {
-        GradOutcome O = runGradientCheck(renderGradPlan(Cand, Seed), DP);
+        GradOutcome O = runGradientCheck(renderGradPlan(Cand, Seed));
         return O.Ok ? std::string() : O.Message;
       },
       // x0 first, then the elements.

@@ -100,17 +100,13 @@ constexpr double GradRelTol = 1e-4;
 /// compares every adjoint component against central finite differences of
 /// the primal through the reference interpreter.  Also cross-checks the
 /// primal value the VJP returns against the interpreter's.
-GradOutcome runGradientCheck(const FuzzCase &C,
-                             const gpusim::DeviceParams &DP =
-                                 gpusim::DeviceParams::gtx780());
+GradOutcome runGradientCheck(const FuzzCase &C);
 
 /// shrinkPlan under the gradient oracle: drop plan steps, shorten the
 /// array, and zero x0 and then the array's elements while the check keeps
 /// failing.
 using GradShrinkResult = ShrinkOutcome<GradPlan>;
-GradShrinkResult shrinkGrad(const GradPlan &P, uint64_t Seed,
-                            const gpusim::DeviceParams &DP =
-                                gpusim::DeviceParams::gtx780());
+GradShrinkResult shrinkGrad(const GradPlan &P, uint64_t Seed);
 
 } // namespace fuzz
 } // namespace fut

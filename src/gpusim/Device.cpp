@@ -42,6 +42,26 @@ DeviceParams DeviceParams::w8100() {
   return P;
 }
 
+ErrorOr<DeviceParams> fut::gpusim::devicePresetFromArgs(
+    int Argc, char **Argv, const std::string &StopAt) {
+  DeviceParams P = DeviceParams::gtx780();
+  for (int I = 1; I + 1 < Argc; ++I) {
+    std::string A = Argv[I];
+    if (!StopAt.empty() && A == StopAt)
+      break;
+    if (A != "--device")
+      continue;
+    std::string Name = Argv[++I];
+    if (Name == "w8100")
+      P = DeviceParams::w8100();
+    else if (Name == "gtx780")
+      P = DeviceParams::gtx780();
+    else
+      return CompilerError::config("unknown device '" + Name + "'");
+  }
+  return P;
+}
+
 bool DeviceParams::costModelNameKnown() const {
   return CostModel::byName(CostModelName) != nullptr;
 }

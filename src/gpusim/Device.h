@@ -46,21 +46,6 @@
 namespace fut {
 namespace gpusim {
 
-/// Bytes one element of kind \p K occupies in device memory.
-inline int64_t elemBytes(ScalarKind K) {
-  switch (K) {
-  case ScalarKind::Bool:
-    return 1;
-  case ScalarKind::I32:
-  case ScalarKind::F32:
-    return 4;
-  case ScalarKind::I64:
-  case ScalarKind::F64:
-    return 8;
-  }
-  return 4;
-}
-
 struct DeviceParams {
   std::string Name = "gtx780";
 
@@ -209,7 +194,7 @@ public:
   /// warp ranges does, however small.  The lanes after the first run as
   /// ranges of at most WarpSize - 1 lanes, so ranges start and end inside
   /// warps.  Outputs, errors and every counter must be exactly those
-  /// of the unsplit run (futharkcc-fuzz --split-ranges checks this).  Each
+  /// of the unsplit run (the fuzz sweep's split leg checks this).  Each
   /// range holds a copy of the launch's state until the merge, so keep
   /// launches small.
   bool ForceSplitRanges = false;
@@ -220,6 +205,14 @@ public:
   /// lower effective compute, and much higher launch overhead.
   static DeviceParams w8100();
 };
+
+/// The preset a command line's "--device <name>" selects (the last one
+/// before \p StopAt; gtx780 without one), or a Config error naming an
+/// unknown device.  Command-line mains start from it before reading any
+/// other device flag, so a flag refines the preset whichever side of
+/// --device it is on.
+ErrorOr<DeviceParams> devicePresetFromArgs(int Argc, char **Argv,
+                                           const std::string &StopAt = "");
 
 /// Aggregated execution statistics.
 struct CostReport {

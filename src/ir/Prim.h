@@ -30,6 +30,21 @@ const char *scalarKindName(ScalarKind K);
 bool isFloatKind(ScalarKind K);
 bool isIntKind(ScalarKind K);
 
+/// Bytes one element of kind \p K occupies in memory.
+inline int64_t elemBytes(ScalarKind K) {
+  switch (K) {
+  case ScalarKind::Bool:
+    return 1;
+  case ScalarKind::I32:
+  case ScalarKind::F32:
+    return 4;
+  case ScalarKind::I64:
+  case ScalarKind::F64:
+    return 8;
+  }
+  return 4;
+}
+
 /// A single scalar value, tagged with its kind.  I32/F32 values are kept
 /// truncated to 32-bit semantics at every operation.
 class PrimValue {

@@ -17,20 +17,6 @@ using namespace fut::mem;
 
 namespace {
 
-int64_t elemBytes(ScalarKind K) {
-  switch (K) {
-  case ScalarKind::Bool:
-    return 1;
-  case ScalarKind::I32:
-  case ScalarKind::F32:
-    return 4;
-  case ScalarKind::I64:
-  case ScalarKind::F64:
-    return 8;
-  }
-  return 4;
-}
-
 /// Byte size of \p Ty when every dimension is constant; -1 otherwise.
 int64_t staticBytes(const Type &Ty) {
   if (!Ty.isArray())

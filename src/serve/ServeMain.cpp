@@ -115,6 +115,14 @@ int main(int argc, char **argv) {
   bool Check = false, Quiet = false, TraceSummary = false;
   std::string TraceOut;
   serve::ServerConfig SC;
+  // The --device preset applies first, wherever it is, so that
+  // --device-mem on either side of it refines it.
+  auto Preset = gpusim::devicePresetFromArgs(argc, argv);
+  if (!Preset) {
+    fprintf(stderr, "%s\n", Preset.getError().Message.c_str());
+    return 2;
+  }
+  SC.Device = *Preset;
   serve::ServeLimits Limits;
   uint64_t BaseSeed = 1;
 
@@ -151,15 +159,8 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (A == "--device") {
-      if (++I >= argc) {
+      if (++I >= argc) { // the preset is already applied
         usage();
-        return 2;
-      }
-      std::string Name = argv[I];
-      if (Name == "w8100")
-        SC.Device = gpusim::DeviceParams::w8100();
-      else if (Name != "gtx780") {
-        fprintf(stderr, "unknown device '%s'\n", Name.c_str());
         return 2;
       }
     } else if (A == "--device-mem") {

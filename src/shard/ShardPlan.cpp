@@ -17,20 +17,6 @@ using namespace fut::shard;
 
 namespace {
 
-int64_t elemBytesOf(ScalarKind K) {
-  switch (K) {
-  case ScalarKind::Bool:
-    return 1;
-  case ScalarKind::I32:
-  case ScalarKind::F32:
-    return 4;
-  case ScalarKind::I64:
-  case ScalarKind::F64:
-    return 8;
-  }
-  return 4;
-}
-
 /// Byte size when every dimension is constant; -1 when symbolic.
 int64_t staticBytes(const Type &Ty) {
   int64_t N = 1;
@@ -39,7 +25,7 @@ int64_t staticBytes(const Type &Ty) {
       return -1;
     N *= D.getConst().asInt64();
   }
-  return N * elemBytesOf(Ty.elemKind());
+  return N * elemBytes(Ty.elemKind());
 }
 
 bool isIdentityPerm(const std::vector<int> &Perm) {

@@ -50,6 +50,14 @@ void usage() {
 
 int main(int argc, char **argv) {
   TuneOptions O;
+  // The --device preset applies first, wherever it is, so that
+  // --cost-model on either side of it refines it.
+  auto Preset = gpusim::devicePresetFromArgs(argc, argv);
+  if (!Preset) {
+    fprintf(stderr, "%s\n", Preset.getError().Message.c_str());
+    return 2;
+  }
+  O.Device = *Preset;
   std::vector<std::string> Benches;
   std::string JsonPath;
   int MinWins = 0;
@@ -68,18 +76,8 @@ int main(int argc, char **argv) {
       }
       Benches.push_back(V);
     } else if (A == "--device") {
-      const char *V = Next();
-      if (!V) {
+      if (!Next()) { // the preset is already applied
         usage();
-        return 2;
-      }
-      std::string Knobs = std::string(V);
-      if (Knobs == "gtx780")
-        O.Device = gpusim::DeviceParams::gtx780();
-      else if (Knobs == "w8100")
-        O.Device = gpusim::DeviceParams::w8100();
-      else {
-        fprintf(stderr, "unknown device '%s'\n", V);
         return 2;
       }
     } else if (A == "--cost-model" || A.rfind("--cost-model=", 0) == 0) {

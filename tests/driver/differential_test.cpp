@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The fuzzer's seeds 1..20 (the first seeds of the CI sweep) run through
-/// fuzz::runDifferential: the reference interpreter against the full
-/// compile-to-gpusim pipeline on the compiled memory plan.  A seed passes
+/// fuzz::runDifferential, one leg per configuration: the reference
+/// interpreter against the full compile-to-gpusim pipeline on the
+/// compiled memory plan.  A seed passes
 /// only on bit-identical outputs or the identical typed runtime error —
 /// fault-free, under injected faults with retries, under faults heavy
 /// enough to degrade to the interpreter, and sharded over 2 and 4
@@ -29,11 +30,14 @@ constexpr uint64_t kFirstSeed = 1, kLastSeed = 20;
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// Runs the oracle on this test's seed under \p RP at \p Devices devices.
+/// Runs the oracle on this test's seed on one leg: gtx780 under \p RP at
+/// \p Devices devices.
 Outcome run(uint64_t Seed, int Devices,
             const gpusim::ResilienceParams &RP = {}) {
-  return runDifferential(generate(Seed), gpusim::DeviceParams::gtx780(),
-                         Devices, RP);
+  Leg L{.Name = "devices" + std::to_string(Devices),
+        .Devices = Devices,
+        .Resilience = RP};
+  return runDifferential(generate(Seed), {L}).front();
 }
 
 /// A 1% launch-failure and corruption rate: retries, no fallback.

@@ -63,6 +63,22 @@ TEST(DriverCliTest, MalformedNumericFlagsAreUsageErrors) {
     EXPECT_EQ(runCli(std::string(Bad) + " " + Prog + " --run 3"), 2) << Bad;
 }
 
+TEST(DriverCliTest, DevicePresetKeepsDeviceFlagsOnEitherSide) {
+  // --device selects a preset; a device flag refines it whichever side of
+  // --device it is on.  1000 i32s do not fit in 64 bytes, so both orders
+  // must fail on the device (no interpreter fallback).
+  std::string Prog = testing::TempDir() + "cli_map.fut";
+  std::ofstream(Prog) << "fun main (n: i32): [n]i32 = map (+1) (iota n)\n";
+  EXPECT_EQ(runCli("--device-mem 64 --device w8100 --no-fallback " + Prog +
+                   " --run 1000"),
+            1);
+  EXPECT_EQ(runCli("--device w8100 --device-mem 64 --no-fallback " + Prog +
+                   " --run 1000"),
+            1);
+  EXPECT_EQ(runCli("--device w8100 " + Prog + " --run 1000"), 0);
+  EXPECT_EQ(runCli("--device a100 " + Prog + " --run 1000"), 2);
+}
+
 TEST(DriverTest, FrontendErrorsPropagate) {
   NameSource NS;
   EXPECT_ERR_CONTAINS(compileSource("fun main (x: i32): i32 = y", NS),

@@ -9,8 +9,10 @@
 /// properties the regress corpus and CI smoke depend on: seeded generation
 /// is bit-stable, plan subsets stay well-typed (the shrinker's soundness
 /// condition), the shared shrink passes find the minimal plan, and the .fut
-/// serialisation round-trips.  The fixed seeds' agreement across both
-/// execution paths is DifferentialTest's job.
+/// serialisation round-trips; and the leg oracle's own contracts: the
+/// fixed sweep table, twin checks that name the failing leg and check,
+/// and shrinking on the failing leg alone.  The fixed seeds' agreement
+/// under each fault and device configuration is DifferentialTest's job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,14 +43,104 @@ TEST(FuzzTest, GenerationIsDeterministic) {
   EXPECT_GT(Distinct, 15);
 }
 
+namespace {
+
+/// The legs of sweepLegs() named \p Names, in that order.
+std::vector<Leg> sweepLegsNamed(std::initializer_list<std::string> Names) {
+  std::vector<Leg> Out;
+  for (const std::string &N : Names)
+    for (const Leg &L : sweepLegs())
+      if (L.Name == N)
+        Out.push_back(L);
+  EXPECT_EQ(Out.size(), Names.size());
+  return Out;
+}
+
+/// The first three legs of a table whose twins disagree with default on
+/// every program that launches a kernel: "split" also charges one more
+/// launch cycle, "pipeline" also moves 32-byte segments.
+std::vector<Leg> brokenTwins() {
+  std::vector<Leg> Legs = sweepLegsNamed({"default", "split", "pipeline"});
+  Legs[1].Device.LaunchCycles += 1;
+  Legs[2].Device.SegmentBytes = 32;
+  return Legs;
+}
+
+bool contains(const std::string &S, const std::string &Part) {
+  return S.find(Part) != std::string::npos;
+}
+
+} // namespace
+
+TEST(FuzzTest, SweepLegsAreFixed) {
+  std::vector<std::string> Names;
+  for (const Leg &L : sweepLegs())
+    Names.push_back(L.Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{"default", "split", "devices2",
+                                             "hist-global",
+                                             "hist-global-devices2",
+                                             "pipeline"}));
+}
+
 TEST(FuzzTest, CrossModelSeedsAgree) {
-  // The cost model prices cycles and must not change what runs: both
-  // models must produce bit-identical outputs and exactly equal
-  // model-independent counters.  CI runs a 150-seed leg of this oracle.
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
-    Outcome O = runCrossModel(generate(Seed));
-    EXPECT_TRUE(O.Ok) << "seed " << Seed << ":\n" << O.Message;
-  }
+  // The cost model prices cycles and must not change what runs: the
+  // pipeline leg must agree with the reference and keep the default
+  // leg's model-independent counters.  The CI sweep runs this twin check
+  // on every seed.
+  std::vector<Leg> Legs = sweepLegsNamed({"default", "pipeline"});
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed)
+    for (const Outcome &O : runDifferential(generate(Seed), Legs))
+      EXPECT_TRUE(O.Ok) << "seed " << Seed << ":\n" << O.Message;
+}
+
+TEST(FuzzTest, TwinDisagreementsNameTheLegAndTheCheck) {
+  // Both broken twins still agree with the reference; only the twin
+  // checks see the difference.
+  std::vector<Outcome> Os = runDifferential(generate(1), brokenTwins());
+  ASSERT_EQ(Os.size(), 3u);
+  EXPECT_TRUE(Os[0].Ok) << Os[0].Message;
+  EXPECT_FALSE(Os[1].Ok);
+  EXPECT_TRUE(contains(Os[1].Message,
+                       "leg split: cost line differs from leg default"))
+      << Os[1].Message;
+  EXPECT_FALSE(Os[2].Ok);
+  EXPECT_TRUE(contains(Os[2].Message, "leg pipeline: counter "
+                                      "GlobalTransactions differs from leg "
+                                      "default"))
+      << Os[2].Message;
+
+  // A twin whose base leg does not run cannot pass unchecked.
+  Outcome Alone = runDifferential(generate(1), sweepLegsNamed({"split"}))[0];
+  EXPECT_FALSE(Alone.Ok);
+  EXPECT_TRUE(contains(Alone.Message, "leg split: twin of leg default, "
+                                      "which is not run"))
+      << Alone.Message;
+}
+
+TEST(FuzzTest, ShrinkRerunsOnlyTheFailingLeg) {
+  std::vector<Leg> Legs = brokenTwins();
+  auto Names = [](const std::vector<Leg> &Ls) {
+    std::vector<std::string> Out;
+    for (const Leg &L : Ls)
+      Out.push_back(L.Name);
+    return Out;
+  };
+  // A twin reruns with its base, any other leg alone.
+  EXPECT_EQ(Names(rerunLegs(Legs, 2)),
+            (std::vector<std::string>{"default", "pipeline"}));
+  EXPECT_EQ(Names(rerunLegs(sweepLegs(), 2)),
+            (std::vector<std::string>{"devices2"}));
+
+  // Seed 1 fails on both twins; shrinking the pipeline failure must see
+  // only the pipeline leg's check, never the split leg's, and the minimal
+  // case must still fail on that leg.
+  Plan P = samplePlan(1);
+  ShrinkResult SR = shrink(P, 1, Legs, 2);
+  EXPECT_TRUE(contains(SR.Message, "leg pipeline: counter")) << SR.Message;
+  EXPECT_LE(SR.MinimalPlan.Steps.size(), P.Steps.size());
+  std::vector<Outcome> Os = runDifferential(SR.Minimal, Legs);
+  EXPECT_FALSE(Os[2].Ok);
+  EXPECT_EQ(Os[2].Message, SR.Message);
 }
 
 TEST(FuzzTest, NaNAndNegativeZeroOutputsAgree) {
@@ -56,10 +148,12 @@ TEST(FuzzTest, NaNAndNegativeZeroOutputsAgree) {
   // and a zero only with a zero of the same sign.  PrimValue's own ==
   // says NaN != NaN, so an oracle built on it rejected 0/0 on both sides.
   std::vector<Value> Zero = {Value::scalar(PrimValue::makeF32(0.0f))};
-  Outcome NaN = runSourceDifferential("fun main (x: f32): f32 = x / x", Zero);
+  Outcome NaN =
+      runSourceDifferential("fun main (x: f32): f32 = x / x", Zero).front();
   EXPECT_TRUE(NaN.Ok) << NaN.Message;
   Outcome NegZero =
-      runSourceDifferential("fun main (x: f32): f32 = x * -1.0", Zero);
+      runSourceDifferential("fun main (x: f32): f32 = x * -1.0", Zero)
+          .front();
   EXPECT_TRUE(NegZero.Ok) << NegZero.Message;
 }
 
@@ -70,7 +164,7 @@ TEST(FuzzTest, PlanSubsetsStayWellTyped) {
   for (size_t Drop = 0; Drop < P.Steps.size(); ++Drop) {
     Plan Q = P;
     Q.Steps.erase(Q.Steps.begin() + static_cast<long>(Drop));
-    Outcome O = runDifferential(renderPlan(Q, 180));
+    Outcome O = runDifferential(renderPlan(Q, 180)).front();
     EXPECT_TRUE(O.Ok) << "dropped step " << Drop << ":\n" << O.Message;
   }
 }

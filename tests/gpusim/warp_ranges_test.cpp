@@ -161,22 +161,24 @@ TEST(WarpRanges, FuzzKernelsNeverSplit) {
 TEST(WarpRanges, ForcedSplitsSplitFuzzKernels) {
   // The counterpart of FuzzKernelsNeverSplit: under the ForceSplitRanges
   // test hook, fuzz launches of more than one lane run as several ranges
-  // of less than a warp, and the runs still agree with the unsplit ones
-  // byte for byte.
-  DeviceParams DP = DeviceParams::gtx780();
-  DP.ForceSplitRanges = true;
+  // of less than a warp, and the sweep's split leg still agrees with the
+  // reference and with the default leg's cost line byte for byte.
+  const std::vector<fuzz::Leg> &Sweep = fuzz::sweepLegs();
+  std::vector<fuzz::Leg> Legs(Sweep.begin(), Sweep.begin() + 2);
+  ASSERT_EQ(Legs[1].Name, "split");
+  ASSERT_TRUE(Legs[1].Device.ForceSplitRanges);
   std::map<std::string, int> Split;
   int Launches = 0;
   for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
     SCOPED_TRACE(testing::Message() << "seed " << Seed);
     fuzz::FuzzCase FC = fuzz::renderPlan(fuzz::samplePlan(Seed), Seed);
-    fuzz::Outcome O = fuzz::runSplitRanges(FC);
-    EXPECT_TRUE(O.Ok) << O.Message;
+    for (const fuzz::Outcome &O : fuzz::runDifferential(FC, Legs))
+      EXPECT_TRUE(O.Ok) << O.Message;
     NameSource NS;
     auto C = compileSource(FC.Source, NS);
     ASSERT_TRUE(static_cast<bool>(C)) << C.getError().str();
     DeviceRunOptions RO;
-    RO.Device = DP;
+    RO.Device = Legs[1].Device;
     for (const KernelSpan &S :
          kernelSpans([&] { (void)runCompiled(*C, FC.Args, RO); })) {
       ++Launches;

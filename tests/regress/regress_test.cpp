@@ -105,7 +105,7 @@ TEST(RegressTest, EveryCaseParsesAndAgrees) {
       expectBothReject(C, Msg);
       continue;
     }
-    Outcome O = runSourceDifferential(C.Source, C.Args);
+    Outcome O = runSourceDifferential(C.Source, C.Args).front();
     EXPECT_TRUE(O.Ok) << Path << ":\n" << O.Message;
   }
 }
