@@ -56,14 +56,21 @@ std::vector<Leg> sweepLegsNamed(std::initializer_list<std::string> Names) {
   return Out;
 }
 
-/// The first three legs of a table whose twins disagree with default on
-/// every program that launches a kernel: "split" also charges one more
-/// launch cycle, "pipeline" also moves 32-byte segments.
+/// Legs default, split and pipeline, where both twins disagree with
+/// default on every program that launches a kernel: "split" also charges
+/// one more launch cycle, "pipeline" also moves 32-byte segments.
 std::vector<Leg> brokenTwins() {
   std::vector<Leg> Legs = sweepLegsNamed({"default", "split", "pipeline"});
   Legs[1].Device.LaunchCycles += 1;
   Legs[2].Device.SegmentBytes = 32;
   return Legs;
+}
+
+std::vector<std::string> legNames(const std::vector<Leg> &Legs) {
+  std::vector<std::string> Out;
+  for (const Leg &L : Legs)
+    Out.push_back(L.Name);
+  return Out;
 }
 
 bool contains(const std::string &S, const std::string &Part) {
@@ -73,13 +80,10 @@ bool contains(const std::string &S, const std::string &Part) {
 } // namespace
 
 TEST(FuzzTest, SweepLegsAreFixed) {
-  std::vector<std::string> Names;
-  for (const Leg &L : sweepLegs())
-    Names.push_back(L.Name);
-  EXPECT_EQ(Names, (std::vector<std::string>{"default", "split", "devices2",
-                                             "hist-global",
-                                             "hist-global-devices2",
-                                             "pipeline"}));
+  EXPECT_EQ(legNames(sweepLegs()),
+            (std::vector<std::string>{"default", "split", "devices2",
+                                      "hist-global", "hist-global-devices2",
+                                      "pipeline"}));
 }
 
 TEST(FuzzTest, CrossModelSeedsAgree) {
@@ -119,16 +123,10 @@ TEST(FuzzTest, TwinDisagreementsNameTheLegAndTheCheck) {
 
 TEST(FuzzTest, ShrinkRerunsOnlyTheFailingLeg) {
   std::vector<Leg> Legs = brokenTwins();
-  auto Names = [](const std::vector<Leg> &Ls) {
-    std::vector<std::string> Out;
-    for (const Leg &L : Ls)
-      Out.push_back(L.Name);
-    return Out;
-  };
   // A twin reruns with its base, any other leg alone.
-  EXPECT_EQ(Names(rerunLegs(Legs, 2)),
+  EXPECT_EQ(legNames(rerunLegs(Legs, 2)),
             (std::vector<std::string>{"default", "pipeline"}));
-  EXPECT_EQ(Names(rerunLegs(sweepLegs(), 2)),
+  EXPECT_EQ(legNames(rerunLegs(sweepLegs(), 2)),
             (std::vector<std::string>{"devices2"}));
 
   // Seed 1 fails on both twins; shrinking the pipeline failure must see
