@@ -319,15 +319,13 @@ const std::vector<Leg> &fut::fuzz::sweepLegs() {
         {.Name = "default"},
         {.Name = "split",
          .Device = Split,
-         .Check = Leg::Twin::CostLine,
-         .TwinOf = "default"},
+         .Check = Leg::Twin::CostLine},
         {.Name = "devices2", .Devices = 2},
         {.Name = "hist-global", .Device = HistGlobal},
         {.Name = "hist-global-devices2", .Device = HistGlobal, .Devices = 2},
         {.Name = "pipeline",
          .Device = Pipeline,
-         .Check = Leg::Twin::Counters,
-         .TwinOf = "default"},
+         .Check = Leg::Twin::Counters},
     };
   }();
   return Legs;
@@ -354,11 +352,11 @@ std::string disagreement(const ErrorOr<std::vector<Value>> &Ref,
   return Diff.empty() ? "" : "device (got) vs reference (want): " + Diff;
 }
 
-/// The twin check of \p Twin (run \p T) against its base leg (run \p B);
+/// The twin check of \p Twin (run \p T) against leg default (run \p B);
 /// "" or what differs.
 std::string twinDisagreement(const Leg &Twin, const gpusim::CostReport &T,
                              const gpusim::CostReport &B) {
-  const std::string &Base = Twin.TwinOf;
+  const std::string Base = "default";
   if (Twin.Check == Leg::Twin::CostLine)
     return T.str() == B.str() ? ""
                               : "cost line differs from leg " + Base +
@@ -389,9 +387,10 @@ std::string twinDisagreement(const Leg &Twin, const gpusim::CostReport &T,
   return "";
 }
 
-const Leg *findLeg(const std::vector<Leg> &Legs, const std::string &Name) {
+/// The leg every twin compares with, or null when \p Legs lacks it.
+const Leg *findDefault(const std::vector<Leg> &Legs) {
   for (const Leg &L : Legs)
-    if (L.Name == Name)
+    if (L.Name == "default")
       return &L;
   return nullptr;
 }
@@ -461,9 +460,9 @@ fut::fuzz::runSourceDifferential(const std::string &Source,
     const Leg &L = Legs[I];
     if (L.Check == Leg::Twin::None || !Out[I].Ok)
       continue;
-    const Leg *Base = findLeg(Legs, L.TwinOf);
+    const Leg *Base = findDefault(Legs);
     if (!Base) {
-      Fail(I, "twin of leg " + L.TwinOf + ", which is not run");
+      Fail(I, "twin of leg default, which is not run");
       continue;
     }
     const auto &T = Runs[I], &B = Runs[static_cast<size_t>(Base - &Legs[0])];
@@ -489,8 +488,8 @@ std::vector<Leg> fut::fuzz::rerunLegs(const std::vector<Leg> &Legs,
                                       size_t Failing) {
   std::vector<Leg> Rerun;
   const Leg &L = Legs[Failing];
-  if (const Leg *Base = L.Check == Leg::Twin::None ? nullptr
-                                                   : findLeg(Legs, L.TwinOf))
+  if (const Leg *Base =
+          L.Check == Leg::Twin::None ? nullptr : findDefault(Legs))
     Rerun.push_back(*Base);
   Rerun.push_back(L);
   return Rerun;

@@ -139,9 +139,9 @@ ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
 /// One device configuration of the differential oracle: the simulated
 /// device, the device count (above one the leg compiles with a shard plan
 /// and runs on a DeviceGroup) and the fault injection its run sees.  A
-/// twin leg must also equal the run of the leg named \c TwinOf, which
-/// differs from it only in something that must not change what \c Check
-/// compares.
+/// twin leg (one whose \c Check is not None) must also equal the run of
+/// the leg named "default", from which it differs only in something that
+/// must not change what \c Check compares.
 struct Leg {
   enum class Twin : uint8_t {
     None,
@@ -159,7 +159,6 @@ struct Leg {
   int Devices = 1;
   gpusim::ResilienceParams Resilience = {};
   Twin Check = Twin::None;
-  std::string TwinOf = {};
 };
 
 /// The legs of a futharkcc-fuzz sweep, each checked against one reference
@@ -178,8 +177,8 @@ const std::vector<Leg> &sweepLegs();
 /// plan, compiling once per distinct device count.  A leg agrees when its
 /// outputs are bit-identical to the reference's, or when both failed with
 /// the identical typed runtime error; any compile or verifier error is a
-/// failure, and so is a twin check that does not hold, or a twin whose
-/// \c TwinOf is not among \p Legs.  Returns one outcome per leg, in
+/// failure, and so is a twin check that does not hold, or a twin when no
+/// leg of \p Legs is named "default".  Returns one outcome per leg, in
 /// order; a failure message starts with "leg <name>:".
 std::vector<Outcome>
 runSourceDifferential(const std::string &Source, const std::vector<Value> &Args,
@@ -191,7 +190,7 @@ std::vector<Outcome> runDifferential(const FuzzCase &C,
                                      const std::vector<Leg> &Legs = {Leg()});
 
 /// The legs a rerun of \p Legs[\p Failing] needs: that leg, after the leg
-/// its twin check compares with when it has one.
+/// named "default" when it is a twin.
 std::vector<Leg> rerunLegs(const std::vector<Leg> &Legs, size_t Failing);
 
 /// A shrunk failing case: the minimal plan, its rendering, the failure
