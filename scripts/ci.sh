@@ -114,13 +114,15 @@ echo "== differential fuzz sweep: every leg against one reference run =="
 # of less than a warp: no fuzz launch splits by itself, see
 # WarpRanges.FuzzKernelsNeverSplit); devices2 (sharded); hist-global and
 # hist-global-devices2 (the global-atomic histogram lowering, alone and
-# with partial-histogram merges); pipeline (the pipeline cost model).
+# with partial-histogram merges); pipeline (the pipeline cost model);
+# lanes (DeviceParams::ForceLaneByLane, which runs every warp's lanes one
+# after another instead of as warp steps).
 # Each leg must give the reference's outputs bit for bit or its identical
-# typed error; split must keep default's cost line byte for byte, and
-# pipeline default's model-independent counters (launches, traffic,
-# atomics, coalescing split).  Runs in every configuration, so the
-# sanitized matrix leg executes it under ASan+UBSan.  The summary must
-# give all six legs, each with all 3000 seeds and no failure, so a leg
+# typed error; split and lanes must keep default's cost line byte for
+# byte, and pipeline default's model-independent counters (launches,
+# traffic, atomics, coalescing split).  Runs in every configuration, so
+# the sanitized matrix leg executes it under ASan+UBSan.  The summary must
+# give all seven legs, each with all 3000 seeds and no failure, so a leg
 # that ran short or not at all fails the run instead of passing
 # unchecked.  The leg names live in sweepLegs(), pinned by
 # FuzzTest.SweepLegsAreFixed.
@@ -129,8 +131,8 @@ echo "== differential fuzz sweep: every leg against one reference run =="
 legs=$(grep -c '^leg ' "$BUILD_DIR"/ci_fuzz.log || true)
 clean=$(grep -c '^leg [^:]*: 3000 seeds, 0 failure(s),' \
   "$BUILD_DIR"/ci_fuzz.log || true)
-if [ "$legs" -ne 6 ] || [ "$clean" -ne 6 ]; then
-  echo "fuzz summary gives $clean clean legs of $legs, want 6 of 6"
+if [ "$legs" -ne 7 ] || [ "$clean" -ne 7 ]; then
+  echo "fuzz summary gives $clean clean legs of $legs, want 7 of 7"
   exit 1
 fi
 

@@ -315,6 +315,8 @@ const std::vector<Leg> &fut::fuzz::sweepLegs() {
     HistGlobal.HistLocalWidthMax = 0;
     gpusim::DeviceParams Pipeline = gpusim::DeviceParams::gtx780();
     Pipeline.CostModelName = "pipeline";
+    gpusim::DeviceParams Lanes = gpusim::DeviceParams::gtx780();
+    Lanes.ForceLaneByLane = true;
     return std::vector<Leg>{
         {.Name = "default"},
         {.Name = "split",
@@ -326,6 +328,7 @@ const std::vector<Leg> &fut::fuzz::sweepLegs() {
         {.Name = "pipeline",
          .Device = Pipeline,
          .Check = Leg::Twin::Counters},
+        {.Name = "lanes", .Device = Lanes, .Check = Leg::Twin::CostLine},
     };
   }();
   return Legs;

@@ -169,7 +169,9 @@ struct Leg {
 ///  * devices2 - sharded over two devices;
 ///  * hist-global, hist-global-devices2 - the global-atomic histogram
 ///    lowering (HistLocalWidthMax 0) on one and two devices;
-///  * pipeline - the pipeline cost model, a Counters twin of default.
+///  * pipeline - the pipeline cost model, a Counters twin of default;
+///  * lanes - default with DeviceParams::ForceLaneByLane, a CostLine twin
+///    of default.
 const std::vector<Leg> &sweepLegs();
 
 /// Runs \p Source once through referenceRun and, for each of \p Legs,

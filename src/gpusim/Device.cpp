@@ -401,6 +401,11 @@ public:
         S.TS.spanArg(Run.Span, "host_ns_per_op",
                      hostNsPerOp(Start, Run.Cost.ComputeOps));
         S.TS.spanArg(Run.Span, "chunks", Chunks);
+        S.TS.spanArg(Run.Span, "warp_op_share",
+                     Sim && Run.Cost.ComputeOps > 0
+                         ? static_cast<double>(Sim->WarpOps) /
+                               static_cast<double>(Run.Cost.ComputeOps)
+                         : 0.0);
         if (!Sim) // evaluation errors and mid-kernel OOM are not transient
           return Sim.getError();
         OutBytes += Sim->OutBytes;
@@ -1039,6 +1044,7 @@ private:
                                    trace::kComputeEngineTid);
       S.TS.spanArg(Span, "array", In.Arr.str());
       S.TS.spanArg(Span, "chunks", 1.0);
+      S.TS.spanArg(Span, "warp_op_share", 0.0);
       S.TS.spanArg(Span, "host_ns_per_op", hostNsPerOp(Start, 0));
       S.TS.spanArg(Span, "cycles", TCycles);
       S.TS.spanArg(Span, "global_tx", static_cast<double>(Tx));

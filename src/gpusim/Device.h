@@ -199,6 +199,13 @@ public:
   /// launches small.
   bool ForceSplitRanges = false;
 
+  /// Test hook: every warp of a thread-body or segmented launch runs its
+  /// lanes one after another, as a warp step that failed reruns them,
+  /// instead of statement by statement for the whole warp.  Outputs,
+  /// errors and every counter must be exactly those of the warp steps
+  /// (the fuzz sweep's lanes leg checks this).
+  bool ForceLaneByLane = false;
+
   /// A GTX 780 Ti-like configuration (the default).
   static DeviceParams gtx780();
   /// A FirePro W8100-like configuration: comparable bandwidth, slightly

@@ -21,6 +21,11 @@
 /// GlobalView records, and an in-place update moves the array out of its
 /// slot so it stays O(1) when the array is not otherwise shared.
 ///
+/// *Warp steps.*  A range runs the lanes it holds of one warp together:
+/// each statement for every active lane before the next statement (see
+/// the Warp steps section below), and lanes one after another when the
+/// step fails or DeviceParams::ForceLaneByLane is set.
+///
 /// *Warp ranges.*  Threads share only read-only inputs and write their own
 /// output rows, so lanes are independent.  A launch's lanes are its
 /// threads, its segments when it has a grid (one thread per segment), or
@@ -44,10 +49,10 @@
 /// like the interpreter applies a closed lambda: no free names, with the
 /// dimensions of array parameters bound from the arguments' shapes.
 ///
-/// Every charge (chargeGlobal, chargePrivate, chargeWrite) and every lane
-/// boundary (openLane, mergeWarp) happens in the order the thread program
-/// prescribes, so counters, per-lane address traces and the warp profile
-/// are a function of the program alone.
+/// Every charge (chargeRead, chargePrivate, chargeWrite) and every lane
+/// boundary (openLane, mergeWarp) happens in the order each lane's thread
+/// program prescribes, so counters, per-lane address traces and the warp
+/// profile are a function of the program alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +60,8 @@
 #include "gpusim/WarpPool.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <memory>
 
 using namespace fut;
@@ -152,7 +159,15 @@ struct RLambda {
 };
 
 struct RStm {
+  /// How a warp step runs the statement: for all active lanes at once
+  /// (Scalar: SubExp, BinOp, UnOp, ConvOp; Read and View: an Index of a
+  /// kernel input, or of a lane view of one, down to a scalar or to a lane
+  /// view; If and Loop: their bodies under a lane mask), or lane by lane
+  /// through execStm.
+  enum class StepKind : uint8_t { Lane, Scalar, Read, View, If, Loop };
+
   const Exp *E = nullptr;
+  StepKind Step = StepKind::Lane;
   /// Operand slots, in the order the expression evaluates them.
   std::vector<int> Ops;
   /// Pattern slots.
@@ -168,6 +183,9 @@ struct RStm {
   bool ResultsAlias = false;
   /// The expression yields a different number of values than the pattern.
   bool BadArity = false;
+  /// A warp-level statement run lane by lane: the warp-level slots it or
+  /// its nested bodies read, loaded from the lane store for each lane.
+  std::vector<int> LaneIns;
 };
 
 /// Accumulates equally-shaped elements into one flat row-major payload.
@@ -221,6 +239,30 @@ struct Column {
     Rows += B.Rows;
   }
 
+  /// A column's state to roll back to: appends only grow Data and Rows
+  /// and may mark it irregular, and take() into an unstarted column
+  /// replaces it.
+  struct Mark {
+    bool Started, Irregular;
+    size_t Size;
+    int64_t Rows;
+  };
+  Mark mark() const { return {Started, Irregular, Data.size(), Rows}; }
+  void rollback(const Mark &M) {
+    if (!M.Started)
+      return reset();
+    Irregular = M.Irregular;
+    Data.resize(M.Size);
+    Rows = M.Rows;
+  }
+  /// Empties the column, keeping its capacity.
+  void reset() {
+    Started = Irregular = false;
+    ElemShape.clear();
+    Data.clear();
+    Rows = 0;
+  }
+
   /// What assembling an irregular column reports.
   const char *irregularMessage() const {
     return ElemScalar ? "irregular array: element kind mismatch"
@@ -231,6 +273,24 @@ struct Column {
 PrimValue intOfKind(ScalarKind K, int64_t V) {
   return K == ScalarKind::I64 ? PrimValue::makeI64(V)
                               : PrimValue::makeI32(static_cast<int32_t>(V));
+}
+
+void advance(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
+  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
+    if (++Idx[I] < Grid[I])
+      break;
+    Idx[I] = 0;
+  }
+}
+
+/// The grid index of the \p Flat-th point of \p Grid in row-major order.
+std::vector<int64_t> gridIndex(int64_t Flat, const std::vector<int64_t> &Grid) {
+  std::vector<int64_t> Idx(Grid.size(), 0);
+  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0 && Flat > 0; --I) {
+    Idx[I] = Flat % Grid[I];
+    Flat /= Grid[I];
+  }
+  return Idx;
 }
 
 #define KS_CHECK(EXPR)                                                         \
@@ -253,8 +313,29 @@ struct ResolvedForm {
   std::vector<bool> InputTiled;
   std::vector<std::vector<int>> InputPerm;
 
-  std::vector<const VName *> SlotName;
-  std::vector<int> SlotScope;
+  /// A warp-level slot an Index binds to a view of a kernel input (a lane
+  /// view) keeps the view's Len indices, one scalar row each from its
+  /// Lane, and names the input; Input is -1 for every other slot.
+  struct LaneView {
+    int Input = -1;
+    int Len = 0;
+  };
+  /// What resolve knows of a slot: its name (null for a constant), the
+  /// scope that binds it (-1: inputs, host values, constants), and its
+  /// place in a range's lane store.  A warp-level slot (one bound by a
+  /// statement a warp step runs, or a thread or segment index) holds one
+  /// value per lane, Lane >= 0 indexing the scalars and <= -2 the other
+  /// values (index -2 - Lane); -1 is every other slot.
+  struct SlotInfo {
+    const VName *Name = nullptr;
+    int Scope = -1;
+    int Lane = -1;
+    LaneView View;
+  };
+  std::vector<SlotInfo> Slots;
+  int LaneScalars = 0, LaneValues = 0;
+  /// The distinct warp-level slots among the thread body's results.
+  std::vector<int> ResultLanes;
   RBody ThreadBody;
   RLambda ReduceOp;
   std::vector<int> ThreadIdxSlots;
@@ -300,6 +381,15 @@ class Resolver {
   NameMap<int> FreeSlots;
   bool OperatorMode = false;
   int NextScope = 0;
+  /// Whether the statements being resolved run at warp level: in the
+  /// thread body, outside any statement a warp step runs lane by lane.
+  bool WarpLevel = false;
+  /// The warp-level slots the warp-level statement being resolved reads,
+  /// collected while Collecting.  Only a lane-by-lane statement keeps
+  /// them, and only a Read may become one; neither has nested warp-level
+  /// statements, so one collection is open at a time.
+  std::vector<int> Reads;
+  bool Collecting = false;
 
 public:
   Resolver(const KernelExp &K, const EnvView &HostEnv, ResolvedForm &Form,
@@ -311,13 +401,16 @@ public:
 private:
   MaybeError resolveInputs();
   int newSlot(const VName *Name, int ScopeId);
-  int bind(const VName &N, int ScopeId);
+  int bind(const VName &N, int ScopeId, int ScalarRows = 0);
   void restore(size_t Mark);
   int lookup(const VName &N);
   int operand(const SubExp &S);
   RBody resolveBody(const Body &B, int ScopeId);
   RBody resolveScoped(const Body &B);
   RStm resolveStm(const Stm &S, int ScopeId);
+  RStm::StepKind stepKind(const Stm &S) const;
+  RStm::StepKind indexStep(const RStm &R, bool ScalarOut,
+                           ResolvedForm::LaneView &Out) const;
   RLambda resolveLambda(const std::vector<Param> &Params, const Body &B,
                         const VName *IndexVar = nullptr);
   RLambda resolveOperator(const Lambda &L);
@@ -329,6 +422,55 @@ private:
   MaybeError resolveHist();
 };
 
+/// A kernel input as element reads see it.  One pass over an index checks
+/// its bounds and computes both the element's offset and its storage
+/// address under the input's layout permutation.
+struct InputReader {
+  /// The input's elements and shape; Rank is -1 for a scalar, which has
+  /// no element to read.
+  const PrimValue *Data = nullptr;
+  const int64_t *Shape = nullptr;
+  int Rank = -1;
+  const std::vector<int> &Perm;
+  uint64_t Base, Bytes;
+  bool Tiled;
+
+  InputReader(const ResolvedForm &Form, int InputIdx)
+      : Perm(Form.InputPerm[InputIdx]), Base(Form.InputBase[InputIdx]),
+        Bytes(static_cast<uint64_t>(
+            elemBytes(Form.InputVals[InputIdx].elemKind()))),
+        Tiled(Form.InputTiled[InputIdx]) {
+    const Value &In = Form.InputVals[InputIdx];
+    if (In.isScalar())
+      return;
+    Data = In.flat().data();
+    Shape = In.shape().data();
+    Rank = In.rank();
+  }
+
+  /// The element at the full index Idx[0, N) and its address; false
+  /// unless the index is full and in bounds.
+  bool read(const int64_t *Idx, size_t N, PrimValue &Out,
+            uint64_t &Addr) const {
+    if (static_cast<size_t>(Rank) != N)
+      return false;
+    bool Permuted = Perm.size() == N;
+    uint64_t Flat = 0, Stored = 0;
+    for (size_t D = 0; D < N; ++D) {
+      if (Idx[D] < 0 || Idx[D] >= Shape[D])
+        return false;
+      Flat = Flat * static_cast<uint64_t>(Shape[D]) +
+             static_cast<uint64_t>(Idx[D]);
+      if (Permuted)
+        Stored = Stored * static_cast<uint64_t>(Shape[Perm[D]]) +
+                 static_cast<uint64_t>(Idx[Perm[D]]);
+    }
+    Out = Data[Flat];
+    Addr = Base + (Permuted ? Stored : Flat) * Bytes;
+    return true;
+  }
+};
+
 /// Lanes of a warp that a range shares with its neighbour, handed back
 /// unmerged: each lane's global access trace and op count.
 struct LaneGroup {
@@ -336,6 +478,24 @@ struct LaneGroup {
   std::vector<int64_t> Ops;
   /// The group's last lane ends its warp.
   bool EndsWarp = false;
+};
+
+/// The counters a range charges to its CostReport: absorbing a range adds
+/// them, and undoing a warp step restores them.
+constexpr int64_t CostReport::*kRangeCharges[] = {
+    &CostReport::ComputeOps,          &CostReport::GlobalAccesses,
+    &CostReport::GlobalTransactions,  &CostReport::CoalescedTransactions,
+    &CostReport::ScatteredTransactions, &CostReport::LocalAccesses,
+    &CostReport::PrivateAccesses,     &CostReport::TiledElementTouches,
+    &CostReport::TiledElementBytes};
+constexpr size_t kNumRangeCharges = std::size(kRangeCharges);
+
+/// One operand's lanes in a warp step: a row of the lane store, or a
+/// shared scalar that every lane reads (Stride 0).
+struct LaneSrc {
+  const PrimValue *P = nullptr;
+  size_t Stride = 0;
+  const PrimValue &operator[](size_t L) const { return P[L * Stride]; }
 };
 
 /// One contiguous range of a launch's lanes, with all the state its
@@ -387,6 +547,40 @@ class RangeSim {
   std::vector<int64_t> IdxBuf, FullBuf, OdoBuf;
   GlobalView RowView;
 
+  // Warp steps (see stepBody).
+  /// Whether the launch's warps run as warp steps.
+  bool Stepping = false;
+  /// The lane store: the lanes of a step (a warp's, or all of a smaller
+  /// launch's: Stride) for each warp-level slot, lane-major, the scalars
+  /// apart from the other values.  Allocated by the range's first step,
+  /// and freed when a detached range has run.
+  size_t Stride = 0;
+  std::vector<PrimValue> LS;
+  std::vector<TVal> LV;
+  /// The step's first lane in Lanes and the mask of all its lanes, the
+  /// ops each of them ran in warp-wide statements of that mask (other
+  /// masks charge LaneOps directly), and all ops warp-wide statements ran.
+  size_t StepBase = 0;
+  uint64_t StepMask = 0;
+  int64_t StepOps = 0;
+  int64_t WarpOps = 0;
+  /// A segment step's per-lane accumulators and scan rows, a loop step's
+  /// staged results, index operands, and the grid index advanced over the
+  /// step's lanes.
+  std::vector<std::vector<TVal>> LaneAcc;
+  std::vector<std::vector<Column>> LaneCols;
+  std::vector<PrimValue> Staged;
+  std::vector<LaneSrc> IdxSrc;
+  std::vector<int64_t> StepIdx;
+  /// What undoing a failed step restores.
+  struct StepMark {
+    int64_t Charged[kNumRangeCharges];
+    int64_t OutBytes, WarpOps;
+    size_t NumLanes, FoldArgs;
+    std::vector<Column::Mark> Cols;
+    std::vector<TVal> Acc;
+  } Mark;
+
 public:
   /// The launch's first range, which runs in the resolved frame itself.
   RangeSim(const DeviceParams &P, const KernelExp &K,
@@ -423,6 +617,7 @@ public:
 
   const CompilerError &error() const { return Err; }
   int64_t outBytes() const { return OutBytesSoFar; }
+  int64_t warpOps() const { return WarpOps; }
   int64_t computeOps() const { return Cost.ComputeOps; }
   int64_t globalAccesses() const { return Cost.GlobalAccesses; }
   const KernelProfile &profile() const { return Prof; }
@@ -439,7 +634,7 @@ private:
     return fail(CompilerError(Loc, std::move(Msg)));
   }
   bool unbound(int Slot) {
-    return fail("unbound variable " + Form.SlotName[Slot]->str() +
+    return fail("unbound variable " + Form.Slots[Slot].Name->str() +
                 " in kernel");
   }
   bool notScalar(int Slot) {
@@ -456,8 +651,6 @@ private:
 
   //===-- Charging --------------------------------------------------------===//
 
-  void chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
-                    const Value &In);
   void chargeWrite(uint64_t Addr);
   bool chargeOutput(int64_t Elems, ScalarKind Kind);
   void chargePrivate(int64_t N, int64_t ArrElems);
@@ -475,6 +668,8 @@ private:
 
   //===-- Evaluation ------------------------------------------------------===//
 
+  void chargeRead(const InputReader &R, uint64_t Addr,
+                  std::vector<uint64_t> *T);
   bool readFull(int InputIdx, PrimValue &Out, SrcLoc Loc = SrcLoc());
   bool materialise(const GlobalView &G, TVal &Dst);
   bool force(int Slot, TVal &Dst, bool Move = false);
@@ -496,15 +691,50 @@ private:
   bool execReduceScan(const RStm &S);
   bool execStream(const RStm &S);
 
+  //===-- Warp steps ------------------------------------------------------===//
+
+  template <class StepFn, class LaneFn>
+  bool eachWarp(int64_t Begin, int64_t End, std::vector<int64_t> &Idx,
+                StepFn Step, LaneFn Lane);
+  void markStep();
+  void undoStep();
+  uint64_t openStep(int64_t N);
+  void setLaneIndices(int64_t N);
+  PrimValue *lanes(int Slot) {
+    return &LS[static_cast<size_t>(Form.Slots[Slot].Lane) * Stride];
+  }
+  bool src(int Slot, LaneSrc &Out);
+  bool copyLanes(int From, int To, uint64_t Mask);
+  void loadLane(int Slot, size_t L);
+  bool storeLane(int Slot, size_t L);
+  bool stepBody(const RBody &B, uint64_t Mask);
+  bool stepWarp(const RStm &S, uint64_t Mask);
+  bool stepScalar(const RStm &S, uint64_t Mask);
+  bool indexLanes(const RStm &S, int &Input);
+  bool stepRead(const RStm &S, uint64_t Mask);
+  bool stepView(const RStm &S, uint64_t Mask);
+  bool stepIf(const RStm &S, uint64_t Mask);
+  bool stepLoop(const RStm &S, uint64_t Mask);
+  bool stepLanes(const RStm &S, uint64_t Mask);
+  bool stepThreads(int64_t A, int64_t B);
+  bool stepSegments(int64_t A, int64_t B);
+  bool stepElements(int64_t A, int64_t B, bool Fold);
+  bool stepElement(size_t L);
+  bool laneOperator(size_t L);
+  bool commitSegment(size_t L);
+
   //===-- Per-kernel-kind driving ------------------------------------------===//
 
   void setThreadIndices(const std::vector<int64_t> &Idx);
   bool runThreads(int64_t Begin, int64_t End);
+  bool commitThread(int64_t T);
   bool runSegments(int64_t Begin, int64_t End);
   void beginSegment();
   bool endSegment();
   bool runElement(const std::vector<int64_t> &Idx, int64_t S);
+  bool takeElement();
   bool applyOperator();
+  bool bufferElement();
   bool foldElements(int64_t Begin, int64_t End);
   bool runElementBodies(int64_t Begin, int64_t End);
 };
@@ -532,13 +762,20 @@ MaybeError Resolver::resolveInputs() {
 
 int Resolver::newSlot(const VName *Name, int ScopeId) {
   F.emplace_back();
-  Form.SlotName.push_back(Name);
-  Form.SlotScope.push_back(ScopeId);
+  Form.Slots.push_back({Name, ScopeId});
   return static_cast<int>(F.size()) - 1;
 }
 
-int Resolver::bind(const VName &N, int ScopeId) {
+/// At warp level the name's lanes take \p ScalarRows rows of scalars (1
+/// for a scalar, the indices of a lane view), or a TVal each when 0.
+int Resolver::bind(const VName &N, int ScopeId, int ScalarRows) {
   int Slot = newSlot(&N, ScopeId);
+  if (WarpLevel && ScalarRows > 0) {
+    Form.Slots[Slot].Lane = Form.LaneScalars;
+    Form.LaneScalars += ScalarRows;
+  } else if (WarpLevel) {
+    Form.Slots[Slot].Lane = -2 - Form.LaneValues++;
+  }
   auto It = Scope.find(N);
   Undo.push_back({&N, It == Scope.end() ? -1 : It->second});
   Scope[N] = Slot;
@@ -561,8 +798,11 @@ void Resolver::restore(size_t Mark) {
 /// would have.
 int Resolver::lookup(const VName &N) {
   auto It = Scope.find(N);
-  if (It != Scope.end())
+  if (It != Scope.end()) {
+    if (Collecting && Form.Slots[It->second].Lane != -1)
+      Reads.push_back(It->second);
     return It->second;
+  }
   if (OperatorMode)
     return newSlot(&N, -1);
   auto Free = FreeSlots.find(N);
@@ -596,7 +836,7 @@ RBody Resolver::resolveBody(const Body &B, int ScopeId) {
     R.Result.push_back(operand(S));
   for (size_t I = 0; I < R.Result.size(); ++I) {
     int Slot = R.Result[I];
-    R.Movable.push_back(Form.SlotScope[Slot] == ScopeId &&
+    R.Movable.push_back(Form.Slots[Slot].Scope == ScopeId &&
                         std::find(R.Result.begin() + I + 1, R.Result.end(),
                                   Slot) == R.Result.end());
   }
@@ -616,9 +856,9 @@ RLambda Resolver::resolveLambda(const std::vector<Param> &Params,
   int ScopeId = NextScope++;
   RLambda R;
   if (IndexVar)
-    R.Params.push_back(bind(*IndexVar, ScopeId));
+    R.Params.push_back(bind(*IndexVar, ScopeId, 1));
   for (const Param &Pm : Params)
-    R.Params.push_back(bind(Pm.Name, ScopeId));
+    R.Params.push_back(bind(Pm.Name, ScopeId, Pm.Ty.isScalar()));
   if (OperatorMode) {
     int First = IndexVar ? 1 : 0;
     for (size_t I = 0; I < Params.size(); ++I) {
@@ -641,18 +881,85 @@ RLambda Resolver::resolveLambda(const std::vector<Param> &Params,
 RLambda Resolver::resolveOperator(const Lambda &L) {
   NameMap<int> Outer;
   std::swap(Outer, Scope);
-  bool WasOperator = OperatorMode;
+  bool WasOperator = OperatorMode, WasWarp = WarpLevel;
   OperatorMode = true;
+  WarpLevel = false;
   RLambda R = resolveLambda(L.Params, L.B);
   OperatorMode = WasOperator;
+  WarpLevel = WasWarp;
   std::swap(Outer, Scope);
   return R;
 }
 
+/// How a warp step may run \p S, from its kind and types alone: scalar
+/// results for the warp-wide kinds, and scalar results and loop
+/// parameters for a branch or loop whose bodies run under a lane mask.
+/// An operand that turns out not to be a scalar fails the step.
+RStm::StepKind Resolver::stepKind(const Stm &S) const {
+  using SK = RStm::StepKind;
+  auto Scalars = [](const std::vector<Param> &Ps) {
+    return std::all_of(Ps.begin(), Ps.end(),
+                       [](const Param &Pm) { return Pm.Ty.isScalar(); });
+  };
+  // An Index is settled by indexStep once its array is resolved.
+  if (S.E->kind() == ExpKind::Index)
+    return S.Pat.size() == 1 ? SK::Read : SK::Lane;
+  if (!Scalars(S.Pat))
+    return SK::Lane;
+  switch (S.E->kind()) {
+  case ExpKind::SubExpE:
+  case ExpKind::BinOpE:
+  case ExpKind::UnOpE:
+  case ExpKind::ConvOpE:
+    return S.Pat.size() == 1 ? SK::Scalar : SK::Lane;
+  case ExpKind::If:
+    return SK::If;
+  case ExpKind::Loop:
+    return Scalars(expCast<LoopExp>(S.E.get())->MergeParams) ? SK::Loop
+                                                              : SK::Lane;
+  default:
+    return SK::Lane;
+  }
+}
+
+/// An Index of a kernel input's own view or of a lane view of it is a
+/// Read when it indexes every dimension into a scalar, and a View, whose
+/// lane view \p Out describes, when it leaves dimensions; any other
+/// Index runs lane by lane.
+RStm::StepKind Resolver::indexStep(const RStm &R, bool ScalarOut,
+                                   ResolvedForm::LaneView &Out) const {
+  int Base = R.Ops[0];
+  const TVal &T = F[Base];
+  Out = Form.Slots[Base].View;
+  if (Out.Input < 0) {
+    if (Form.Slots[Base].Scope >= 0 || !T.is(TVal::Tag::View) ||
+        !T.V.Prefix.empty() || T.V.Sliced)
+      return RStm::StepKind::Lane;
+    Out.Input = T.V.InputIdx;
+  }
+  const Value &In = Form.InputVals[Out.Input];
+  Out.Len += static_cast<int>(R.Ops.size()) - 1;
+  if (!In.isArray() || Out.Len > In.rank() || Out.Len == 0 ||
+      ScalarOut != (Out.Len == In.rank()))
+    return RStm::StepKind::Lane;
+  return ScalarOut ? RStm::StepKind::Read : RStm::StepKind::View;
+}
+
 RStm Resolver::resolveStm(const Stm &S, int ScopeId) {
+  using SK = RStm::StepKind;
   RStm R;
   const Exp &E = *S.E;
   R.E = &E;
+  // At warp level, a statement that runs lane by lane (or may) collects
+  // the warp-level slots it reads, and its nested bodies are not at warp
+  // level.
+  bool Warp = WarpLevel;
+  if (Warp) {
+    R.Step = stepKind(S);
+    Collecting = R.Step == SK::Lane || R.Step == SK::Read;
+    Reads.clear();
+    WarpLevel = R.Step == SK::If || R.Step == SK::Loop;
+  }
   auto Ops = [&](const std::vector<SubExp> &Xs) {
     for (const SubExp &X : Xs)
       R.Ops.push_back(operand(X));
@@ -704,7 +1011,7 @@ RStm Resolver::resolveStm(const Stm &S, int ScopeId) {
     R.Ops.push_back(lookup(X->Arr));
     Ops(X->Indices);
     R.Ops.push_back(operand(X->Value));
-    R.Consume = Form.SlotScope[R.Ops[0]] == ScopeId;
+    R.Consume = Form.Slots[R.Ops[0]].Scope == ScopeId;
     break;
   }
   case ExpKind::Iota:
@@ -783,8 +1090,22 @@ RStm Resolver::resolveStm(const Stm &S, int ScopeId) {
   }
   if (Yields != S.Pat.size())
     R.BadArity = true;
+  ResolvedForm::LaneView View;
+  if (R.Step == SK::Read)
+    R.Step = indexStep(R, S.Pat[0].Ty.isScalar(), View);
+  if (Warp) {
+    WarpLevel = true;
+    Collecting = false;
+  }
+  if (Warp && R.Step == SK::Lane) {
+    std::sort(Reads.begin(), Reads.end());
+    R.LaneIns.assign(Reads.begin(), std::unique(Reads.begin(), Reads.end()));
+  }
   for (const Param &Pm : S.Pat)
-    R.Out.push_back(bind(Pm.Name, ScopeId));
+    R.Out.push_back(bind(Pm.Name, ScopeId,
+                         R.Step == SK::View ? View.Len : Pm.Ty.isScalar()));
+  if (R.Step == SK::View)
+    Form.Slots[R.Out[0]].View = View;
   return R;
 }
 
@@ -798,11 +1119,18 @@ void Resolver::resolve() {
   if (K.usesReduceFn())
     Form.ReduceOp = resolveOperator(K.ReduceFn);
   int Root = NextScope++;
+  WarpLevel = true;
   for (const VName &N : K.ThreadIndices)
-    Form.ThreadIdxSlots.push_back(bind(N, Root));
+    Form.ThreadIdxSlots.push_back(bind(N, Root, 1));
   if (K.isSegmented())
-    Form.SegIdxSlot = bind(K.SegIndex, Root);
+    Form.SegIdxSlot = bind(K.SegIndex, Root, 1);
   Form.ThreadBody = resolveBody(K.ThreadBody, Root);
+  WarpLevel = false;
+  for (int Slot : Form.ThreadBody.Result)
+    if (Form.Slots[Slot].Lane != -1 &&
+        std::find(Form.ResultLanes.begin(), Form.ResultLanes.end(), Slot) ==
+            Form.ResultLanes.end())
+      Form.ResultLanes.push_back(Slot);
 }
 
 MaybeError Resolver::resolveInt(const SubExp &S, int64_t &Out) {
@@ -906,30 +1234,6 @@ MaybeError Resolver::run(int64_t OuterOffset, int64_t OuterCount) {
 // Charging
 //===----------------------------------------------------------------------===//
 
-void RangeSim::chargeGlobal(int InputIdx, const std::vector<int64_t> &Full,
-                             const Value &In) {
-  if (Form.InputTiled[InputIdx]) {
-    ++Cost.LocalAccesses;
-    ++Cost.TiledElementTouches;
-    Cost.TiledElementBytes += elemBytes(In.elemKind());
-    return;
-  }
-  // Storage address under the layout permutation.
-  const std::vector<int> &Perm = Form.InputPerm[InputIdx];
-  uint64_t Off = 0;
-  if (Perm.size() == Full.size()) {
-    for (size_t D = 0; D < Perm.size(); ++D)
-      Off = Off * static_cast<uint64_t>(In.shape()[Perm[D]]) +
-            static_cast<uint64_t>(Full[Perm[D]]);
-  } else {
-    Off = static_cast<uint64_t>(In.flatIndex(Full));
-  }
-  uint64_t Addr = Form.InputBase[InputIdx] + Off * elemBytes(In.elemKind());
-  ++Cost.GlobalAccesses;
-  if (Trace)
-    Trace->push_back(Addr);
-}
-
 /// Charges a synthetic global write (kernel outputs).
 void RangeSim::chargeWrite(uint64_t Addr) {
   ++Cost.GlobalAccesses;
@@ -1019,6 +1323,20 @@ void RangeSim::shareLanes(bool EndsWarp) {
   NumLanes = 0;
 }
 
+/// The number of distinct segments in \p Segs: one linear pass when they
+/// are nondecreasing (the coalesced case), a sort otherwise.
+int64_t distinctSegments(std::vector<uint64_t> &Segs) {
+  int64_t N = Segs.empty() ? 0 : 1;
+  for (size_t I = 1; I < Segs.size(); ++I) {
+    if (Segs[I] < Segs[I - 1]) {
+      std::sort(Segs.begin(), Segs.end());
+      return std::unique(Segs.begin(), Segs.end()) - Segs.begin();
+    }
+    N += Segs[I] != Segs[I - 1];
+  }
+  return N;
+}
+
 /// Merges the per-lane traces of one warp into transactions and closes
 /// the warp's profile entry (issue slots after divergence serialisation,
 /// coalescer-queue overflow).
@@ -1028,17 +1346,18 @@ void RangeSim::mergeWarp() {
   size_t MaxLen = 0;
   for (size_t L = 0; L < NumLanes; ++L)
     MaxLen = std::max(MaxLen, Lanes[L].size());
+  // Segment sizes are powers of two in every preset; a shift then stands
+  // in for the division.
+  uint64_t SegBytes = static_cast<uint64_t>(P.SegmentBytes);
+  int Shift = std::has_single_bit(SegBytes) ? std::countr_zero(SegBytes) : -1;
   for (size_t I = 0; I < MaxLen; ++I) {
     Segs.clear();
-    int64_t Active = 0;
     for (size_t L = 0; L < NumLanes; ++L)
-      if (I < Lanes[L].size()) {
-        Segs.push_back(Lanes[L][I] / static_cast<uint64_t>(P.SegmentBytes));
-        ++Active;
-      }
-    std::sort(Segs.begin(), Segs.end());
-    Segs.erase(std::unique(Segs.begin(), Segs.end()), Segs.end());
-    int64_t Tx = static_cast<int64_t>(Segs.size());
+      if (I < Lanes[L].size())
+        Segs.push_back(Shift >= 0 ? Lanes[L][I] >> Shift
+                                  : Lanes[L][I] / SegBytes);
+    int64_t Active = static_cast<int64_t>(Segs.size());
+    int64_t Tx = distinctSegments(Segs);
     Cost.GlobalTransactions += Tx;
     // A time-step whose accesses merged into fewer segments than active
     // lanes coalesced; one segment per lane means no merging happened.
@@ -1073,14 +1392,29 @@ void RangeSim::mergeWarp() {
 // Global memory and private values
 //===----------------------------------------------------------------------===//
 
+/// Charges a read of \p R at \p Addr: a local access to a tiled input, and
+/// otherwise a global one that lane trace \p T records.
+void RangeSim::chargeRead(const InputReader &R, uint64_t Addr,
+                          std::vector<uint64_t> *T) {
+  if (R.Tiled) {
+    ++Cost.LocalAccesses;
+    ++Cost.TiledElementTouches;
+    Cost.TiledElementBytes += static_cast<int64_t>(R.Bytes);
+    return;
+  }
+  ++Cost.GlobalAccesses;
+  if (T)
+    T->push_back(Addr);
+}
+
 /// Reads the element of input \p InputIdx at the full index in FullBuf,
 /// charging the access.
 bool RangeSim::readFull(int InputIdx, PrimValue &Out, SrcLoc Loc) {
-  const Value &In = Form.InputVals[InputIdx];
-  if (static_cast<int>(FullBuf.size()) != In.rank() || !In.inBounds(FullBuf))
+  InputReader R(Form, InputIdx);
+  uint64_t Addr;
+  if (!R.read(FullBuf.data(), FullBuf.size(), Out, Addr))
     return fail(Loc, "global read out of bounds");
-  chargeGlobal(InputIdx, FullBuf, In);
-  Out = In.at(FullBuf);
+  chargeRead(R, Addr, Trace);
   return true;
 }
 
@@ -1868,6 +2202,520 @@ bool RangeSim::execStream(const RStm &S) {
 }
 
 //===----------------------------------------------------------------------===//
+// Warp steps
+//===----------------------------------------------------------------------===//
+//
+// A warp step runs the lanes a range holds of one warp together: each
+// statement of the thread body for every active lane before the next
+// statement.  Warp-level slots live in the lane store, one value per lane;
+// SubExp, BinOp, UnOp, ConvOp and an Index of a kernel input (an element,
+// or a lane view: the indices applied so far) run warp-wide, if and loop
+// run their bodies under a mask of the lanes that take the branch or are
+// still iterating, and every other statement runs lane by lane through
+// execStm.  Each lane charges its own trace and op
+// count in its own program order, so merging the warp counts what running
+// its lanes one after another counts.  A step that fails in any way is
+// undone and its lanes run one after another, which then meet exactly
+// what they would have met.
+
+/// The fewest lanes a warp step runs: a range that holds only one lane of
+/// a warp (as a segmented launch's ranges of single segments do) runs it
+/// on its own, where a step would only add overhead.
+constexpr int64_t kMinStepLanes = 2;
+
+/// The first \p N lanes, one bit each.
+uint64_t laneMask(int64_t N) {
+  return N >= 64 ? ~uint64_t(0) : (uint64_t(1) << N) - 1;
+}
+
+/// Iterates over the lanes in a mask, lowest first.
+#define FOR_LANES(L, MASK)                                                     \
+  for (uint64_t M_ = (MASK), L = 0;                                            \
+       M_ && ((L = static_cast<uint64_t>(std::countr_zero(M_))), true);       \
+       M_ &= M_ - 1)
+
+/// Runs lanes [Begin, End) warp by warp: the part of each warp they hold
+/// as one \p Step when the launch steps and the part has kMinStepLanes
+/// lanes, and otherwise, or when the step failed and was undone, one
+/// \p Lane after another.  \p Idx is the grid index of lane Begin; it is
+/// advanced past every lane run.
+template <class StepFn, class LaneFn>
+bool RangeSim::eachWarp(int64_t Begin, int64_t End, std::vector<int64_t> &Idx,
+                        StepFn Step, LaneFn Lane) {
+  for (int64_t A = Begin; A < End;) {
+    int64_t B = std::min(End, WarpEnd);
+    if (Stepping && B - A >= kMinStepLanes) {
+      markStep();
+      StepIdx = Idx;
+      if (Step(A, B)) {
+        for (size_t L = StepBase; L < NumLanes; ++L)
+          LaneOps[L] += StepOps;
+        endLane(B - 1);
+        Idx.swap(StepIdx);
+        A = B;
+        continue;
+      }
+      undoStep();
+    }
+    for (; A < B; ++A) {
+      KS_CHECK(Lane(A));
+      advance(Idx, Form.Grid);
+    }
+  }
+  return true;
+}
+
+void RangeSim::markStep() {
+  for (size_t I = 0; I < kNumRangeCharges; ++I)
+    Mark.Charged[I] = Cost.*kRangeCharges[I];
+  Mark.OutBytes = OutBytesSoFar;
+  Mark.WarpOps = WarpOps;
+  Mark.NumLanes = NumLanes;
+  Mark.FoldArgs = FoldArgs.size();
+  Mark.Cols.clear();
+  for (const Column &C : Cols)
+    Mark.Cols.push_back(C.mark());
+  // Only a gridless fold's accumulators live across its lanes.
+  if (Form.Gridless) {
+    Mark.Acc.resize(Acc.size());
+    for (size_t J = 0; J < Acc.size(); ++J)
+      Mark.Acc[J].assign(Acc[J]);
+  }
+}
+
+void RangeSim::undoStep() {
+  for (size_t I = 0; I < kNumRangeCharges; ++I)
+    Cost.*kRangeCharges[I] = Mark.Charged[I];
+  OutBytesSoFar = Mark.OutBytes;
+  WarpOps = Mark.WarpOps;
+  NumLanes = Mark.NumLanes;
+  Trace = nullptr;
+  FoldArgs.resize(Mark.FoldArgs);
+  for (size_t J = 0; J < Cols.size(); ++J)
+    Cols[J].rollback(Mark.Cols[J]);
+  if (Form.Gridless)
+    for (size_t J = 0; J < Acc.size(); ++J)
+      Acc[J].assign(Mark.Acc[J]);
+}
+
+/// Opens \p N lanes after those already open, with empty traces, and
+/// returns their mask.
+uint64_t RangeSim::openStep(int64_t N) {
+  if (LS.empty() && LV.empty()) {
+    LS.resize(static_cast<size_t>(Form.LaneScalars) * Stride);
+    LV.resize(static_cast<size_t>(Form.LaneValues) * Stride);
+  }
+  closeLane();
+  StepBase = NumLanes;
+  NumLanes += static_cast<size_t>(N);
+  if (Lanes.size() < NumLanes) {
+    Lanes.resize(NumLanes);
+    LaneOps.resize(NumLanes);
+  }
+  for (size_t L = StepBase; L < NumLanes; ++L) {
+    Lanes[L].clear();
+    LaneOps[L] = 0;
+  }
+  StepOps = 0;
+  return StepMask = laneMask(N);
+}
+
+/// Sets the thread index slots of the step's \p N lanes from StepIdx,
+/// advancing it past them.
+void RangeSim::setLaneIndices(int64_t N) {
+  const std::vector<int> &Slots = Form.ThreadIdxSlots;
+  for (int64_t L = 0; L < N; ++L) {
+    for (size_t D = 0; D < Slots.size(); ++D)
+      lanes(Slots[D])[L] = PrimValue::makeI32(static_cast<int32_t>(
+          StepIdx[D] + (D == 0 ? Form.OuterOffset : 0)));
+    advance(StepIdx, Form.Grid);
+  }
+}
+
+/// The lanes of scalar operand \p Slot: a warp-level scalar, or a shared
+/// one.  False for anything else, which fails the step.
+bool RangeSim::src(int Slot, LaneSrc &Out) {
+  int X = Form.Slots[Slot].Lane;
+  if (X >= 0) {
+    Out = {&LS[static_cast<size_t>(X) * Stride], 1};
+    return Form.Slots[Slot].View.Input < 0;
+  }
+  if (X != -1 || Form.Slots[Slot].Scope >= 0 || !F[Slot].is(TVal::Tag::Scalar))
+    return false;
+  Out = {&F[Slot].S, 0};
+  return true;
+}
+
+bool RangeSim::copyLanes(int From, int To, uint64_t Mask) {
+  LaneSrc A;
+  KS_CHECK(src(From, A));
+  PrimValue *Out = lanes(To);
+  FOR_LANES(L, Mask) {
+    Out[L] = A[L];
+  }
+  return true;
+}
+
+/// Puts lane \p L's value of warp-level slot \p Slot in the frame.  A
+/// value other than a scalar or a lane view is swapped with the frame's,
+/// so the frame slot's buffers are reused by the next lane.
+void RangeSim::loadLane(int Slot, size_t L) {
+  int X = Form.Slots[Slot].Lane;
+  if (X == -1)
+    return;
+  if (X < -1)
+    return std::swap(F[Slot], LV[static_cast<size_t>(-2 - X) * Stride + L]);
+  const ResolvedForm::LaneView &View = Form.Slots[Slot].View;
+  if (View.Input < 0)
+    return F[Slot].setScalar(LS[static_cast<size_t>(X) * Stride + L]);
+  TVal &T = F[Slot];
+  T.T = TVal::Tag::View;
+  T.V.InputIdx = View.Input;
+  T.V.Prefix.resize(static_cast<size_t>(View.Len));
+  for (int I = 0; I < View.Len; ++I)
+    T.V.Prefix[I] = LS[static_cast<size_t>(X + I) * Stride + L].asInt64();
+  T.V.Sliced = false;
+  T.V.SliceOff = T.V.SliceLen = 0;
+  T.V.SliceStride = 1;
+}
+
+/// Puts the frame's value of warp-level slot \p Slot in lane \p L's; false
+/// when a scalar slot holds something else, or a lane view was consumed.
+bool RangeSim::storeLane(int Slot, size_t L) {
+  int X = Form.Slots[Slot].Lane;
+  KS_CHECK(X != -1);
+  if (X < -1) {
+    std::swap(F[Slot], LV[static_cast<size_t>(-2 - X) * Stride + L]);
+    return true;
+  }
+  if (Form.Slots[Slot].View.Input >= 0)
+    return F[Slot].is(TVal::Tag::View);
+  KS_CHECK(F[Slot].is(TVal::Tag::Scalar));
+  LS[static_cast<size_t>(X) * Stride + L] = F[Slot].S;
+  return true;
+}
+
+bool RangeSim::stepBody(const RBody &B, uint64_t Mask) {
+  for (const RStm &S : B.Stms)
+    KS_CHECK(S.Step == RStm::StepKind::Lane ? stepLanes(S, Mask)
+                                            : stepWarp(S, Mask));
+  return true;
+}
+
+/// Runs a warp-wide statement for the lanes in \p Mask, charging each of
+/// them its op.
+bool RangeSim::stepWarp(const RStm &S, uint64_t Mask) {
+  int64_t N = std::popcount(Mask);
+  Cost.ComputeOps += N;
+  WarpOps += N;
+  if (Mask == StepMask) {
+    ++StepOps;
+  } else {
+    FOR_LANES(L, Mask) {
+      ++LaneOps[StepBase + L];
+    }
+  }
+  KS_CHECK(!S.BadArity);
+  switch (S.Step) {
+  case RStm::StepKind::Scalar:
+    return stepScalar(S, Mask);
+  case RStm::StepKind::Read:
+    return stepRead(S, Mask);
+  case RStm::StepKind::View:
+    return stepView(S, Mask);
+  case RStm::StepKind::If:
+    return stepIf(S, Mask);
+  default:
+    return stepLoop(S, Mask);
+  }
+}
+
+bool RangeSim::stepScalar(const RStm &S, uint64_t Mask) {
+  const Exp &E = *S.E;
+  PrimValue *Out = lanes(S.Out[0]);
+  LaneSrc A, B;
+  KS_CHECK(src(S.Ops[0], A));
+  switch (E.kind()) {
+  case ExpKind::SubExpE:
+    FOR_LANES(L, Mask) {
+      Out[L] = A[L];
+    }
+    return true;
+  case ExpKind::BinOpE: {
+    KS_CHECK(src(S.Ops[1], B));
+    BinOp Op = expCast<BinOpExp>(&E)->Op;
+    FOR_LANES(L, Mask) {
+      KS_CHECK(evalBinOpInto(Op, A[L], B[L], Out[L]) == BinOpFault::None);
+    }
+    return true;
+  }
+  case ExpKind::UnOpE: {
+    UnOp Op = expCast<UnOpExp>(&E)->Op;
+    FOR_LANES(L, Mask) {
+      auto R = evalUnOp(Op, A[L]);
+      KS_CHECK(R);
+      Out[L] = *R;
+    }
+    return true;
+  }
+  default: {
+    ConvOp Op = expCast<ConvOpExp>(&E)->Op;
+    FOR_LANES(L, Mask) {
+      Out[L] = evalConvOp(Op, A[L]);
+    }
+    return true;
+  }
+  }
+}
+
+/// The input an Index step reads and its index lanes: a lane view's
+/// indices, then the statement's; false if an index is not a scalar.
+bool RangeSim::indexLanes(const RStm &S, int &Input) {
+  int Base = S.Ops[0];
+  const ResolvedForm::LaneView &View = Form.Slots[Base].View;
+  size_t Pre = static_cast<size_t>(View.Len);
+  Input = View.Input >= 0 ? View.Input : F[Base].V.InputIdx;
+  IdxSrc.resize(Pre + S.Ops.size() - 1);
+  for (size_t I = 0; I < Pre; ++I)
+    IdxSrc[I] = {lanes(Base) + I * Stride, 1};
+  for (size_t I = Pre; I < IdxSrc.size(); ++I)
+    KS_CHECK(src(S.Ops[1 + I - Pre], IdxSrc[I]));
+  return true;
+}
+
+/// Reads one element of a kernel input per lane, into each lane's trace.
+bool RangeSim::stepRead(const RStm &S, uint64_t Mask) {
+  int In;
+  KS_CHECK(indexLanes(S, In));
+  size_t N = IdxSrc.size();
+  IdxBuf.resize(N);
+  InputReader R(Form, In);
+  PrimValue *Out = lanes(S.Out[0]);
+  FOR_LANES(L, Mask) {
+    for (size_t I = 0; I < N; ++I)
+      IdxBuf[I] = IdxSrc[I][L].asInt64();
+    uint64_t Addr;
+    KS_CHECK(R.read(IdxBuf.data(), N, Out[L], Addr));
+    chargeRead(R, Addr, &Lanes[StepBase + L]);
+  }
+  return true;
+}
+
+/// Binds a lane view: each lane's indices, which a later read applies.
+bool RangeSim::stepView(const RStm &S, uint64_t Mask) {
+  int In;
+  KS_CHECK(indexLanes(S, In));
+  for (size_t I = 0; I < IdxSrc.size(); ++I) {
+    PrimValue *Row = lanes(S.Out[0]) + I * Stride;
+    FOR_LANES(L, Mask) {
+      Row[L] = IdxSrc[I][L];
+    }
+  }
+  return true;
+}
+
+bool RangeSim::stepIf(const RStm &S, uint64_t Mask) {
+  LaneSrc C;
+  KS_CHECK(src(S.Ops[0], C));
+  uint64_t Then = 0;
+  FOR_LANES(L, Mask) {
+    Then |= uint64_t(C[L].getBool()) << L;
+  }
+  for (int Br = 0; Br < 2; ++Br) {
+    uint64_t Taken = Br == 0 ? Then : Mask & ~Then;
+    if (!Taken)
+      continue;
+    const RBody &B = S.Bodies[Br];
+    KS_CHECK(stepBody(B, Taken));
+    for (size_t J = 0; J < S.Out.size(); ++J)
+      KS_CHECK(copyLanes(B.Result[J], S.Out[J], Taken));
+  }
+  return true;
+}
+
+/// A loop whose lanes may run different trip counts: each iteration runs
+/// the body for the lanes still iterating.
+bool RangeSim::stepLoop(const RStm &S, uint64_t Mask) {
+  const RLambda &Fn = S.Fns[0];
+  const RBody &B = Fn.Body;
+  size_t NumMerge = S.Out.size();
+  LaneSrc Bound;
+  KS_CHECK(src(S.Ops[0], Bound));
+  for (size_t J = 0; J < NumMerge; ++J)
+    KS_CHECK(copyLanes(S.Ops[1 + J], Fn.Params[1 + J], Mask));
+  int64_t Trips[64];
+  uint64_t Live = 0;
+  FOR_LANES(L, Mask) {
+    Trips[L] = Bound[L].asInt64();
+    Live |= uint64_t(Trips[L] > 0) << L;
+  }
+  PrimValue *Index = lanes(Fn.Params[0]);
+  for (int64_t I = 0; Live; ++I) {
+    FOR_LANES(L, Live) {
+      Index[L] = intOfKind(Bound[L].kind(), I);
+    }
+    KS_CHECK(stepBody(B, Live));
+    if (S.ResultsAlias) {
+      Staged.resize(NumMerge * Stride);
+      for (size_t J = 0; J < NumMerge; ++J) {
+        LaneSrc R;
+        KS_CHECK(src(B.Result[J], R));
+        FOR_LANES(L, Live) {
+          Staged[J * Stride + L] = R[L];
+        }
+      }
+      for (size_t J = 0; J < NumMerge; ++J) {
+        PrimValue *Param = lanes(Fn.Params[1 + J]);
+        FOR_LANES(L, Live) {
+          Param[L] = Staged[J * Stride + L];
+        }
+      }
+    } else {
+      for (size_t J = 0; J < NumMerge; ++J)
+        KS_CHECK(copyLanes(B.Result[J], Fn.Params[1 + J], Live));
+    }
+    FOR_LANES(L, Live) {
+      if (I + 1 >= Trips[L])
+        Live &= ~(uint64_t(1) << L);
+    }
+  }
+  for (size_t J = 0; J < NumMerge; ++J)
+    KS_CHECK(copyLanes(Fn.Params[1 + J], S.Out[J], Mask));
+  return true;
+}
+
+/// Runs a statement through execStm for each lane in \p Mask, with the
+/// warp-level slots it reads loaded from that lane, its charges going to
+/// that lane, and its results stored back to it.
+bool RangeSim::stepLanes(const RStm &S, uint64_t Mask) {
+  bool Ok = true;
+  FOR_LANES(L, Mask) {
+    Trace = &Lanes[StepBase + L];
+    for (int Slot : S.LaneIns)
+      loadLane(Slot, L);
+    int64_t Before = Cost.ComputeOps;
+    Ok = execStm(S);
+    LaneOps[StepBase + L] += Cost.ComputeOps - Before;
+    // A value the statement read goes back to its lane, unbound if the
+    // statement consumed it; a consumed lane view fails the step.
+    for (int Slot : S.LaneIns)
+      if (Form.Slots[Slot].Lane < -1 || Form.Slots[Slot].View.Input >= 0)
+        Ok = storeLane(Slot, L) && Ok;
+    for (size_t J = 0; Ok && J < S.Out.size(); ++J)
+      Ok = storeLane(S.Out[J], L);
+    if (!Ok)
+      break;
+  }
+  Trace = nullptr;
+  return Ok;
+}
+
+/// Threads [A, B) of one warp: their bodies, then each thread's results in
+/// thread order.
+bool RangeSim::stepThreads(int64_t A, int64_t B) {
+  uint64_t Mask = openStep(B - A);
+  setLaneIndices(B - A);
+  KS_CHECK(stepBody(Form.ThreadBody, Mask));
+  for (int64_t T = A; T < B; ++T) {
+    size_t L = static_cast<size_t>(T - A);
+    Trace = &Lanes[StepBase + L];
+    for (int Slot : Form.ResultLanes)
+      loadLane(Slot, L);
+    KS_CHECK(commitThread(T));
+  }
+  Trace = nullptr;
+  return true;
+}
+
+/// Segments [A, B) of one warp: each element step runs the body for every
+/// segment and then, segment by segment, folds the results into that
+/// segment's own accumulators (and scan rows); the segments' results are
+/// written in segment order at the end.
+bool RangeSim::stepSegments(int64_t A, int64_t B) {
+  size_t N = static_cast<size_t>(B - A);
+  uint64_t Mask = openStep(B - A);
+  setLaneIndices(B - A);
+  bool IsScan = K.Op == KernelExp::OpKind::SegScan;
+  if (LaneAcc.size() < N) {
+    LaneAcc.resize(N);
+    LaneCols.resize(N);
+  }
+  for (size_t L = 0; L < N; ++L) {
+    LaneAcc[L].resize(Acc.size());
+    for (size_t J = 0; J < Acc.size(); ++J)
+      LaneAcc[L][J].assign(Form.Neutral[J]);
+    LaneCols[L].resize(IsScan ? Acc.size() : 0);
+    for (Column &C : LaneCols[L])
+      C.reset();
+  }
+  PrimValue *Seg = lanes(Form.SegIdxSlot);
+  for (int64_t S = 0; S < Form.SegSize; ++S) {
+    for (size_t L = 0; L < N; ++L)
+      Seg[L] = PrimValue::makeI32(static_cast<int32_t>(S));
+    KS_CHECK(stepBody(Form.ThreadBody, Mask));
+    for (size_t L = 0; L < N; ++L) {
+      KS_CHECK(stepElement(L));
+      KS_CHECK(laneOperator(L));
+    }
+  }
+  for (size_t L = 0; L < N; ++L)
+    KS_CHECK(commitSegment(L));
+  Trace = nullptr;
+  return true;
+}
+
+/// Elements [A, B) of a gridless fold: their bodies, then in element order
+/// the operator (\p Fold) or the buffer of a range that only runs bodies.
+bool RangeSim::stepElements(int64_t A, int64_t B, bool Fold) {
+  uint64_t Mask = openStep(B - A);
+  PrimValue *Seg = lanes(Form.SegIdxSlot);
+  for (int64_t S = A; S < B; ++S)
+    Seg[S - A] = PrimValue::makeI32(static_cast<int32_t>(S));
+  KS_CHECK(stepBody(Form.ThreadBody, Mask));
+  for (size_t L = 0; L < static_cast<size_t>(B - A); ++L) {
+    KS_CHECK(stepElement(L));
+    KS_CHECK(Fold ? applyOperator() : bufferElement());
+  }
+  Trace = nullptr;
+  return true;
+}
+
+/// Hands lane \p L's body results to the operator's element parameters.
+bool RangeSim::stepElement(size_t L) {
+  Trace = &Lanes[StepBase + L];
+  for (int Slot : Form.ResultLanes)
+    loadLane(Slot, L);
+  KS_CHECK(takeElement());
+  LaneOps[StepBase + L] += Form.ReduceFnOps;
+  return true;
+}
+
+/// Applies the operator to segment lane \p L's accumulators.
+bool RangeSim::laneOperator(size_t L) {
+  std::swap(Acc, LaneAcc[L]);
+  std::swap(Cols, LaneCols[L]);
+  bool Ok = applyOperator();
+  std::swap(Acc, LaneAcc[L]);
+  std::swap(Cols, LaneCols[L]);
+  return Ok;
+}
+
+/// Ends segment lane \p L after the segments before it: its scan rows
+/// follow theirs, and endSegment writes its results.
+bool RangeSim::commitSegment(size_t L) {
+  if (K.Op == KernelExp::OpKind::SegScan)
+    for (size_t J = 0; J < Cols.size(); ++J) {
+      SegStart[J] = Cols[J].Data.size();
+      KS_CHECK(Cols[J].canTake(LaneCols[L][J]));
+      Cols[J].take(std::move(LaneCols[L][J]));
+    }
+  std::swap(Acc, LaneAcc[L]);
+  bool Ok = endSegment();
+  std::swap(Acc, LaneAcc[L]);
+  return Ok;
+}
+
+//===----------------------------------------------------------------------===//
 // Kernel driving
 //===----------------------------------------------------------------------===//
 
@@ -1878,15 +2726,25 @@ RangeSim::RangeSim(const DeviceParams &P, const KernelExp &K,
       ReserveRows(Form.GridSize), F(std::move(Frame)),
       Cols(K.Op == KernelExp::OpKind::ThreadBody ? K.RetTypes.size()
                                                  : Form.Neutral.size()),
-      Acc(Form.Neutral.size()), SegStart(Form.Neutral.size()) {}
+      Acc(Form.Neutral.size()), SegStart(Form.Neutral.size()) {
+  // A thread or segment index the grid does not set stays unbound, which
+  // only running lanes one after another reproduces.
+  size_t Dims = Form.Gridless ? 0 : Form.Grid.size();
+  Stepping = !P.ForceLaneByLane && P.WarpSize >= 1 && P.WarpSize <= 64 &&
+             K.Op != KernelExp::OpKind::SegHist &&
+             Form.ThreadIdxSlots.size() <= Dims;
+  Stride = static_cast<size_t>(
+      std::clamp<int64_t>(Form.Units, 1, std::max(P.WarpSize, 1)));
+}
 
 RangeSim::RangeSim(const RangeSim &First, CostReport &Cost, int64_t Rows)
     : P(First.P), K(First.K), Form(First.Form), Cost(Cost),
       OutBudgetBytes(First.OutBudgetBytes), ReserveRows(Rows),
       F(First.F.size()), Cols(First.Cols.size()), Acc(First.Acc.size()),
-      SegStart(First.SegStart.size()) {
+      SegStart(First.SegStart.size()), Stepping(First.Stepping),
+      Stride(First.Stride) {
   for (size_t I = 0; I < F.size(); ++I)
-    if (Form.SlotScope[I] < 0)
+    if (Form.Slots[I].Scope < 0)
       F[I].assign(First.F[I]);
 }
 
@@ -1896,24 +2754,6 @@ void RangeSim::setThreadIndices(const std::vector<int64_t> &Idx) {
   for (size_t I = 0; I < Idx.size() && I < Slots.size(); ++I)
     F[Slots[I]].setScalar(PrimValue::makeI32(
         static_cast<int32_t>(Idx[I] + (I == 0 ? Form.OuterOffset : 0))));
-}
-
-void advance(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
-  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-    if (++Idx[I] < Grid[I])
-      break;
-    Idx[I] = 0;
-  }
-}
-
-/// The grid index of the \p Flat-th point of \p Grid in row-major order.
-std::vector<int64_t> gridIndex(int64_t Flat, const std::vector<int64_t> &Grid) {
-  std::vector<int64_t> Idx(Grid.size(), 0);
-  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0 && Flat > 0; --I) {
-    Idx[I] = Flat % Grid[I];
-    Flat /= Grid[I];
-  }
-  return Idx;
 }
 
 void RangeSim::beginLaunch() {
@@ -1937,48 +2777,61 @@ bool RangeSim::runDetached(int64_t Begin, int64_t End) {
   bool Ok = Form.Gridless ? runElementBodies(Begin, End)
                           : runLanes(Begin, End);
   shareLanes(/*EndsWarp=*/false);
+  // Only the running ranges hold a lane store, not those awaiting absorb.
+  std::vector<PrimValue>().swap(LS);
+  std::vector<TVal>().swap(LV);
+  std::vector<std::vector<TVal>>().swap(LaneAcc);
+  std::vector<std::vector<Column>>().swap(LaneCols);
   return Ok;
 }
 
 bool RangeSim::runThreads(int64_t Begin, int64_t End) {
+  std::vector<int64_t> Idx = gridIndex(Begin, Form.Grid);
+  return eachWarp(
+      Begin, End, Idx, [&](int64_t A, int64_t B) { return stepThreads(A, B); },
+      [&](int64_t T) {
+        openLane();
+        setThreadIndices(Idx);
+        KS_CHECK(exec(Form.ThreadBody));
+        KS_CHECK(commitThread(T));
+        endLane(T);
+        return true;
+      });
+}
+
+/// Writes the results thread \p T's body left in its result slots:
+/// charges their bytes and writes, and appends them as the thread's rows.
+bool RangeSim::commitThread(int64_t T) {
   const RBody &Body = Form.ThreadBody;
   size_t NumRes = K.RetTypes.size();
-  std::vector<int64_t> Idx = gridIndex(Begin, Form.Grid);
+  if (Body.Result.size() != NumRes)
+    return fail("kernel thread result arity mismatch");
+  int64_t GlobalT = T + Form.ThreadOffset;
   TVal Res;
-  for (int64_t T = Begin; T < End; ++T) {
-    openLane();
-    setThreadIndices(Idx);
-    KS_CHECK(exec(Body));
-    if (Body.Result.size() != NumRes)
-      return fail("kernel thread result arity mismatch");
-    int64_t GlobalT = T + Form.ThreadOffset;
-    for (size_t J = 0; J < NumRes; ++J) {
-      KS_CHECK(force(Body.Result[J], Res, Body.Movable[J]));
-      int64_t Elems = Res.numElems();
-      KS_CHECK(chargeOutput(Elems, Res.elemKind()));
-      // Charge the output writes: row-major per thread, or with the
-      // thread index innermost when results are stored transposed.  The
-      // global thread id keeps shard-boundary addresses exact.
-      uint64_t OutBase = (2ULL << 50) + (static_cast<uint64_t>(J) << 44);
-      for (int64_t EIdx = 0; EIdx < Elems; ++EIdx) {
-        uint64_t Off = K.TransposedOutputs
-                           ? static_cast<uint64_t>(EIdx) *
-                                     static_cast<uint64_t>(Form.GlobalThreads) +
-                                 static_cast<uint64_t>(GlobalT)
-                           : static_cast<uint64_t>(GlobalT * Elems + EIdx);
-        chargeWrite(OutBase + Off * elemBytes(Res.elemKind()));
-      }
-      if (Cols[J].Data.empty()) {
-        // Reserved once, and never past what the memory budget admits.
-        int64_t Want = ReserveRows * Elems;
-        if (OutBudgetBytes >= 0)
-          Want = std::min(Want, OutBudgetBytes / elemBytes(Res.elemKind()) + 1);
-        Cols[J].Data.reserve(static_cast<size_t>(Want));
-      }
-      Cols[J].append(Res);
+  for (size_t J = 0; J < NumRes; ++J) {
+    KS_CHECK(force(Body.Result[J], Res, Body.Movable[J]));
+    int64_t Elems = Res.numElems();
+    KS_CHECK(chargeOutput(Elems, Res.elemKind()));
+    // Charge the output writes: row-major per thread, or with the thread
+    // index innermost when results are stored transposed.  The global
+    // thread id keeps shard-boundary addresses exact.
+    uint64_t OutBase = (2ULL << 50) + (static_cast<uint64_t>(J) << 44);
+    for (int64_t EIdx = 0; EIdx < Elems; ++EIdx) {
+      uint64_t Off = K.TransposedOutputs
+                         ? static_cast<uint64_t>(EIdx) *
+                                   static_cast<uint64_t>(Form.GlobalThreads) +
+                               static_cast<uint64_t>(GlobalT)
+                         : static_cast<uint64_t>(GlobalT * Elems + EIdx);
+      chargeWrite(OutBase + Off * elemBytes(Res.elemKind()));
     }
-    endLane(T);
-    advance(Idx, Form.Grid);
+    if (Cols[J].Data.empty()) {
+      // Reserved once, and never past what the memory budget admits.
+      int64_t Want = ReserveRows * Elems;
+      if (OutBudgetBytes >= 0)
+        Want = std::min(Want, OutBudgetBytes / elemBytes(Res.elemKind()) + 1);
+      Cols[J].Data.reserve(static_cast<size_t>(Want));
+    }
+    Cols[J].append(Res);
   }
   return true;
 }
@@ -1988,18 +2841,18 @@ bool RangeSim::runThreads(int64_t Begin, int64_t End) {
 /// case the coalescing transformation targets).
 bool RangeSim::runSegments(int64_t Begin, int64_t End) {
   std::vector<int64_t> Idx = gridIndex(Begin, Form.Grid);
-  for (int64_t Seg = Begin; Seg < End; ++Seg) {
-    beginSegment();
-    openLane();
-    for (int64_t S = 0; S < Form.SegSize; ++S) {
-      KS_CHECK(runElement(Idx, S));
-      KS_CHECK(applyOperator());
-    }
-    endLane(Seg);
-    KS_CHECK(endSegment());
-    advance(Idx, Form.Grid);
-  }
-  return true;
+  return eachWarp(
+      Begin, End, Idx, [&](int64_t A, int64_t B) { return stepSegments(A, B); },
+      [&](int64_t Seg) {
+        beginSegment();
+        openLane();
+        for (int64_t S = 0; S < Form.SegSize; ++S) {
+          KS_CHECK(runElement(Idx, S));
+          KS_CHECK(applyOperator());
+        }
+        endLane(Seg);
+        return endSegment();
+      });
 }
 
 /// Starts a segment: the accumulators hold the neutral elements.
@@ -2048,13 +2901,19 @@ bool RangeSim::endSegment() {
 /// \p Idx, leaves its results in the operator's element parameters, and
 /// charges the operator's fixed cost.
 bool RangeSim::runElement(const std::vector<int64_t> &Idx, int64_t S) {
+  setThreadIndices(Idx);
+  F[Form.SegIdxSlot].setScalar(PrimValue::makeI32(static_cast<int32_t>(S)));
+  KS_CHECK(exec(Form.ThreadBody));
+  return takeElement();
+}
+
+/// Moves the thread body's results, left in its result slots, into the
+/// operator's element parameters.
+bool RangeSim::takeElement() {
   const RBody &Body = Form.ThreadBody;
   const RLambda &Op = Form.ReduceOp;
   size_t NumRes = Acc.size();
   size_t NumElems = Body.Result.size();
-  setThreadIndices(Idx);
-  F[Form.SegIdxSlot].setScalar(PrimValue::makeI32(static_cast<int32_t>(S)));
-  KS_CHECK(exec(Body));
   if (Op.Params.size() != NumRes + NumElems ||
       Op.Body.Result.size() != NumRes)
     return fail("lambda arity mismatch: expected " +
@@ -2085,34 +2944,46 @@ bool RangeSim::applyOperator() {
 /// A gridless segmented launch is one large reduction or scan
 /// parallelised within its only segment, one lane per element.
 bool RangeSim::foldElements(int64_t Begin, int64_t End) {
-  const std::vector<int64_t> NoIdx;
-  for (int64_t S = Begin; S < End; ++S) {
-    openLane();
-    KS_CHECK(runElement(NoIdx, S));
-    KS_CHECK(applyOperator());
-    endLane(S);
-  }
-  return true;
+  std::vector<int64_t> NoIdx;
+  return eachWarp(
+      Begin, End, NoIdx,
+      [&](int64_t A, int64_t B) { return stepElements(A, B, /*Fold=*/true); },
+      [&](int64_t S) {
+        openLane();
+        KS_CHECK(runElement(NoIdx, S));
+        KS_CHECK(applyOperator());
+        endLane(S);
+        return true;
+      });
 }
 
 /// Runs the bodies of a gridless fold's elements [Begin, End) and keeps
 /// their scalar results for the first range's fold.  An array result
 /// fails the range, which then runs again on the first range.
 bool RangeSim::runElementBodies(int64_t Begin, int64_t End) {
-  const std::vector<int64_t> NoIdx;
-  const std::vector<int> &Params = Form.ReduceOp.Params;
+  std::vector<int64_t> NoIdx;
   startAt(Begin);
   FoldArgs.reserve(static_cast<size_t>(End - Begin) *
-                   (Params.size() - Acc.size()));
-  for (int64_t S = Begin; S < End; ++S) {
-    openLane();
-    KS_CHECK(runElement(NoIdx, S));
-    for (size_t E = Acc.size(); E < Params.size(); ++E) {
-      if (!isScalar(Params[E]))
-        return fail("a gridless fold range buffers scalars only");
-      FoldArgs.push_back(F[Params[E]].S);
-    }
-    endLane(S);
+                   (Form.ReduceOp.Params.size() - Acc.size()));
+  return eachWarp(
+      Begin, End, NoIdx,
+      [&](int64_t A, int64_t B) { return stepElements(A, B, /*Fold=*/false); },
+      [&](int64_t S) {
+        openLane();
+        KS_CHECK(runElement(NoIdx, S));
+        KS_CHECK(bufferElement());
+        endLane(S);
+        return true;
+      });
+}
+
+/// Appends the element in the operator's element parameters to FoldArgs.
+bool RangeSim::bufferElement() {
+  const std::vector<int> &Params = Form.ReduceOp.Params;
+  for (size_t E = Acc.size(); E < Params.size(); ++E) {
+    if (!isScalar(Params[E]))
+      return fail("a gridless fold range buffers scalars only");
+    FoldArgs.push_back(F[Params[E]].S);
   }
   return true;
 }
@@ -2148,18 +3019,11 @@ bool RangeSim::absorb(RangeSim &O) {
     if (G.EndsWarp)
       mergeWarp();
   }
-  const CostReport &C = O.Cost;
-  Cost.ComputeOps += C.ComputeOps;
-  Cost.GlobalAccesses += C.GlobalAccesses;
-  Cost.GlobalTransactions += C.GlobalTransactions;
-  Cost.CoalescedTransactions += C.CoalescedTransactions;
-  Cost.ScatteredTransactions += C.ScatteredTransactions;
-  Cost.LocalAccesses += C.LocalAccesses;
-  Cost.PrivateAccesses += C.PrivateAccesses;
-  Cost.TiledElementTouches += C.TiledElementTouches;
-  Cost.TiledElementBytes += C.TiledElementBytes;
+  for (int64_t CostReport::*C : kRangeCharges)
+    Cost.*C += O.Cost.*C;
   Prof.add(O.Prof);
   OutBytesSoFar += O.OutBytesSoFar;
+  WarpOps += O.WarpOps;
   return true;
 }
 
@@ -2469,5 +3333,6 @@ ErrorOr<KernelLaunch> fut::gpusim::simulateKernel(
     return First.error();
   L.OutBytes = First.outBytes();
   L.Profile = First.profile();
+  L.WarpOps = First.warpOps();
   return L;
 }

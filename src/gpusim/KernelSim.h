@@ -13,11 +13,18 @@
 ///
 /// The kernel body is resolved once per launch into a form whose names are
 /// dense frame-slot indices; the lanes of one range then run in one reused
-/// frame.  A large launch splits its lanes (threads, segments, or the
-/// elements of a gridless fold) into ranges that run on the host's cores
-/// (WarpPool.h) and are merged in lane order, so every counter, profile,
-/// output and error is the one-range result.  The resolved form and the
-/// frames live only as long as the launch.
+/// frame.  A range runs the lanes it holds of each warp as a warp step:
+/// every statement for all of them before the next, scalar statements and
+/// reads of kernel inputs warp-wide over a per-lane store of the values the
+/// body binds, everything else lane by lane.  Each lane still charges its
+/// own accesses and ops in its own program order, and a step that fails
+/// reruns its lanes one after another, so every counter, profile, output
+/// and error is what running the lanes in order gives.  A large launch
+/// splits its lanes (threads, segments, or the elements of a gridless
+/// fold) into ranges that run on the host's cores (WarpPool.h) and are
+/// merged in lane order, so every counter, profile, output and error is
+/// the one-range result.  The resolved form, the frames and the lane
+/// stores live only as long as the launch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +51,9 @@ struct KernelLaunch {
   int64_t OutBytes = 0;
   /// Warp-level execution profile (model-independent; see CostModel.h).
   KernelProfile Profile;
+  /// Of the launch's compute ops, those warp steps ran warp-wide rather
+  /// than lane by lane.  Host-side only: no cost depends on it.
+  int64_t WarpOps = 0;
 };
 
 /// Simulates one launch of \p K, reading kernel inputs and free names from

@@ -38,27 +38,6 @@ bool fut::isIntKind(ScalarKind K) {
   return K == ScalarKind::I32 || K == ScalarKind::I64;
 }
 
-PrimValue PrimValue::makeBool(bool V) {
-  PrimValue P;
-  P.Kind = ScalarKind::Bool;
-  P.B = V;
-  return P;
-}
-
-PrimValue PrimValue::makeI32(int32_t V) {
-  PrimValue P;
-  P.Kind = ScalarKind::I32;
-  P.I = V;
-  return P;
-}
-
-PrimValue PrimValue::makeI64(int64_t V) {
-  PrimValue P;
-  P.Kind = ScalarKind::I64;
-  P.I = V;
-  return P;
-}
-
 PrimValue PrimValue::makeF32(float V) {
   PrimValue P;
   P.Kind = ScalarKind::F32;
@@ -90,21 +69,6 @@ PrimValue PrimValue::zeroOf(ScalarKind K) {
   return PrimValue();
 }
 
-bool PrimValue::getBool() const {
-  assert(Kind == ScalarKind::Bool && "not a bool");
-  return B;
-}
-
-int64_t PrimValue::getInt() const {
-  assert(isInt() && "not an integer");
-  return I;
-}
-
-double PrimValue::getFloat() const {
-  assert(isFloat() && "not a float");
-  return F;
-}
-
 double PrimValue::asDouble() const {
   switch (Kind) {
   case ScalarKind::Bool:
@@ -117,20 +81,6 @@ double PrimValue::asDouble() const {
     return F;
   }
   return 0.0;
-}
-
-int64_t PrimValue::asInt64() const {
-  switch (Kind) {
-  case ScalarKind::Bool:
-    return B ? 1 : 0;
-  case ScalarKind::I32:
-  case ScalarKind::I64:
-    return I;
-  case ScalarKind::F32:
-  case ScalarKind::F64:
-    return static_cast<int64_t>(F);
-  }
-  return 0;
 }
 
 bool PrimValue::operator==(const PrimValue &Other) const {
@@ -377,25 +327,32 @@ int64_t intPow(int64_t Base, int64_t Exp) {
 
 } // namespace
 
-ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
-                                  const PrimValue &B) {
+namespace {
+
+/// The body of both entry points below, inlined into each so that
+/// evalBinOp pays no call beyond its own.
+[[gnu::always_inline]] inline BinOpFault
+binOpInto(BinOp Op, const PrimValue &A, const PrimValue &B, PrimValue &Out) {
+  using BF = BinOpFault;
   if (A.kind() != B.kind())
-    return CompilerError("binop operands have mismatched kinds: " + A.str() +
-                         " vs " + B.str());
+    return BF::MismatchedKinds;
   ScalarKind K = A.kind();
   if (!binOpDefinedOn(Op, K))
-    return CompilerError(std::string("operator ") + binOpName(Op) +
-                         " undefined on " + scalarKindName(K));
+    return BF::Undefined;
+  auto Put = [&Out](PrimValue V) {
+    Out = V;
+    return BF::None;
+  };
 
   switch (Op) {
   case BinOp::LogAnd:
-    return PrimValue::makeBool(A.getBool() && B.getBool());
+    return Put(PrimValue::makeBool(A.getBool() && B.getBool()));
   case BinOp::LogOr:
-    return PrimValue::makeBool(A.getBool() || B.getBool());
+    return Put(PrimValue::makeBool(A.getBool() || B.getBool()));
   case BinOp::Eq:
-    return PrimValue::makeBool(A == B);
+    return Put(PrimValue::makeBool(A == B));
   case BinOp::Neq:
-    return PrimValue::makeBool(!(A == B));
+    return Put(PrimValue::makeBool(!(A == B)));
   default:
     break;
   }
@@ -404,27 +361,27 @@ ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
     double X = A.getFloat(), Y = B.getFloat();
     switch (Op) {
     case BinOp::Add:
-      return normalizeFloat(K, X + Y);
+      return Put(normalizeFloat(K, X + Y));
     case BinOp::Sub:
-      return normalizeFloat(K, X - Y);
+      return Put(normalizeFloat(K, X - Y));
     case BinOp::Mul:
-      return normalizeFloat(K, X * Y);
+      return Put(normalizeFloat(K, X * Y));
     case BinOp::Div:
-      return normalizeFloat(K, X / Y);
+      return Put(normalizeFloat(K, X / Y));
     case BinOp::Pow:
-      return normalizeFloat(K, std::pow(X, Y));
+      return Put(normalizeFloat(K, std::pow(X, Y)));
     case BinOp::Min:
-      return normalizeFloat(K, std::fmin(X, Y));
+      return Put(normalizeFloat(K, std::fmin(X, Y)));
     case BinOp::Max:
-      return normalizeFloat(K, std::fmax(X, Y));
+      return Put(normalizeFloat(K, std::fmax(X, Y)));
     case BinOp::Lt:
-      return PrimValue::makeBool(X < Y);
+      return Put(PrimValue::makeBool(X < Y));
     case BinOp::Leq:
-      return PrimValue::makeBool(X <= Y);
+      return Put(PrimValue::makeBool(X <= Y));
     case BinOp::Gt:
-      return PrimValue::makeBool(X > Y);
+      return Put(PrimValue::makeBool(X > Y));
     case BinOp::Geq:
-      return PrimValue::makeBool(X >= Y);
+      return Put(PrimValue::makeBool(X >= Y));
     default:
       break;
     }
@@ -434,50 +391,85 @@ ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
     int64_t X = A.getInt(), Y = B.getInt();
     switch (Op) {
     case BinOp::Add:
-      return normalizeInt(K, wrapAdd(X, Y));
+      return Put(normalizeInt(K, wrapAdd(X, Y)));
     case BinOp::Sub:
-      return normalizeInt(K, wrapSub(X, Y));
+      return Put(normalizeInt(K, wrapSub(X, Y)));
     case BinOp::Mul:
-      return normalizeInt(K, wrapMul(X, Y));
+      return Put(normalizeInt(K, wrapMul(X, Y)));
     // Faulting operations are typed runtime errors, never UB: the
     // simplifier leaves the expression unfolded when evalBinOp fails, and
     // the interpreter and gpusim surface the identical diagnostic, so
     // fold == interpreter == device on every edge case by construction.
     case BinOp::Div:
       if (Y == 0)
-        return CompilerError::runtime("integer division by zero");
+        return BF::DivisionByZero;
       if (X == INT64_MIN && Y == -1)
-        return CompilerError::runtime("integer division overflow");
-      return normalizeInt(K, floorDiv(X, Y));
+        return BF::DivisionOverflow;
+      return Put(normalizeInt(K, floorDiv(X, Y)));
     case BinOp::Mod:
       if (Y == 0)
-        return CompilerError::runtime("integer modulo by zero");
+        return BF::ModuloByZero;
       if (X == INT64_MIN && Y == -1)
-        return CompilerError::runtime("integer modulo overflow");
-      return normalizeInt(K, floorMod(X, Y));
+        return BF::ModuloOverflow;
+      return Put(normalizeInt(K, floorMod(X, Y)));
     case BinOp::Pow:
       if (Y < 0)
-        return CompilerError::runtime("negative integer exponent");
-      return normalizeInt(K, intPow(X, Y));
+        return BF::NegativeExponent;
+      return Put(normalizeInt(K, intPow(X, Y)));
     case BinOp::Min:
-      return normalizeInt(K, X < Y ? X : Y);
+      return Put(normalizeInt(K, X < Y ? X : Y));
     case BinOp::Max:
-      return normalizeInt(K, X > Y ? X : Y);
+      return Put(normalizeInt(K, X > Y ? X : Y));
     case BinOp::Lt:
-      return PrimValue::makeBool(X < Y);
+      return Put(PrimValue::makeBool(X < Y));
     case BinOp::Leq:
-      return PrimValue::makeBool(X <= Y);
+      return Put(PrimValue::makeBool(X <= Y));
     case BinOp::Gt:
-      return PrimValue::makeBool(X > Y);
+      return Put(PrimValue::makeBool(X > Y));
     case BinOp::Geq:
-      return PrimValue::makeBool(X >= Y);
+      return Put(PrimValue::makeBool(X >= Y));
     default:
       break;
     }
   }
 
+  return BF::Unevaluable;
+}
+
+} // namespace
+
+BinOpFault fut::evalBinOpInto(BinOp Op, const PrimValue &A,
+                              const PrimValue &B, PrimValue &Out) {
+  return binOpInto(Op, A, B, Out);
+}
+
+ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
+                                  const PrimValue &B) {
+  PrimValue Out;
+  switch (binOpInto(Op, A, B, Out)) {
+  case BinOpFault::None:
+    return Out;
+  case BinOpFault::MismatchedKinds:
+    return CompilerError("binop operands have mismatched kinds: " + A.str() +
+                         " vs " + B.str());
+  case BinOpFault::Undefined:
+    return CompilerError(std::string("operator ") + binOpName(Op) +
+                         " undefined on " + scalarKindName(A.kind()));
+  case BinOpFault::DivisionByZero:
+    return CompilerError::runtime("integer division by zero");
+  case BinOpFault::DivisionOverflow:
+    return CompilerError::runtime("integer division overflow");
+  case BinOpFault::ModuloByZero:
+    return CompilerError::runtime("integer modulo by zero");
+  case BinOpFault::ModuloOverflow:
+    return CompilerError::runtime("integer modulo overflow");
+  case BinOpFault::NegativeExponent:
+    return CompilerError::runtime("negative integer exponent");
+  case BinOpFault::Unevaluable:
+    break;
+  }
   return CompilerError(std::string("cannot evaluate operator ") +
-                       binOpName(Op) + " on " + scalarKindName(K));
+                       binOpName(Op) + " on " + scalarKindName(A.kind()));
 }
 
 ErrorOr<PrimValue> fut::evalUnOp(UnOp Op, const PrimValue &A) {

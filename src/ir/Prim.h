@@ -18,6 +18,7 @@
 #include "support/Error.h"
 #include "support/Utils.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -58,9 +59,24 @@ class PrimValue {
 public:
   PrimValue() : Kind(ScalarKind::I32), I(0) {}
 
-  static PrimValue makeBool(bool V);
-  static PrimValue makeI32(int32_t V);
-  static PrimValue makeI64(int64_t V);
+  static PrimValue makeBool(bool V) {
+    PrimValue P;
+    P.Kind = ScalarKind::Bool;
+    P.B = V;
+    return P;
+  }
+  static PrimValue makeI32(int32_t V) {
+    PrimValue P;
+    P.Kind = ScalarKind::I32;
+    P.I = V;
+    return P;
+  }
+  static PrimValue makeI64(int64_t V) {
+    PrimValue P;
+    P.Kind = ScalarKind::I64;
+    P.I = V;
+    return P;
+  }
   static PrimValue makeF32(float V);
   static PrimValue makeF64(double V);
   /// Zero (or false) of kind \p K — the canonical "blank" element.
@@ -70,14 +86,35 @@ public:
   bool isFloat() const { return isFloatKind(Kind); }
   bool isInt() const { return isIntKind(Kind); }
 
-  bool getBool() const;
-  int64_t getInt() const;
-  double getFloat() const;
+  bool getBool() const {
+    assert(Kind == ScalarKind::Bool && "not a bool");
+    return B;
+  }
+  int64_t getInt() const {
+    assert(isInt() && "not an integer");
+    return I;
+  }
+  double getFloat() const {
+    assert(isFloat() && "not a float");
+    return F;
+  }
 
   /// Numeric value as a double regardless of kind (bools become 0/1).
   double asDouble() const;
   /// Numeric value as int64 regardless of kind (floats truncate).
-  int64_t asInt64() const;
+  int64_t asInt64() const {
+    switch (Kind) {
+    case ScalarKind::Bool:
+      return B ? 1 : 0;
+    case ScalarKind::I32:
+    case ScalarKind::I64:
+      return I;
+    case ScalarKind::F32:
+    case ScalarKind::F64:
+      return static_cast<int64_t>(F);
+    }
+    return 0;
+  }
 
   bool operator==(const PrimValue &Other) const;
   bool operator!=(const PrimValue &Other) const { return !(*this == Other); }
@@ -145,6 +182,26 @@ ScalarKind unOpResultKind(UnOp Op, ScalarKind K);
 /// Evaluates a binary operator on two values of the same kind.  Division by
 /// zero on integers yields an error; on floats it follows IEEE.
 ErrorOr<PrimValue> evalBinOp(BinOp Op, const PrimValue &A, const PrimValue &B);
+
+/// Why evaluating a binary operator fails (None: it does not).
+enum class BinOpFault : uint8_t {
+  None,
+  MismatchedKinds,
+  Undefined,
+  DivisionByZero,
+  DivisionOverflow,
+  ModuloByZero,
+  ModuloOverflow,
+  NegativeExponent,
+  Unevaluable,
+};
+
+/// evalBinOp without the error: the result goes to \p Out, and a failure
+/// is only named.  evalBinOp is this plus the error message, so callers
+/// that only need to know that an operation failed (a simulated warp,
+/// which then reruns its lanes one by one) skip building one.
+BinOpFault evalBinOpInto(BinOp Op, const PrimValue &A, const PrimValue &B,
+                         PrimValue &Out);
 ErrorOr<PrimValue> evalUnOp(UnOp Op, const PrimValue &A);
 PrimValue evalConvOp(ConvOp Op, const PrimValue &A);
 

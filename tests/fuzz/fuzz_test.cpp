@@ -83,7 +83,7 @@ TEST(FuzzTest, SweepLegsAreFixed) {
   EXPECT_EQ(legNames(sweepLegs()),
             (std::vector<std::string>{"default", "split", "devices2",
                                       "hist-global", "hist-global-devices2",
-                                      "pipeline"}));
+                                      "pipeline", "lanes"}));
 }
 
 TEST(FuzzTest, CrossModelSeedsAgree) {

@@ -9,16 +9,20 @@
 // the one-range order reports: the first failing thread, segment or
 // element's error, the byte count of a device-memory overrun, irregular
 // rows that meet at a range boundary, and a gridless fold's result bit
-// for bit.
+// for bit.  Within a warp, a range runs its lanes statement by statement
+// (warp steps); the WarpSync tests pin that this reports what running the
+// lanes one after another (DeviceParams::ForceLaneByLane) reports.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gpusim/Device.h"
+#include "gpusim/KernelSim.h"
 #include "gpusim/WarpPool.h"
 
 #include "bench_suite/Benchmarks.h"
 #include "driver/Compiler.h"
 #include "fuzz/Fuzz.h"
+#include "interp/Interp.h"
 #include "ir/Traversal.h"
 #include "trace/Trace.h"
 #include "TestUtil.h"
@@ -664,6 +668,240 @@ TEST(WarpRanges, GridlessArrayFoldsRunAsOneRange) {
   ASSERT_EQ(Got->Outputs.size(), 1u);
   ASSERT_EQ(Want->size(), 1u);
   EXPECT_EQ(Got->Outputs[0], (*Want)[0]);
+}
+
+//===----------------------------------------------------------------------===//
+// Warp steps
+//===----------------------------------------------------------------------===//
+
+/// The four ways a launch can run its warps: warp steps (the default) and
+/// lane by lane, each as one range and under ForceSplitRanges.
+std::vector<std::pair<std::string, DeviceParams>> warpModes() {
+  std::vector<std::pair<std::string, DeviceParams>> Modes;
+  for (bool Split : {false, true})
+    for (bool Lanes : {false, true}) {
+      DeviceParams P;
+      P.ForceSplitRanges = Split;
+      P.ForceLaneByLane = Lanes;
+      Modes.push_back({std::string(Split ? "split " : "") +
+                           (Lanes ? "lane by lane" : "warp steps"),
+                       P});
+    }
+  return Modes;
+}
+
+/// One simulated launch: its outputs or error, cost line and profile.
+struct LaunchRun {
+  std::string Error;
+  std::vector<Value> Outputs;
+  std::string Cost;
+  KernelProfile Prof;
+  int64_t WarpOps = 0;
+};
+
+void expectSameProfile(const KernelProfile &A, const KernelProfile &B) {
+  EXPECT_EQ(A.Warps, B.Warps);
+  EXPECT_EQ(A.LaneOps, B.LaneOps);
+  EXPECT_EQ(A.WarpIssueOps, B.WarpIssueOps);
+  EXPECT_EQ(A.DivergentWarps, B.DivergentWarps);
+  EXPECT_EQ(A.MemSteps, B.MemSteps);
+  EXPECT_EQ(A.CoalescerExcessTx, B.CoalescerExcessTx);
+  EXPECT_EQ(A.BankConflictExtra, B.BankConflictExtra);
+}
+
+/// Runs \p C's host code on the interpreter and simulates each kernel
+/// launch it reaches in every warp mode, with \p Budget bytes for its
+/// results: all must give the same outputs or error, cost line and
+/// profile.  Returns the first launch error (or "") and, through
+/// \p WarpOps, the ops the warp-step launches ran warp-wide.
+std::string expectLaunchesAgree(const CompileResult &C,
+                                const std::vector<Value> &Args,
+                                int64_t Budget, int64_t &WarpOps) {
+  WarpOps = 0;
+  std::string FirstError;
+  InterpOptions IO;
+  IO.HandleKernel = [&](const KernelExp &K, const EnvView &Env)
+      -> ErrorOr<std::vector<Value>> {
+    std::vector<LaunchRun> Runs;
+    for (const auto &[Name, P] : warpModes()) {
+      LaunchRun &R = Runs.emplace_back();
+      CostReport Cost;
+      int Chunks = 0;
+      auto L = simulateKernel(P, K, Env, Cost, Chunks, Budget);
+      R.Cost = Cost.str();
+      if (!L) {
+        R.Error = L.getError().str();
+        continue;
+      }
+      R.Outputs = std::move(L->Outputs);
+      R.Prof = L->Profile;
+      R.WarpOps = L->WarpOps;
+    }
+    std::vector<std::pair<std::string, DeviceParams>> Modes = warpModes();
+    for (size_t I = 1; I < Runs.size(); ++I) {
+      SCOPED_TRACE(Modes[I].first);
+      EXPECT_EQ(Runs[I].Error, Runs[0].Error);
+      EXPECT_EQ(firstDifference(Runs[I].Outputs, Runs[0].Outputs), "");
+      EXPECT_EQ(Runs[I].Cost, Runs[0].Cost);
+      expectSameProfile(Runs[I].Prof, Runs[0].Prof);
+      // Ranges cut inside warps step less of them.
+      if (Modes[I].second.ForceLaneByLane)
+        EXPECT_EQ(Runs[I].WarpOps, 0);
+      else
+        EXPECT_LE(Runs[I].WarpOps, Runs[0].WarpOps);
+    }
+    WarpOps += Runs[0].WarpOps;
+    if (Runs[0].Error.empty())
+      return std::move(Runs[0].Outputs);
+    if (FirstError.empty())
+      FirstError = Runs[0].Error;
+    return CompilerError(Runs[0].Error);
+  };
+  Interpreter I(C.P, std::move(IO));
+  (void)I.run(Args);
+  return FirstError;
+}
+
+/// Runs \p C on the device in every warp mode, each device with
+/// \p DeviceMem bytes (0: the default): all must give the same outputs or
+/// error and the same cost line.  Returns the error (or "").
+std::string expectRunsAgree(const CompileResult &C,
+                            const std::vector<Value> &Args,
+                            int64_t DeviceMem = 0) {
+  std::vector<ErrorOr<RunResult>> Runs;
+  for (const auto &[Name, P] : warpModes()) {
+    DeviceRunOptions RO = noFallback();
+    RO.Device = P;
+    if (DeviceMem > 0)
+      RO.Device.DeviceMemBytes = DeviceMem;
+    Runs.push_back(runCompiled(C, Args, RO));
+  }
+  std::vector<std::pair<std::string, DeviceParams>> Modes = warpModes();
+  for (size_t I = 1; I < Runs.size(); ++I) {
+    SCOPED_TRACE(Modes[I].first);
+    if (static_cast<bool>(Runs[I]) != static_cast<bool>(Runs[0])) {
+      ADD_FAILURE() << "only one run failed: "
+                    << (Runs[I] ? Runs[0] : Runs[I]).getError().str();
+      continue;
+    }
+    if (!Runs[0]) {
+      EXPECT_EQ(Runs[I].getError().str(), Runs[0].getError().str());
+      continue;
+    }
+    EXPECT_EQ(firstDifference(Runs[I]->Outputs, Runs[0]->Outputs), "");
+    EXPECT_EQ(Runs[I]->Cost.str(), Runs[0]->Cost.str());
+  }
+  return Runs[0] ? std::string() : Runs[0].getError().str();
+}
+
+/// Both checks on a run that succeeds, and that warp steps ran some of
+/// its ops warp-wide.
+void expectWarpSync(const CompileResult &C, const std::vector<Value> &Args) {
+  int64_t WarpOps = 0;
+  EXPECT_EQ(expectLaunchesAgree(C, Args, -1, WarpOps), "");
+  EXPECT_GT(WarpOps, 0);
+  EXPECT_EQ(expectRunsAgree(C, Args), "");
+}
+
+/// Thread i loops i % 7 times and then takes one of two branches by i % 3,
+/// so every warp diverges both ways.
+const char *kDivergentSrc =
+    "fun main (n: i32) (xs: [n]i32): [n]i32 =\n"
+    "  map (\\(i: i32): i32 ->\n"
+    "         let t = loop (acc = 0) for j < i % 7 do\n"
+    "                   acc + xs[(i + j * 5) % n]\n"
+    "         in if i % 3 == 0 then t * 2 + xs[i] else t - xs[(i * 11) % n])\n"
+    "      (iota n)\n";
+
+std::vector<Value> intsArgs(int32_t N) {
+  return {iv(N), makeIntVectorValue(ScalarKind::I32, test::randomInts(N, 5))};
+}
+
+TEST(WarpSync, DivergentIfInOneWarp) {
+  CompileResult C = compiled(
+      "fun main (n: i32) (xs: [n]i32): [n]i32 =\n"
+      "  map (\\(i: i32): i32 ->\n"
+      "         if xs[i] % 2 == 0\n"
+      "         then (if i % 5 == 0 then xs[(i + 3) % n] else i * 2)\n"
+      "         else xs[n - 1 - i] - i)\n"
+      "      (iota n)\n");
+  expectWarpSync(C, intsArgs(96));
+}
+
+TEST(WarpSync, LaneDependentTripCounts) {
+  CompileResult C = compiled(kDivergentSrc);
+  expectWarpSync(C, intsArgs(100));
+}
+
+TEST(WarpSync, RuntimeErrorInLane17ReportsTheSequentialMessage) {
+  // Thread 49 (lane 17 of the second warp) divides by zero, and thread b
+  // reads past the end of xs; whichever comes first in its warp wins.
+  CompileResult C = compiled(
+      "fun main (n: i32) (b: i32) (xs: [n]i32): [n]i32 =\n"
+      "  map (\\(i: i32): i32 ->\n"
+      "         let t = loop (acc = xs[i]) for j < i % 5 do acc * 3 + j\n"
+      "         let k = if i == b then n else i\n"
+      "         in t / (if i == 49 then 0 else 1) + xs[k])\n"
+      "      (iota n)\n");
+  auto Args = [](int32_t B) {
+    std::vector<Value> A = intsArgs(64);
+    A.insert(A.begin() + 1, iv(B));
+    return A;
+  };
+  int64_t WarpOps = 0;
+  std::string Div = expectLaunchesAgree(C, Args(-1), -1, WarpOps);
+  EXPECT_NE(Div.find("division by zero"), std::string::npos) << Div;
+  EXPECT_EQ(expectRunsAgree(C, Args(-1)), Div);
+  std::string Read = expectLaunchesAgree(C, Args(40), -1, WarpOps);
+  EXPECT_NE(Read, Div);
+  EXPECT_EQ(expectRunsAgree(C, Args(40)), Read);
+  EXPECT_EQ(expectLaunchesAgree(C, Args(60), -1, WarpOps), Div);
+}
+
+TEST(WarpSync, MidWarpOOMReportsTheExactByteCounts) {
+  // 4 bytes of results per thread: 198 free bytes run out at thread 49,
+  // lane 17 of the second warp.
+  CompileResult C = compiled(kDivergentSrc);
+  int64_t WarpOps = 0;
+  const std::string Want =
+      "device out of memory materialising kernel results: 200 bytes "
+      "needed, 198 free";
+  std::string Launch = expectLaunchesAgree(C, intsArgs(96), 198, WarpOps);
+  EXPECT_NE(Launch.find(Want), std::string::npos) << Launch;
+  std::string Run = expectRunsAgree(C, intsArgs(96), 96 * 4 + 198);
+  EXPECT_NE(Run.find(Want), std::string::npos) << Run;
+}
+
+TEST(WarpSync, IrregularRowMidWarp) {
+  CompileResult C = compiled(kRowsSrc);
+  ASSERT_TRUE(plantIrregularReshape(C.P.findFun("main")->FBody));
+  // Rows of threads 49 and up are [1][4], the earlier ones [2][2].
+  int64_t WarpOps = 0;
+  std::string Launch =
+      expectLaunchesAgree(C, {iv(64), iv(49)}, -1, WarpOps);
+  EXPECT_NE(Launch.find("irregular array: all rows must have the same shape"),
+            std::string::npos)
+      << Launch;
+  EXPECT_GT(WarpOps, 0);
+  EXPECT_EQ(expectRunsAgree(C, {iv(64), iv(49)}), Launch);
+}
+
+TEST(WarpSync, PartialWarpOf33Lanes) {
+  // 33 threads, segments or elements: one whole warp and one of one lane,
+  // which runs on its own; with 35, the partial warp steps its 3 lanes.
+  for (int32_t N : {33, 35}) {
+    SCOPED_TRACE(N);
+    expectWarpSync(compiled(kDivergentSrc), intsArgs(N));
+    expectWarpSync(compiled(kFloatFoldsSrc),
+                   {makeVectorValue(ScalarKind::F32,
+                                    std::vector<double>(N, 0.5))});
+    std::vector<double> Ds(64 * N);
+    for (size_t I = 0; I < Ds.size(); ++I)
+      Ds[I] = static_cast<double>(I % 13);
+    expectWarpSync(compiled(kKindsSrc),
+                   {iv(64), iv(N),
+                    makeMatrixValue(ScalarKind::I32, 64, N, Ds)});
+  }
 }
 
 TEST(WarpPool, RunsEveryTaskOnceAndRethrowsAFailure) {

@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <map>
+#include <string>
+#include <vector>
 
 using namespace fut;
 
@@ -162,6 +165,42 @@ INSTANTIATE_TEST_SUITE_P(
                           BinOp::Geq),
         ::testing::Values(ScalarKind::Bool, ScalarKind::I32, ScalarKind::I64,
                           ScalarKind::F32, ScalarKind::F64)));
+
+TEST(PrimOpsTest, EvalBinOpIntoNamesEvalBinOpsOutcome) {
+  // evalBinOpInto succeeds exactly when evalBinOp does, with the same
+  // value, and names each failure by the error evalBinOp reports.
+  const std::map<BinOpFault, std::string> Message = {
+      {BinOpFault::MismatchedKinds, "mismatched kinds"},
+      {BinOpFault::Undefined, "undefined on"},
+      {BinOpFault::DivisionByZero, "integer division by zero"},
+      {BinOpFault::DivisionOverflow, "integer division overflow"},
+      {BinOpFault::ModuloByZero, "integer modulo by zero"},
+      {BinOpFault::ModuloOverflow, "integer modulo overflow"},
+      {BinOpFault::NegativeExponent, "negative integer exponent"}};
+  std::vector<PrimValue> Vals = {
+      PrimValue::makeBool(true),       PrimValue::makeI32(0),
+      PrimValue::makeI32(-7),          PrimValue::makeI64(INT64_MIN),
+      PrimValue::makeI64(-1),          PrimValue::makeI64(3),
+      PrimValue::makeF32(2.5f),        PrimValue::makeF64(-0.0)};
+  for (int Op = 0; Op <= static_cast<int>(BinOp::Geq); ++Op)
+    for (const PrimValue &A : Vals)
+      for (const PrimValue &B : Vals) {
+        SCOPED_TRACE(std::string(binOpName(static_cast<BinOp>(Op))) + " " +
+                     A.str() + " " + B.str());
+        PrimValue Out;
+        BinOpFault F = evalBinOpInto(static_cast<BinOp>(Op), A, B, Out);
+        auto R = evalBinOp(static_cast<BinOp>(Op), A, B);
+        ASSERT_EQ(F == BinOpFault::None, static_cast<bool>(R));
+        if (R) {
+          EXPECT_EQ(Out.str(), R->str());
+          EXPECT_EQ(Out.kind(), R->kind());
+        } else if (Message.count(F)) {
+          EXPECT_NE(R.getError().Message.find(Message.at(F)),
+                    std::string::npos)
+              << R.getError().Message;
+        }
+      }
+}
 
 TEST(PrimOpsTest, SignedOverflowWrapsToTwosComplement) {
   // Add/Sub/Mul/Neg wrap modulo 2^64 instead of invoking signed-overflow
