@@ -3,7 +3,7 @@
 // Part of futharkcc, a C++ reproduction of the PLDI'17 Futhark compiler.
 //
 // Strong-scaling curves for the shard planner: each benchmark is compiled
-// and run at 1, 2, 4 and 8 simulated devices, and the makespan speedup
+// once and run at 1, 2, 4 and 8 simulated devices, and the makespan speedup
 // over the single-device baseline is reported per device count.  The
 // suite is map-pipeline-heavy by design — flat kernels whose aligned
 // producer/consumer chains stay block-partitioned end to end, which is
@@ -115,16 +115,15 @@ int main(int Argc, char **Argv) {
     double Baseline = 0;
     std::vector<Value> BaseOutputs;
 
+    // One artifact runs at every device count.
+    NameSource NS;
+    auto C = compileSource(B.Source, NS);
+    if (!C) {
+      printf("%-14s FAILED to compile: %s\n", B.Name.c_str(),
+             C.getError().Message.c_str());
+      return 1;
+    }
     for (int Devices : DeviceCounts) {
-      NameSource NS;
-      CompilerOptions CO;
-      CO.Devices = Devices;
-      auto C = compileSource(B.Source, NS, CO);
-      if (!C) {
-        printf("%-14s FAILED to compile: %s\n", B.Name.c_str(),
-               C.getError().Message.c_str());
-        return 1;
-      }
       DeviceRunOptions RO;
       RO.MemPlan = &C->MemPlan;
       if (Devices > 1) {

@@ -32,7 +32,9 @@ JOBS="${JOBS:-$(nproc)}"
 SANITIZE="${FUTHARKCC_SANITIZE:-OFF}"
 
 echo "== configure (sanitize=${SANITIZE}) =="
-cmake -B "$BUILD_DIR" -S . -DFUTHARKCC_SANITIZE="$SANITIZE"
+# Warnings are errors here, so a new one fails the build section.
+cmake -B "$BUILD_DIR" -S . -DFUTHARKCC_SANITIZE="$SANITIZE" \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -299,9 +301,10 @@ EOF
 
 echo "== shard leg: multi-device differential and scaling =="
 # The sharding test layer: property tests that the shard-plan verifier
-# rejects corrupted plans (overlapping ownership, dropped transfers,
-# over-budget shards), the pinned plan dumps + N=1 no-op invariant, and
-# the 20-seed differential sweep at 1/2/4 devices (Sharded* legs).
+# rejects corrupted plans (wrong widths, input classes or histogram
+# marking, dropped transfers) and that blockCuts partitions every width,
+# the pinned plan dumps + N=1 no-op invariant, and the 20-seed
+# differential sweep at 1/2/4 devices (Sharded* legs).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ShardVerifyTest|ShardPlanGolden|Sharded'
 # The fuzz sweep's devices2 and hist-global-devices2 legs cover the

@@ -94,16 +94,16 @@ MaybeError verifyMemoryPlan(const Program &P, const mem::MemoryPlan &MP,
 /// Verifies a multi-device shard plan against the (flattened) program it
 /// was computed for, by independently re-deriving the decomposition:
 ///
-///   * a kernel marked sharded is actually block-partitionable and its
-///     recorded blocks partition the outer dimension exactly (every row
-///     owned by one device — no overlap, no gap),
+///   * a kernel marked sharded is actually block-partitionable, along the
+///     width, histogram marking and aligned inputs the plan records,
 ///   * every inter-device transfer the decomposition requires (a
 ///     partitioned value consumed whole, or observed by the host) is
-///     present in the plan,
-///   * the re-derived per-device peak bytes fit each device's budget.
+///     present in the plan.
 ///
-/// Violations are ErrorKind::Verify diagnostics naming \p Pass, the
-/// function, the kernel and the offending rows or arrays.
+/// The plan holds no device count, so there are no rows or budgets to
+/// check here: shard::blockCuts cuts rows at run time.  Violations are
+/// ErrorKind::Verify diagnostics naming \p Pass, the function, the kernel
+/// and the offending arrays.
 MaybeError verifyShardPlan(const Program &P, const shard::ShardPlan &SP,
                            const std::string &Pass);
 

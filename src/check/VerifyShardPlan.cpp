@@ -7,11 +7,12 @@
 /// \file
 /// Re-derives the multi-device shard decomposition independently of the
 /// planner, mirroring VerifyMemPlan: every sharded kernel must actually be
-/// shardable, its recorded blocks must partition the outer dimension with
-/// every row owned by exactly one device, every transfer the decomposition
-/// requires must be present in the plan, and the re-derived per-device
-/// peak must fit each device's budget.  Marking a shardable kernel whole,
-/// or recording extra transfers, is conservative and allowed.
+/// shardable along the width, histogram marking and aligned inputs the
+/// plan records, and every transfer the decomposition requires must be
+/// present in the plan.  Marking a shardable kernel whole, or recording
+/// extra transfers, is conservative and allowed.  Row ownership is not
+/// the plan's to record: every component cuts rows with shard::blockCuts
+/// at run time, and its own property test pins that it partitions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,7 @@ using namespace fut;
 namespace {
 
 MaybeError verifyFunShards(const Program &P, const shard::FunShardPlan &FP,
-                           int Devices, const std::string &Pass) {
+                           const std::string &Pass) {
   auto Fail = [&](const std::string &Msg) {
     return CompilerError(ErrorKind::Verify, "after pass '" + Pass +
                                                 "': in function '" + FP.Fun +
@@ -53,7 +54,7 @@ MaybeError verifyFunShards(const Program &P, const shard::FunShardPlan &FP,
                  " has no entry in the shard plan");
       return;
     }
-    shard::KernelShardability A = shard::analyseShardability(K, S, Top);
+    shard::KernelShard A = shard::analyseShardability(K, S, Top);
     if (!KS->Sharded)
       return; // Running a kernel whole is always sound.
     if (!A.Sharded) {
@@ -94,47 +95,6 @@ MaybeError verifyFunShards(const Program &P, const shard::FunShardPlan &FP,
         return;
       }
     }
-    // Ownership: for constant widths the recorded blocks must partition
-    // [0, W) exactly — no row on two devices, no row on none.
-    if (KS->ConstWidth >= 0) {
-      if (static_cast<int>(KS->Blocks.size()) != Devices) {
-        Err = Fail("kernel " + std::to_string(Id) + " records " +
-                   std::to_string(KS->Blocks.size()) + " blocks for " +
-                   std::to_string(Devices) + " devices");
-        return;
-      }
-      int64_t Expect = 0;
-      for (size_t D = 0; D < KS->Blocks.size(); ++D) {
-        int64_t Start = KS->Blocks[D].first, End = KS->Blocks[D].second;
-        if (Start > End) {
-          Err = Fail("kernel " + std::to_string(Id) + " device " +
-                     std::to_string(D) + " owns an inverted row range [" +
-                     std::to_string(Start) + "," + std::to_string(End) +
-                     ")");
-          return;
-        }
-        if (Start < Expect) {
-          Err = Fail("kernel " + std::to_string(Id) + " rows [" +
-                     std::to_string(Start) + "," +
-                     std::to_string(Expect) +
-                     ") are owned by more than one device");
-          return;
-        }
-        if (Start > Expect) {
-          Err = Fail("kernel " + std::to_string(Id) + " rows [" +
-                     std::to_string(Expect) + "," +
-                     std::to_string(Start) + ") are owned by no device");
-          return;
-        }
-        Expect = End;
-      }
-      if (Expect != KS->ConstWidth) {
-        Err = Fail("kernel " + std::to_string(Id) + " blocks cover [0," +
-                   std::to_string(Expect) + ") but the outer dimension is " +
-                   std::to_string(KS->ConstWidth));
-        return;
-      }
-    }
   });
   if (Err)
     return Err;
@@ -163,18 +123,6 @@ MaybeError verifyFunShards(const Program &P, const shard::FunShardPlan &FP,
           ")");
   }
 
-  // Budget: the independently re-derived per-device peak must fit.
-  if (FP.PerDeviceMemBytes > 0) {
-    std::vector<int64_t> Peaks =
-        shard::derivePeakBytes(*F, FP.Kernels, Required, Devices);
-    for (size_t D = 0; D < Peaks.size(); ++D)
-      if (Peaks[D] > FP.PerDeviceMemBytes)
-        return Fail("shard for device " + std::to_string(D) + " needs " +
-                    std::to_string(Peaks[D]) +
-                    " bytes, over the per-device budget of " +
-                    std::to_string(FP.PerDeviceMemBytes));
-  }
-
   return MaybeError::success();
 }
 
@@ -183,7 +131,7 @@ MaybeError verifyFunShards(const Program &P, const shard::FunShardPlan &FP,
 MaybeError fut::verifyShardPlan(const Program &P, const shard::ShardPlan &SP,
                                 const std::string &Pass) {
   for (const shard::FunShardPlan &FP : SP.Funs)
-    if (auto Err = verifyFunShards(P, FP, SP.Devices, Pass))
+    if (auto Err = verifyFunShards(P, FP, Pass))
       return Err;
   return MaybeError::success();
 }

@@ -29,12 +29,8 @@ std::string fut::CompilerOptions::cacheCanonical() const {
      << ";kreduce=" << Flatten.KernelizeReduce
      << ";coalesce=" << Locality.EnableCoalescing
      << ";tile=" << Locality.EnableTiling;
-  // Devices only enters the key when it changes the artifact: N=1 sharding
-  // is a pinned no-op, so the default keeps every existing cache key (and
-  // the golden artifact hash) byte-identical.
-  if (Devices != 1)
-    OS << ";devices=" << Devices;
-  // Same treatment for the AD stage: no --vjp, no key change.
+  // The AD stage only enters the key when it is on: no --vjp, no key
+  // change.
   if (!VJP.empty())
     OS << ";vjp=" << VJP;
   return OS.str();
@@ -53,13 +49,7 @@ uint64_t fut::CompileResult::fingerprint() const {
        << Locality.TiledInputs;
   uint64_t H = fnv1a64(P.str());
   H = fnv1a64(MemPlan.str(), H);
-  H = fnv1a64(Meta.str(), H);
-  // The shard plan is part of the artifact only when it can change
-  // execution: at one device the fingerprint (pinned by a golden test)
-  // must not move.
-  if (Shards.Devices > 1)
-    H = fnv1a64(Shards.str(), H);
-  return H;
+  return fnv1a64(Meta.str(), H);
 }
 
 uint64_t fut::artifactCacheKey(const std::string &Source,
@@ -166,19 +156,15 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
     }
 
     {
-      {
-        trace::ScopedSpan Span("pass:shardplan", "compiler");
-        shard::ShardOptions SO;
-        SO.Devices = std::max(1, Opts.Devices);
-        R.Shards = shard::planShards(P, SO);
-      }
-      if (Opts.PostShardPlanHook)
-        Opts.PostShardPlanHook(R.Shards);
-      if (Opts.VerifyIR) {
-        trace::ScopedSpan Span("verify:shardplan", "compiler");
-        if (auto Err = verifyShardPlan(P, R.Shards, "shardplan"))
-          return Err;
-      }
+      trace::ScopedSpan Span("pass:shardplan", "compiler");
+      R.Shards = shard::planShards(P);
+    }
+    if (Opts.PostShardPlanHook)
+      Opts.PostShardPlanHook(R.Shards);
+    if (Opts.VerifyIR) {
+      trace::ScopedSpan Span("verify:shardplan", "compiler");
+      if (auto Err = verifyShardPlan(P, R.Shards, "shardplan"))
+        return Err;
     }
   }
 

@@ -40,12 +40,6 @@ struct CompilerOptions {
   /// compile under it.
   bool VerifyIR = true;
 
-  /// Number of simulated devices the program will be sharded across (the
-  /// --devices flag).  The shard plan is always computed for flattened
-  /// pipelines (so it can be printed and verified), but only a value > 1
-  /// changes the artifact: N=1 sharding is a pinned no-op.
-  int Devices = 1;
-
   /// Name of a function to differentiate (the --vjp flag).  When
   /// non-empty, a function-transform stage runs after inlining: reverse-mode
   /// AD adds `<VJP>_vjp` (primal results followed by the adjoint of every
@@ -66,9 +60,9 @@ struct CompilerOptions {
   std::function<void(mem::MemoryPlan &)> PostPlanHook;
 
   /// The shard-plan analogue of PostPlanHook: runs on the freshly computed
-  /// shard plan before the shard verifier, so tests can plant overlapping
-  /// ownership, dropped boundary transfers or over-budget shards and
-  /// assert each is rejected with a named diagnostic.
+  /// shard plan before the shard verifier, so tests can plant a wrong
+  /// width, input class or histogram marking, or drop a boundary
+  /// transfer, and assert each is rejected with a named diagnostic.
   std::function<void(shard::ShardPlan &)> PostShardPlanHook;
 
   FlattenOptions Flatten;
@@ -107,9 +101,9 @@ struct CompileResult {
   /// program; empty when planning was disabled or kernels not extracted.
   mem::MemoryPlan MemPlan;
   /// The multi-device shard plan ("pass:shardplan"), verified against the
-  /// program; empty when kernels were not extracted.  Computed even at
-  /// Devices=1 so it can be printed and golden-tested, but it only enters
-  /// the fingerprint when Devices > 1.
+  /// program; empty when kernels were not extracted.  It holds no device
+  /// count (DeviceRunOptions::Devices picks one per run) and is a pure
+  /// function of the program, so it does not enter the fingerprint.
   shard::ShardPlan Shards;
 
   /// Content hash of the whole artifact: the canonical program dump, the

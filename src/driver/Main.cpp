@@ -164,6 +164,7 @@ int main(int argc, char **argv) {
   bool TraceSummary = false;
   std::string TraceOut;
   CompilerOptions Opts;
+  int Devices = 1;
   // The --device preset applies first, wherever it is, so that the device
   // flags on either side of it refine it.
   auto Preset = gpusim::devicePresetFromArgs(argc, argv, "--run");
@@ -212,14 +213,13 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (A == "--devices") {
-      if (++I >= argc || !parseNumArg(argv[I], Opts.Devices) ||
-          Opts.Devices < 1) {
+      if (++I >= argc || !parseNumArg(argv[I], Devices) || Devices < 1) {
         usage();
         return 2;
       }
     } else if (A.rfind("--devices=", 0) == 0) {
-      if (!parseNumArg(A.substr(strlen("--devices=")), Opts.Devices) ||
-          Opts.Devices < 1) {
+      if (!parseNumArg(A.substr(strlen("--devices=")), Devices) ||
+          Devices < 1) {
         usage();
         return 2;
       }
@@ -370,7 +370,7 @@ int main(int argc, char **argv) {
   if (PrintMemPlan)
     printf("%s", C->MemPlan.str().c_str());
   if (PrintShardPlan)
-    printf("%s", C->Shards.str().c_str());
+    printf("%s", C->Shards.str(C->P, Devices).c_str());
 
   // With tracing requested but no --run, a parameterless entry point is
   // run automatically so the trace includes kernel launches.  Under --vjp
@@ -409,9 +409,9 @@ int main(int argc, char **argv) {
     RO.Device = DP;
     RO.Resilience = RP;
     RO.MemPlan = &C->MemPlan;
-    if (Opts.Devices > 1) {
+    if (Devices > 1) {
       RO.Shards = &C->Shards;
-      RO.Devices = Opts.Devices;
+      RO.Devices = Devices;
     }
     auto R = runOnDevice(C->P, Args, RO, Entry);
     if (!R) {

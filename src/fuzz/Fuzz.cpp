@@ -414,31 +414,20 @@ fut::fuzz::runSourceDifferential(const std::string &Source,
   auto Ref = referenceRun(Source, Args);
 
   // Subject: the full pipeline (with the IR verifier after every pass),
-  // compiled once per device count, the only compiler option a leg sets.
-  std::vector<std::pair<int, ErrorOr<CompileResult>>> Builds;
-  Builds.reserve(Legs.size());
-  auto Build = [&](int Devices) -> const ErrorOr<CompileResult> & {
-    for (const auto &[D, C] : Builds)
-      if (D == Devices)
-        return C;
-    NameSource Names;
-    CompilerOptions CO;
-    CO.Devices = Devices;
-    return Builds.emplace_back(Devices, compileSource(Source, Names, CO))
-        .second;
-  };
+  // compiled once; no leg sets a compiler option.
+  NameSource Names;
+  const ErrorOr<CompileResult> C = compileSource(Source, Names);
+  if (!C) {
+    for (size_t I = 0; I < Legs.size(); ++I)
+      Fail(I, "compilation failed: " + C.getError().str());
+    return Out;
+  }
 
   // One device run per leg, on the plans the compiler made.
   std::vector<ErrorOr<gpusim::RunResult>> Runs;
   Runs.reserve(Legs.size());
   for (size_t I = 0; I < Legs.size(); ++I) {
     const Leg &L = Legs[I];
-    const ErrorOr<CompileResult> &C = Build(L.Devices);
-    if (!C) {
-      Runs.push_back(C.getError());
-      Fail(I, "compilation failed: " + C.getError().str());
-      continue;
-    }
     DeviceRunOptions RO;
     RO.Device = L.Device;
     RO.Resilience = L.Resilience;

@@ -137,8 +137,8 @@ ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
                                          int64_t *CopiedConsumes = nullptr);
 
 /// One device configuration of the differential oracle: the simulated
-/// device, the device count (above one the leg compiles with a shard plan
-/// and runs on a DeviceGroup) and the fault injection its run sees.  A
+/// device, the device count (above one the leg runs the compiled shard
+/// plan on a DeviceGroup) and the fault injection its run sees.  A
 /// twin leg (one whose \c Check is not None) must also equal the run of
 /// the leg named "default", from which it differs only in something that
 /// must not change what \c Check compares.
@@ -176,7 +176,7 @@ const std::vector<Leg> &sweepLegs();
 
 /// Runs \p Source once through referenceRun and, for each of \p Legs,
 /// through the full pipeline + simulated device on the compiled memory
-/// plan, compiling once per distinct device count.  A leg agrees when its
+/// and shard plans, compiling once for every leg.  A leg agrees when its
 /// outputs are bit-identical to the reference's, or when both failed with
 /// the identical typed runtime error; any compile or verifier error is a
 /// failure, and so is a twin check that does not hold, or a twin when no

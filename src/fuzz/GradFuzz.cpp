@@ -291,21 +291,9 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C) {
     return O;
   };
 
-  // Reference: the unoptimised frontend output on the plain interpreter.
-  NameSource RefNames;
-  auto RefProg = frontend(C.Source, RefNames);
-  if (!RefProg)
-    return Fail("frontend failed: " + RefProg.getError().str());
-  Program RefP = RefProg.take();
-  auto Primal = [&](const std::vector<Value> &Args) -> ErrorOr<double> {
-    Interpreter I(RefP);
-    auto R = I.run(Args);
-    if (!R)
-      return R.getError();
-    return (*R)[0].getScalar().getFloat();
-  };
-
-  auto Base = Primal(C.Args);
+  // Reference: the primal at the unperturbed inputs, from the reference
+  // leg every compiled-vs-reference check shares.
+  auto Base = referenceRun(C.Source, C.Args);
   if (!Base)
     return Fail("reference primal failed: " + Base.getError().str());
 
@@ -331,13 +319,27 @@ GradOutcome fut::fuzz::runGradientCheck(const FuzzCase &C) {
                 "got " +
                 std::to_string(R->Outputs.size()) + " results");
 
-  // The primal the VJP carries along must match the reference (loosely:
-  // kernel extraction may re-associate float reductions).
-  double DevPrimal = R->Outputs[0].getScalar().getFloat();
-  if (std::fabs(DevPrimal - *Base) >
-      1e-6 * std::max({1.0, std::fabs(DevPrimal), std::fabs(*Base)}))
-    return Fail("primal mismatch: device vjp " + std::to_string(DevPrimal) +
-                ", reference " + std::to_string(*Base));
+  // The primal the VJP carries along must be the reference's, bit for
+  // bit.
+  std::string PrimalDiff = firstDifference({R->Outputs[0]}, *Base);
+  if (!PrimalDiff.empty())
+    return Fail("primal mismatch: device vjp (got) vs reference (want): " +
+                PrimalDiff);
+
+  // The finite differences evaluate the unoptimised frontend output on the
+  // plain interpreter at perturbed inputs.
+  NameSource RefNames;
+  auto RefProg = frontend(C.Source, RefNames);
+  if (!RefProg)
+    return Fail("frontend failed: " + RefProg.getError().str());
+  Program RefP = RefProg.take();
+  auto Primal = [&](const std::vector<Value> &Args) -> ErrorOr<double> {
+    Interpreter I(RefP);
+    auto R = I.run(Args);
+    if (!R)
+      return R.getError();
+    return (*R)[0].getScalar().getFloat();
+  };
 
   if (!R->Outputs[2].isArray() ||
       R->Outputs[2].numElems() != C.Args[2].numElems())

@@ -330,7 +330,7 @@ struct ResolvedForm {
     const VName *Name = nullptr;
     int Scope = -1;
     int Lane = -1;
-    LaneView View;
+    LaneView View = {};
   };
   std::vector<SlotInfo> Slots;
   int LaneScalars = 0, LaneValues = 0;

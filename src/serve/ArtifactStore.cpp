@@ -34,7 +34,7 @@ using namespace fut::serve;
 namespace {
 
 constexpr char kMagic[4] = {'F', 'U', 'T', 'A'};
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 /// Upper bound on any single decoded count (functions, statements,
 /// dimensions, ...).  Real artifacts are far below it; a corrupt length
 /// field fails fast instead of attempting a multi-gigabyte reserve.
@@ -412,7 +412,6 @@ mem::MemoryPlan getMemPlan(Reader &R) {
 }
 
 void putShardPlan(Writer &W, const shard::ShardPlan &SP) {
-  W.i32(SP.Devices);
   W.u64(SP.Funs.size());
   for (const shard::FunShardPlan &FP : SP.Funs) {
     W.str(FP.Fun);
@@ -424,11 +423,6 @@ void putShardPlan(Writer &W, const shard::ShardPlan &SP) {
       W.boolean(K.HistMerge);
       W.sub(K.Width);
       W.i64(K.ConstWidth);
-      W.u64(K.Blocks.size());
-      for (const auto &B : K.Blocks) {
-        W.i64(B.first);
-        W.i64(B.second);
-      }
       W.u64(K.Inputs.size());
       for (const shard::ShardInput &In : K.Inputs) {
         W.name(In.Arr);
@@ -443,16 +437,11 @@ void putShardPlan(Writer &W, const shard::ShardPlan &SP) {
       W.i32(T.ConsumerKernel);
       W.i64(T.Bytes);
     }
-    W.u64(FP.PlannedPeakBytes.size());
-    for (int64_t B : FP.PlannedPeakBytes)
-      W.i64(B);
-    W.i64(FP.PerDeviceMemBytes);
   }
 }
 
 shard::ShardPlan getShardPlan(Reader &R) {
   shard::ShardPlan SP;
-  SP.Devices = R.i32();
   size_t NF = R.count();
   for (size_t I = 0; I < NF && !R.Fail; ++I) {
     shard::FunShardPlan FP;
@@ -466,11 +455,6 @@ shard::ShardPlan getShardPlan(Reader &R) {
       K.HistMerge = R.boolean();
       K.Width = R.sub();
       K.ConstWidth = R.i64();
-      size_t NB = R.count();
-      for (size_t L = 0; L < NB && !R.Fail; ++L) {
-        int64_t A = R.i64(), B = R.i64();
-        K.Blocks.emplace_back(A, B);
-      }
       size_t NI = R.count();
       for (size_t L = 0; L < NI && !R.Fail; ++L) {
         shard::ShardInput In;
@@ -491,10 +475,6 @@ shard::ShardPlan getShardPlan(Reader &R) {
       T.Bytes = R.i64();
       FP.Transfers.push_back(std::move(T));
     }
-    size_t NP = R.count();
-    for (size_t J = 0; J < NP && !R.Fail; ++J)
-      FP.PlannedPeakBytes.push_back(R.i64());
-    FP.PerDeviceMemBytes = R.i64();
     SP.Funs.push_back(std::move(FP));
   }
   return SP;

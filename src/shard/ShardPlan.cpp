@@ -108,10 +108,9 @@ void fut::shard::forEachKernel(
   Walk(F.FBody, true);
 }
 
-KernelShardability fut::shard::analyseShardability(const KernelExp &K,
-                                                   const Stm &S,
-                                                   bool TopLevel) {
-  KernelShardability R;
+KernelShard fut::shard::analyseShardability(const KernelExp &K,
+                                            const Stm &S, bool TopLevel) {
+  KernelShard R;
   for (const Param &Prm : S.Pat)
     if (Prm.Ty.isArray())
       R.Outputs.push_back(Prm.Name);
@@ -308,41 +307,26 @@ fut::shard::derivePeakBytes(const FunDef &F,
   return Peak;
 }
 
-ShardPlan fut::shard::planShards(const Program &P,
-                                 const ShardOptions &Opts) {
+ShardPlan fut::shard::planShards(const Program &P) {
   ShardPlan SP;
-  SP.Devices = std::max(1, Opts.Devices);
   for (const FunDef &F : P.Funs) {
     FunShardPlan FP;
     FP.Fun = F.Name;
-    FP.PerDeviceMemBytes = Opts.PerDeviceMemBytes;
     forEachKernel(F, [&](const KernelExp &K, const Stm &S, int Id,
                          bool Top) {
-      KernelShardability A = analyseShardability(K, S, Top);
-      KernelShard KS;
-      KS.KernelId = Id;
-      KS.Sharded = A.Sharded;
-      KS.WhyNot = std::move(A.WhyNot);
-      KS.HistMerge = A.HistMerge;
-      KS.Width = A.Width;
-      KS.ConstWidth = A.ConstWidth;
-      KS.Inputs = std::move(A.Inputs);
-      KS.Outputs = std::move(A.Outputs);
-      if (KS.Sharded && KS.ConstWidth >= 0)
-        KS.Blocks = blockCuts(KS.ConstWidth, SP.Devices);
-      FP.Kernels.push_back(std::move(KS));
+      FP.Kernels.push_back(analyseShardability(K, S, Top));
+      FP.Kernels.back().KernelId = Id;
     });
     FP.Transfers = deriveTransfers(F, FP.Kernels);
-    FP.PlannedPeakBytes =
-        derivePeakBytes(F, FP.Kernels, FP.Transfers, SP.Devices);
     SP.Funs.push_back(std::move(FP));
   }
   return SP;
 }
 
-std::string ShardPlan::str() const {
+std::string ShardPlan::str(const Program &P, int Devices) const {
+  int N = std::max(1, Devices);
   std::ostringstream OS;
-  OS << "shard plan (devices=" << Devices << ")\n";
+  OS << "shard plan (devices=" << N << ")\n";
   for (const FunShardPlan &FP : Funs) {
     int NumSharded = 0;
     for (const KernelShard &KS : FP.Kernels)
@@ -356,9 +340,9 @@ std::string ShardPlan::str() const {
         OS << "whole (" << KS.WhyNot << ")\n";
       } else {
         OS << "sharded width=" << KS.Width.str();
-        if (!KS.Blocks.empty()) {
+        if (KS.ConstWidth >= 0) {
           OS << " blocks=";
-          for (const auto &Blk : KS.Blocks)
+          for (const auto &Blk : blockCuts(KS.ConstWidth, N))
             OS << "[" << Blk.first << "," << Blk.second << ")";
         }
         if (KS.HistMerge)
@@ -387,10 +371,9 @@ std::string ShardPlan::str() const {
       OS << "\n";
     }
     OS << "  peak bytes/device:";
-    for (int64_t B : FP.PlannedPeakBytes)
-      OS << " " << B;
-    if (FP.PerDeviceMemBytes > 0)
-      OS << " (budget " << FP.PerDeviceMemBytes << ")";
+    if (const FunDef *F = P.findFun(FP.Fun))
+      for (int64_t B : derivePeakBytes(*F, FP.Kernels, FP.Transfers, N))
+        OS << " " << B;
     OS << "\n";
   }
   return OS.str();

@@ -23,13 +23,16 @@
 /// partitioned but consumed whole (an all-gather costed on the copy
 /// engines) or observed by host code (a host gather).
 ///
-/// Like the memory plan, the shard plan is an artifact of compilation:
-/// driver/Compiler runs planShards after memory planning,
-/// check/VerifyShardPlan re-derives the decomposition to reject unsound
-/// plans (overlapping ownership, missing boundary transfers, over-budget
-/// shards), and gpusim executes it on a DeviceGroup.  The analyses
-/// (analyseShardability, deriveTransfers, derivePeakBytes) are exposed
-/// separately so the verifier never trusts the planner's bookkeeping.
+/// The plan holds no device count: which kernels can be cut, and what
+/// moves between devices, are properties of the program, while the count
+/// is a property of the run.  driver/Compiler runs planShards once after
+/// memory planning, check/VerifyShardPlan re-derives the decisions to
+/// reject unsound plans (unshardable kernels, wrong widths or input
+/// classes, missing boundary transfers), and gpusim executes the one plan
+/// on a DeviceGroup of any size, cutting each launch with blockCuts.  The
+/// analyses (analyseShardability, deriveTransfers, derivePeakBytes) are
+/// exposed separately so the verifier never trusts the planner's
+/// bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,13 +51,6 @@
 namespace fut {
 namespace shard {
 
-struct ShardOptions {
-  int Devices = 1;
-  /// Per-device memory budget the verifier checks shard peaks against;
-  /// 0 disables the check.
-  int64_t PerDeviceMemBytes = 0;
-};
-
 /// How a kernel input is distributed when the kernel is sharded.
 enum class InputClass : uint8_t {
   Aligned,  ///< Device d holds only its own block of rows.
@@ -70,7 +66,7 @@ struct ShardInput {
 
 /// The sharding decision for one kernel (kernels are numbered in the same
 /// statement-walk order the memory planner uses; thread bodies are
-/// leaves).
+/// leaves).  Independent of the device count.
 struct KernelShard {
   int KernelId = 0;
   bool Sharded = false;
@@ -83,9 +79,6 @@ struct KernelShard {
   bool HistMerge = false;
   SubExp Width;       ///< Outer grid dimension (valid when Sharded).
   int64_t ConstWidth = -1; ///< Constant outer width; -1 when symbolic.
-  /// Per-device row ownership [Start, End), recorded only for constant
-  /// widths (symbolic widths are cut at runtime with blockCuts).
-  std::vector<std::pair<int64_t, int64_t>> Blocks;
   std::vector<ShardInput> Inputs;
   std::vector<VName> Outputs; ///< Array outputs, partitioned along dim 0.
 
@@ -112,11 +105,6 @@ struct FunShardPlan {
   std::string Fun;
   std::vector<KernelShard> Kernels;
   std::vector<TransferEdge> Transfers;
-  /// Statically derived per-device peak bytes over block-resident,
-  /// replicated and device-0-only arrays; -1 when any live size is
-  /// symbolic.
-  std::vector<int64_t> PlannedPeakBytes;
-  int64_t PerDeviceMemBytes = 0;
 
   const KernelShard *kernel(int Id) const {
     return Id >= 0 && Id < static_cast<int>(Kernels.size()) ? &Kernels[Id]
@@ -125,7 +113,6 @@ struct FunShardPlan {
 };
 
 struct ShardPlan {
-  int Devices = 1;
   std::vector<FunShardPlan> Funs;
 
   const FunShardPlan *forFun(const std::string &Name) const {
@@ -135,16 +122,19 @@ struct ShardPlan {
     return nullptr;
   }
 
-  /// Stable textual dump (the --print-shard-plan format, pinned by a
-  /// golden test): deterministic order, no pointers, no unordered
-  /// iteration.
-  std::string str() const;
+  /// Stable textual dump of the plan run on \p Devices devices of \p P,
+  /// the program it was planned for (the --print-shard-plan format,
+  /// pinned by a golden test): deterministic order, no pointers, no
+  /// unordered iteration.  Constant widths print their blockCuts and each
+  /// function its derivePeakBytes, both computed here for \p Devices.
+  std::string str(const Program &P, int Devices) const;
 };
 
 /// The canonical contiguous block partition of [0, Width) across
 /// \p Devices: device d owns [floor(d*W/N), floor((d+1)*W/N)).  Every
-/// component (planner, verifier, simulator) derives cuts through this one
-/// function so ownership can never disagree.
+/// component (the simulator's launches, the per-device peaks, the plan
+/// dump) derives cuts through this one function so ownership can never
+/// disagree.
 std::vector<std::pair<int64_t, int64_t>> blockCuts(int64_t Width,
                                                    int Devices);
 
@@ -160,19 +150,9 @@ void forEachKernel(
 
 /// The shared planner/verifier analysis of one kernel: whether its outer
 /// grid dimension can be block-partitioned, and how each input must be
-/// distributed.  Independent of the device count.
-struct KernelShardability {
-  bool Sharded = false;
-  std::string WhyNot;
-  bool HistMerge = false;
-  SubExp Width;
-  int64_t ConstWidth = -1;
-  std::vector<ShardInput> Inputs;
-  std::vector<VName> Outputs;
-};
-
-KernelShardability analyseShardability(const KernelExp &K, const Stm &S,
-                                       bool TopLevel);
+/// distributed.  The result's KernelId is left 0 for the caller to set.
+KernelShard analyseShardability(const KernelExp &K, const Stm &S,
+                                bool TopLevel);
 
 /// Re-derives the transfer edges the sharding decisions in \p Kernels
 /// require: partitioned values consumed broadcast (or by an unsharded
@@ -192,8 +172,8 @@ derivePeakBytes(const FunDef &F, const std::vector<KernelShard> &Kernels,
                 const std::vector<TransferEdge> &Transfers, int Devices);
 
 /// Plans every function of a flattened program.  Pure and deterministic:
-/// the same program and options always yield the same plan.
-ShardPlan planShards(const Program &P, const ShardOptions &Opts);
+/// the same program always yields the same plan.
+ShardPlan planShards(const Program &P);
 
 } // namespace shard
 } // namespace fut

@@ -7,11 +7,14 @@
 /// \file
 /// The shard-plan verifier's contract, mirroring the memory-plan verifier
 /// tests: accept every plan the planner produces, and reject a plan
-/// corrupted at the pass boundary — overlapping row ownership, a dropped
-/// boundary transfer, an over-budget shard — with an ErrorKind::Verify
-/// diagnostic naming the pass and the defect.  Corruptions are injected
-/// through CompilerOptions::PostShardPlanHook, which runs between the
-/// planner and the verifier.
+/// corrupted at the pass boundary — a wrong width, an unshardable kernel
+/// marked sharded, a dropped histogram marking, a broadcast input
+/// classified aligned, a dropped boundary transfer — with an
+/// ErrorKind::Verify diagnostic naming the pass and the defect.
+/// Corruptions are injected through CompilerOptions::PostShardPlanHook,
+/// which runs between the planner and the verifier.  Row ownership is not
+/// in the plan: blockCuts, which cuts every sharded launch at run time,
+/// has its own partition property test here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,15 +27,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace fut;
 using namespace fut::test;
 
 namespace {
 
-/// Constant sizes throughout, so the planner records concrete blocks, a
-/// concrete all-gather transfer (kernel 0's partitioned output feeds the
-/// unsharded segmented reduction whole) and static per-device peaks —
-/// giving every corruption below a guaranteed target.
+/// Constant sizes throughout, so the planner records a constant-width
+/// sharded kernel and a concrete all-gather transfer (kernel 0's
+/// partitioned output feeds the unsharded segmented reduction whole) —
+/// giving the corruptions below a guaranteed target.
 const char *kConstProgram =
     "fun main (x: i32): ([16]i32, i32) =\n"
     "  let a = map (\\(i: i32): i32 -> i * 2 + x) (iota 16)\n"
@@ -40,29 +45,46 @@ const char *kConstProgram =
     "  let s = reduce (+) 0 b\n"
     "  in (b, s)\n";
 
+/// A histogram tail: kernel 1 is a SegHist sharded along its 16 input
+/// elements, with an aligned index input and a broadcast destination.
+const char *kHistProgram =
+    "fun main (x: i32): [8]i32 =\n"
+    "  let a = map (\\(i: i32): i32 -> i % 8) (iota 16)\n"
+    "  let v = map (\\(i: i32): i32 -> i + x) (iota 16)\n"
+    "  in reduce_by_index (replicate 8 0) (+) 0 a v\n";
+
 /// The first function plan holding a sharded constant-width kernel.
 shard::FunShardPlan *shardedFun(shard::ShardPlan &SP) {
   for (shard::FunShardPlan &FP : SP.Funs)
     for (shard::KernelShard &KS : FP.Kernels)
-      if (KS.Sharded && KS.ConstWidth >= 0 && KS.Blocks.size() >= 2)
+      if (KS.Sharded && KS.ConstWidth >= 0)
         return &FP;
   return nullptr;
 }
 
-/// Compiles kConstProgram at two devices with \p Corrupt applied to the
-/// shard plan, and expects the verifier to reject with a message
-/// containing every string in \p Expect.
+/// The first sharded histogram kernel of \p SP.
+shard::KernelShard *histKernel(shard::ShardPlan &SP) {
+  for (shard::FunShardPlan &FP : SP.Funs)
+    for (shard::KernelShard &KS : FP.Kernels)
+      if (KS.Sharded && KS.HistMerge)
+        return &KS;
+  return nullptr;
+}
+
+/// Compiles \p Source with \p Corrupt applied to the shard plan, and
+/// expects the verifier to reject with a message containing every string
+/// in \p Expect.
 void expectRejected(const std::function<void(shard::ShardPlan &)> &Corrupt,
-                    const std::vector<std::string> &Expect) {
+                    const std::vector<std::string> &Expect,
+                    const char *Source = kConstProgram) {
   NameSource NS;
   CompilerOptions Opts;
-  Opts.Devices = 2;
   bool Fired = false;
   Opts.PostShardPlanHook = [&](shard::ShardPlan &SP) {
     Corrupt(SP);
     Fired = true;
   };
-  auto C = compileSource(kConstProgram, NS, Opts);
+  auto C = compileSource(Source, NS, Opts);
   ASSERT_TRUE(Fired) << "corruption hook never fired";
   ASSERT_FALSE(static_cast<bool>(C)) << "corrupted shard plan compiled";
   const CompilerError &E = C.getError();
@@ -78,12 +100,10 @@ void expectRejected(const std::function<void(shard::ShardPlan &)> &Corrupt,
 
 TEST(ShardVerifyTest, AcceptsPlannerOutput) {
   // compileSource runs the verifier after the planner (VerifyIR defaults
-  // on); an untouched plan must pass at every device count.
-  for (int Devices : {1, 2, 4, 8}) {
+  // on); an untouched plan must pass.
+  for (const char *Source : {kConstProgram, kHistProgram}) {
     NameSource NS;
-    CompilerOptions Opts;
-    Opts.Devices = Devices;
-    auto C = compileSource(kConstProgram, NS, Opts);
+    auto C = compileSource(Source, NS);
     ASSERT_OK(C);
     EXPECT_FALSE(static_cast<bool>(
         verifyShardPlan(C->P, C->Shards, "shardplan")));
@@ -94,48 +114,36 @@ TEST(ShardVerifyTest, AcceptsGeneratedPrograms) {
   // The planner/verifier pair must also agree on symbolic-width plans;
   // the differential generator's programs have runtime-sized chains.
   NameSource NS;
-  CompilerOptions Opts;
-  Opts.Devices = 4;
   auto C = compileSource(
       "fun main (n: i32) (a0: [n]i32): ([n]i32, i32) =\n"
       "  let a1 = map (\\(x: i32): i32 -> x * 3 - 1) a0\n"
       "  let a2 = scan (+) 0 a1\n"
       "  let s0 = reduce (+) 0 a2\n"
       "  in (a2, s0)\n",
-      NS, Opts);
+      NS);
   ASSERT_OK(C);
 }
 
-TEST(ShardVerifyTest, OverlappingOwnershipRejected) {
-  // Slide device 1's block start one row left so rows [7,8) land on both
-  // devices: exclusive ownership is violated.
-  expectRejected(
-      [](shard::ShardPlan &SP) {
-        shard::FunShardPlan *FP = shardedFun(SP);
-        ASSERT_NE(FP, nullptr);
-        for (shard::KernelShard &KS : FP->Kernels)
-          if (KS.Sharded && KS.ConstWidth >= 0 && KS.Blocks.size() >= 2) {
-            KS.Blocks[1].first -= 1;
-            return;
-          }
-      },
-      {"owned by more than one device"});
-}
-
-TEST(ShardVerifyTest, OwnershipGapRejected) {
-  // The dual defect: slide device 1's block start one row right and some
-  // row is computed by no device at all.
-  expectRejected(
-      [](shard::ShardPlan &SP) {
-        shard::FunShardPlan *FP = shardedFun(SP);
-        ASSERT_NE(FP, nullptr);
-        for (shard::KernelShard &KS : FP->Kernels)
-          if (KS.Sharded && KS.ConstWidth >= 0 && KS.Blocks.size() >= 2) {
-            KS.Blocks[1].first += 1;
-            return;
-          }
-      },
-      {"owned by no device"});
+TEST(ShardVerifyTest, BlockCutsPartitionEveryWidth) {
+  // Every sharded launch is cut by blockCuts at run time, so its cuts are
+  // the row ownership: in device order they must cover [0, W) with no gap
+  // and no overlap, and balance the rows to within one.
+  for (int N = 1; N <= 8; ++N)
+    for (int64_t W = 0; W <= 257; ++W) {
+      SCOPED_TRACE("W=" + std::to_string(W) + " N=" + std::to_string(N));
+      auto Cuts = shard::blockCuts(W, N);
+      ASSERT_EQ(Cuts.size(), static_cast<size_t>(N));
+      int64_t Next = 0, Min = W, Max = 0;
+      for (const auto &[Start, End] : Cuts) {
+        ASSERT_EQ(Start, Next);
+        ASSERT_LE(Start, End);
+        Min = std::min(Min, End - Start);
+        Max = std::max(Max, End - Start);
+        Next = End;
+      }
+      EXPECT_EQ(Next, W);
+      EXPECT_LE(Max - Min, 1);
+    }
 }
 
 TEST(ShardVerifyTest, DroppedBoundaryTransferRejected) {
@@ -149,22 +157,6 @@ TEST(ShardVerifyTest, DroppedBoundaryTransferRejected) {
         FP->Transfers.clear();
       },
       {"missing inter-device transfer"});
-}
-
-TEST(ShardVerifyTest, OverBudgetShardRejected) {
-  // A one-byte budget no 64-byte shard can fit: the verifier re-derives
-  // the peaks rather than trusting PlannedPeakBytes.
-  expectRejected(
-      [](shard::ShardPlan &SP) {
-        shard::FunShardPlan *FP = shardedFun(SP);
-        ASSERT_NE(FP, nullptr);
-        FP->PerDeviceMemBytes = 1;
-        // Forge the planner's own accounting too: the verifier must not
-        // believe it.
-        for (int64_t &B : FP->PlannedPeakBytes)
-          B = 0;
-      },
-      {"over the per-device budget of 1"});
 }
 
 TEST(ShardVerifyTest, WidthMismatchRejected) {
@@ -192,9 +184,38 @@ TEST(ShardVerifyTest, UnshardableKernelMarkedShardedRejected) {
         for (shard::KernelShard &KS : FP->Kernels)
           if (!KS.Sharded) {
             KS.Sharded = true;
-            KS.ConstWidth = -1; // sidestep the block checks
             return;
           }
       },
       {"marked sharded but cannot be partitioned"});
+}
+
+TEST(ShardVerifyTest, DroppedHistMergeRejected) {
+  // Unmark the histogram: its full-width partials would then be taken
+  // for row blocks and concatenated instead of folded.
+  expectRejected(
+      [](shard::ShardPlan &SP) {
+        shard::KernelShard *KS = histKernel(SP);
+        ASSERT_NE(KS, nullptr);
+        KS->HistMerge = false;
+      },
+      {"is a histogram but not marked for partial-merge"}, kHistProgram);
+}
+
+TEST(ShardVerifyTest, BroadcastInputClassifiedAlignedRejected) {
+  // Classify the histogram's destination aligned: each device would then
+  // hold only a row block of an array it scatters into at any bin.
+  expectRejected(
+      [](shard::ShardPlan &SP) {
+        shard::KernelShard *KS = histKernel(SP);
+        ASSERT_NE(KS, nullptr);
+        for (shard::ShardInput &SI : KS->Inputs)
+          if (SI.Class == shard::InputClass::Broadcast) {
+            SI.Class = shard::InputClass::Aligned;
+            return;
+          }
+        FAIL() << "the histogram kernel has no broadcast input";
+      },
+      {"is classified aligned but its uses require the whole array"},
+      kHistProgram);
 }

@@ -50,8 +50,8 @@ std::vector<Value> programArgs() {
 
 /// Compiles and runs kProgram under a fresh enabled trace session and
 /// returns the device result; the session stays enabled for inspection
-/// (callers clear it).  With \p Devices > 1 the program is compiled for
-/// that many devices and run with its shard plan and memory plan.
+/// (callers clear it).  With \p Devices > 1 the program runs with its
+/// shard plan on that many devices, and with its memory plan.
 ErrorOr<gpusim::RunResult>
 runTraced(const gpusim::ResilienceParams &RP = gpusim::ResilienceParams(),
           gpusim::DeviceParams DP = gpusim::DeviceParams::gtx780(),
@@ -59,10 +59,8 @@ runTraced(const gpusim::ResilienceParams &RP = gpusim::ResilienceParams(),
   auto &TS = trace::TraceSession::global();
   TS.clear();
   TS.setEnabled(true);
-  CompilerOptions Opts;
-  Opts.Devices = Devices;
   NameSource Names;
-  auto C = compileSource(kProgram, Names, Opts);
+  auto C = compileSource(kProgram, Names);
   if (!C)
     return C.getError();
   DeviceRunOptions RO;

@@ -10,15 +10,17 @@
 /// is bit-stable, plan subsets stay well-typed (the shrinker's soundness
 /// condition), the shared shrink passes find the minimal plan, and the .fut
 /// serialisation round-trips; and the leg oracle's own contracts: the
-/// fixed sweep table, twin checks that name the failing leg and check,
-/// and shrinking on the failing leg alone.  The fixed seeds' agreement
-/// under each fault and device configuration is DifferentialTest's job.
+/// fixed sweep table, one compile per seed, twin checks that name the
+/// failing leg and check, and shrinking on the failing leg alone.  The
+/// fixed seeds' agreement under each fault and device configuration is
+/// DifferentialTest's job.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzz.h"
 
 #include "TestUtil.h"
+#include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -84,6 +86,24 @@ TEST(FuzzTest, SweepLegsAreFixed) {
             (std::vector<std::string>{"default", "split", "devices2",
                                       "hist-global", "hist-global-devices2",
                                       "pipeline", "lanes"}));
+}
+
+TEST(FuzzTest, OneCompilePerSeed) {
+  // The device count is a run option, so every leg of the sweep runs the
+  // one artifact: a seed opens a single compile span, whatever the legs'
+  // device counts.
+  trace::TraceSession &TS = trace::TraceSession::global();
+  TS.clear();
+  TS.setEnabled(true);
+  std::vector<Outcome> Os = runDifferential(generate(1), sweepLegs());
+  TS.setEnabled(false);
+  int Compiles = 0;
+  for (const trace::TraceEvent &E : TS.events())
+    Compiles += !E.Instant && E.Name == "compile" ? 1 : 0;
+  TS.clear();
+  for (const Outcome &O : Os)
+    EXPECT_TRUE(O.Ok) << O.Message;
+  EXPECT_EQ(Compiles, 1);
 }
 
 TEST(FuzzTest, CrossModelSeedsAgree) {

@@ -32,6 +32,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace fut;
@@ -78,6 +79,18 @@ uint64_t hashOutputs(const std::vector<Value> &Outs) {
   return H;
 }
 
+/// \p Src compiled once, however many goldens (cost models, device
+/// counts, fault settings) run it.
+const ErrorOr<CompileResult> &compiled(const std::string &Src) {
+  static std::map<std::string, ErrorOr<CompileResult>> Cache;
+  auto It = Cache.find(Src);
+  if (It == Cache.end()) {
+    NameSource NS;
+    It = Cache.emplace(Src, compileSource(Src, NS)).first;
+  }
+  return It->second;
+}
+
 /// Compiles \p Src and runs its main exactly as `futharkcc --run` does
 /// with the given cost model and device count.  \p RO carries any further
 /// device and resilience settings (--sync, fault injection, watchdog);
@@ -86,10 +99,7 @@ void expectGolden(const std::string &Src, const std::vector<Value> &Args,
                   const char *Model, int Devices, const Golden &G,
                   DeviceRunOptions RO = {}, bool WantFallback = false) {
   SCOPED_TRACE(G.Name);
-  NameSource NS;
-  CompilerOptions CO;
-  CO.Devices = Devices;
-  auto C = compileSource(Src, NS, CO);
+  const ErrorOr<CompileResult> &C = compiled(Src);
   ASSERT_TRUE(static_cast<bool>(C)) << C.getError().str();
   RO.Device.CostModelName = Model;
   RO.MemPlan = &C->MemPlan;

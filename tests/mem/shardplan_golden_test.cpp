@@ -4,11 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pins the stable textual format of ShardPlan::str(), which is what the
-// --print-shard-plan driver flag emits, and the N=1 no-op invariant: at
-// one device the shard plan must change nothing observable — not the
-// artifact fingerprint, not the cache key, not a cycle or byte of the
-// simulated run.
+// Pins the stable textual format of ShardPlan::str(P, N), which is what
+// the --print-shard-plan driver flag emits, and the N=1 no-op invariant:
+// a run wired through the shard plan at one device must not change a
+// cycle or byte of the simulated run.  The plan holds no device count, so
+// one compile prints and runs at every count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +57,9 @@ TEST(ShardPlanGolden, ConstantWidthPipelineAtTwoDevices) {
   // output feeds the gridless reduction whole, so the plan must carry the
   // 64-byte all-gather and a 64-byte static peak on both devices.
   NameSource NS;
-  CompilerOptions Opts;
-  Opts.Devices = 2;
-  auto C = compileSource(kConstProgram, NS, Opts);
+  auto C = compileSource(kConstProgram, NS);
   ASSERT_OK(C);
-  EXPECT_EQ(C->Shards.str(),
+  EXPECT_EQ(C->Shards.str(C->P, 2),
             "shard plan (devices=2)\n"
             "function 'main': 2 kernels (1 sharded), 1 transfers\n"
             "  kernel 0: sharded width=16i32 blocks=[0,8)[8,16)\n"
@@ -73,33 +71,13 @@ TEST(ShardPlanGolden, ConstantWidthPipelineAtTwoDevices) {
             "  peak bytes/device: 64 64\n");
 }
 
-TEST(ShardPlanGolden, SymbolicWidthPipelineAtFourDevices) {
-  // Symbolic width n_0: no static blocks (cut at runtime), the aligned
-  // input classification, a symbolic host gather for the returned array,
-  // and unknown (-1) peaks on all four devices.
-  NameSource NS;
-  CompilerOptions Opts;
-  Opts.Devices = 4;
-  auto C = compileSource(kSymbolicProgram, NS, Opts);
-  ASSERT_OK(C);
-  EXPECT_EQ(C->Shards.str(),
-            "shard plan (devices=4)\n"
-            "function 'main': 1 kernels (1 sharded), 1 transfers\n"
-            "  kernel 0: sharded width=n_0\n"
-            "    input xs_1: aligned\n"
-            "    output dist_20\n"
-            "  transfer 'dist_20': kernel 0 -> host (gather, symbolic)\n"
-            "  peak bytes/device: -1 -1 -1 -1\n");
-}
-
 TEST(ShardPlanGolden, SingleDevicePlanIsDegenerate) {
   // At one device the plan still exists (the analysis is device-count
   // independent) but every kernel owns all of [0, W).
   NameSource NS;
   auto C = compileSource(kConstProgram, NS);
   ASSERT_OK(C);
-  EXPECT_EQ(C->Shards.Devices, 1);
-  EXPECT_EQ(C->Shards.str(),
+  EXPECT_EQ(C->Shards.str(C->P, 1),
             "shard plan (devices=1)\n"
             "function 'main': 2 kernels (1 sharded), 1 transfers\n"
             "  kernel 0: sharded width=16i32 blocks=[0,16)\n"
@@ -111,6 +89,23 @@ TEST(ShardPlanGolden, SingleDevicePlanIsDegenerate) {
             "  peak bytes/device: 64\n");
 }
 
+TEST(ShardPlanGolden, SymbolicWidthPipelineAtFourDevices) {
+  // Symbolic width n_0: no static blocks (cut at runtime), the aligned
+  // input classification, a symbolic host gather for the returned array,
+  // and unknown (-1) peaks on all four devices.
+  NameSource NS;
+  auto C = compileSource(kSymbolicProgram, NS);
+  ASSERT_OK(C);
+  EXPECT_EQ(C->Shards.str(C->P, 4),
+            "shard plan (devices=4)\n"
+            "function 'main': 1 kernels (1 sharded), 1 transfers\n"
+            "  kernel 0: sharded width=n_0\n"
+            "    input xs_1: aligned\n"
+            "    output dist_20\n"
+            "  transfer 'dist_20': kernel 0 -> host (gather, symbolic)\n"
+            "  peak bytes/device: -1 -1 -1 -1\n");
+}
+
 TEST(ShardPlanGolden, HistogramMergePlanAtTwoDevices) {
   // The SegHist kernel shards along its 16 input elements but its
   // destination is broadcast and its output replicated: the plan says
@@ -118,11 +113,9 @@ TEST(ShardPlanGolden, HistogramMergePlanAtTwoDevices) {
   // carries a producer==consumer merge edge (32 bytes of partials folded
   // with the operator) instead of an all-gather.
   NameSource NS;
-  CompilerOptions Opts;
-  Opts.Devices = 2;
-  auto C = compileSource(kHistProgram, NS, Opts);
+  auto C = compileSource(kHistProgram, NS);
   ASSERT_OK(C);
-  EXPECT_EQ(C->Shards.str(),
+  EXPECT_EQ(C->Shards.str(C->P, 2),
             "shard plan (devices=2)\n"
             "function 'main': 2 kernels (2 sharded), 1 transfers\n"
             "  kernel 0: sharded width=16i32 blocks=[0,8)[8,16)\n"
@@ -167,7 +160,7 @@ TEST(ShardPlanGolden, TidRebindStaysAligned) {
   K->RetTypes = {ArrTy};
 
   Stm S({Param(NS.fresh("out"), ArrTy)}, std::move(K));
-  shard::KernelShardability A = shard::analyseShardability(
+  shard::KernelShard A = shard::analyseShardability(
       *expCast<KernelExp>(S.E.get()), S, /*TopLevel=*/true);
   ASSERT_TRUE(A.Sharded) << A.WhyNot;
   ASSERT_EQ(A.Inputs.size(), 1u);
@@ -177,68 +170,37 @@ TEST(ShardPlanGolden, TidRebindStaysAligned) {
 }
 
 TEST(ShardPlanGolden, PlanIsDeterministic) {
-  for (int Devices : {2, 4}) {
-    NameSource N1, N2;
-    CompilerOptions Opts;
-    Opts.Devices = Devices;
-    auto A = compileSource(kConstProgram, N1, Opts);
-    auto B = compileSource(kConstProgram, N2, Opts);
-    ASSERT_OK(A);
-    ASSERT_OK(B);
-    EXPECT_EQ(A->Shards.str(), B->Shards.str());
-    EXPECT_EQ(A->fingerprint(), B->fingerprint());
-  }
+  NameSource N1, N2;
+  auto A = compileSource(kConstProgram, N1);
+  auto B = compileSource(kConstProgram, N2);
+  ASSERT_OK(A);
+  ASSERT_OK(B);
+  for (int Devices : {2, 4})
+    EXPECT_EQ(A->Shards.str(A->P, Devices), B->Shards.str(B->P, Devices));
+  EXPECT_EQ(A->fingerprint(), B->fingerprint());
 }
 
 TEST(ShardPlanGolden, SingleDeviceIsNoOp) {
-  // The pinned no-op: an explicit --devices=1 compile must be
-  // artifact-identical to a default compile — same cache key, same
-  // fingerprint — and a run wired through the shard plan at one device
-  // must reproduce the default run cycle-for-cycle and byte-for-byte.
-  NameSource N1, N2;
-  auto Plain = compileSource(kConstProgram, N1);
-  CompilerOptions One;
-  One.Devices = 1;
-  auto Pinned = compileSource(kConstProgram, N2, One);
-  ASSERT_OK(Plain);
-  ASSERT_OK(Pinned);
-  EXPECT_EQ(artifactCacheKey(kConstProgram, CompilerOptions()),
-            artifactCacheKey(kConstProgram, One));
-  EXPECT_EQ(Plain->fingerprint(), Pinned->fingerprint());
-  EXPECT_EQ(Plain->Shards.str(), Pinned->Shards.str());
+  // The pinned no-op: a run wired through the shard plan at one device
+  // must reproduce the plain run cycle-for-cycle and byte-for-byte.
+  NameSource NS;
+  auto C = compileSource(kConstProgram, NS);
+  ASSERT_OK(C);
 
   std::vector<Value> Args = {Value::scalar(PrimValue::makeI32(3))};
   DeviceRunOptions RO;
-  RO.MemPlan = &Plain->MemPlan;
-  auto Base = runOnDevice(Plain->P, Args, RO);
+  RO.MemPlan = &C->MemPlan;
+  auto Base = runOnDevice(C->P, Args, RO);
   ASSERT_OK(Base);
 
-  DeviceRunOptions RO1;
-  RO1.MemPlan = &Pinned->MemPlan;
-  RO1.Shards = &Pinned->Shards;
+  DeviceRunOptions RO1 = RO;
+  RO1.Shards = &C->Shards;
   RO1.Devices = 1;
-  auto Sharded = runOnDevice(Pinned->P, Args, RO1);
+  auto Sharded = runOnDevice(C->P, Args, RO1);
   ASSERT_OK(Sharded);
 
-  ASSERT_EQ(Base->Outputs.size(), Sharded->Outputs.size());
-  for (size_t I = 0; I < Base->Outputs.size(); ++I)
-    EXPECT_TRUE(Base->Outputs[I] == Sharded->Outputs[I]);
+  EXPECT_EQ(firstDifference(Sharded->Outputs, Base->Outputs), "");
   EXPECT_EQ(Base->Cost.TotalCycles, Sharded->Cost.TotalCycles);
   EXPECT_EQ(Base->Cost.PeakDeviceBytes, Sharded->Cost.PeakDeviceBytes);
   EXPECT_EQ(Base->Cost.str(), Sharded->Cost.str());
-}
-
-TEST(ShardPlanGolden, DeviceCountEntersArtifactOnlyAboveOne) {
-  // Two devices is a different artifact (different cache key and
-  // fingerprint); one device is not.
-  CompilerOptions Two;
-  Two.Devices = 2;
-  EXPECT_NE(artifactCacheKey(kConstProgram, CompilerOptions()),
-            artifactCacheKey(kConstProgram, Two));
-  NameSource N1, N2;
-  auto Plain = compileSource(kConstProgram, N1);
-  auto Sharded = compileSource(kConstProgram, N2, Two);
-  ASSERT_OK(Plain);
-  ASSERT_OK(Sharded);
-  EXPECT_NE(Plain->fingerprint(), Sharded->fingerprint());
 }
