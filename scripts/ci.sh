@@ -47,14 +47,35 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VerifyTest|RegressTest|FuzzTest'
 
 echo "== strict numeric CLI flags =="
-# Every numeric flag of the four CLIs parses through one strict helper:
-# trailing text or a fraction on an integer flag is a usage error (exit 2).
+# The four CLIs parse argv through one flag table each (src/support/Flags.h)
+# and every numeric flag through one strict helper: trailing text or a
+# fraction on an integer flag, and an unknown option, are usage errors
+# (exit 2); every value flag also takes the --flag=value form.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'ParseNumArgTest|DriverCliTest'
-rc=0
-"$BUILD_DIR"/src/driver/futharkcc --device-mem 12abc examples/kmeans.fut \
-  --run >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || { echo "--device-mem 12abc exited $rc, want 2"; exit 1; }
+  -R 'ParseNumArgTest|FlagsTest|DriverCliTest'
+expect_exit() {
+  want=$1
+  shift
+  rc=0
+  "$@" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq "$want" ] || { echo "$* exited $rc, want $want"; exit 1; }
+}
+cc="$BUILD_DIR"/src/driver/futharkcc
+serve="$BUILD_DIR"/src/serve/futharkcc-serve
+fuzz="$BUILD_DIR"/src/fuzz/futharkcc-fuzz
+tune="$BUILD_DIR"/src/tune/futharkcc-tune
+expect_exit 2 "$cc" --device-mem 12abc examples/kmeans.fut --run
+expect_exit 2 "$cc" --bogus examples/kmeans.fut
+expect_exit 0 "$cc" --devices=2 examples/kmeans.fut --run
+expect_exit 2 "$serve" --builtin 2x
+expect_exit 2 "$serve" --bogus --builtin 2
+expect_exit 0 "$serve" --builtin=2 --quiet
+expect_exit 2 "$fuzz" --seed 3x
+expect_exit 2 "$fuzz" --bogus
+expect_exit 0 "$fuzz" --seed=3 --no-shrink
+expect_exit 2 "$tune" --rounds 1.5 --list
+expect_exit 2 "$tune" --bogus
+expect_exit 0 "$tune" --rounds=1 --list
 
 echo "== oracle hygiene: the kernel simulator shares no code with the interpreter =="
 # The reference interpreter is the oracle the simulator is checked

@@ -25,10 +25,10 @@
 #ifndef FUTHARKCC_BENCH_SUITE_BENCHTRACE_H
 #define FUTHARKCC_BENCH_SUITE_BENCHTRACE_H
 
+#include "support/Flags.h"
 #include "support/Json.h"
 #include "trace/Trace.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -39,16 +39,20 @@
 namespace fut {
 namespace bench {
 
-/// The trace output path of a bench binary: the argument of
+/// The trace output path of a bench binary: the value of
 /// `--trace-out <path>`, or BENCH_trace.json in the working directory when
-/// the flag is absent.  Any other argument is a usage error (exit 2).
+/// the flag is absent.  Any other argument is a usage error (exit 2), and
+/// --help exits 0.
 inline std::string traceOutPath(int Argc, char **Argv) {
-  if (Argc == 1)
-    return "BENCH_trace.json";
-  if (Argc == 3 && std::string(Argv[1]) == "--trace-out")
-    return Argv[2];
-  fprintf(stderr, "usage: %s [--trace-out <path>]\n", Argv[0]);
-  std::exit(2);
+  std::string Path = "BENCH_trace.json";
+  cli::Command Cmd{.Synopsis = std::string(Argv[0]) + " [--trace-out <path>]",
+                   .Flags = {cli::text("--trace-out", "<path>",
+                                       "where to write the bench rows "
+                                       "(default BENCH_trace.json)",
+                                       Path)}};
+  if (auto Exit = Cmd.parse(Argc, Argv))
+    std::exit(*Exit);
+  return Path;
 }
 
 class BenchTraceWriter {

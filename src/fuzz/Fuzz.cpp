@@ -355,38 +355,69 @@ std::string disagreement(const ErrorOr<std::vector<Value>> &Ref,
   return Diff.empty() ? "" : "device (got) vs reference (want): " + Diff;
 }
 
+/// The first of \p Fields on which the twin run \p T differs from leg
+/// default's run \p B, with both values; "" when all agree.
+template <typename V, size_t N>
+std::string differingField(
+    const std::pair<const char *, V gpusim::CostReport::*> (&Fields)[N],
+    const std::string &Twin, const gpusim::CostReport &T,
+    const gpusim::CostReport &B) {
+  for (const auto &[Name, Field] : Fields)
+    if (T.*Field != B.*Field) {
+      std::ostringstream OS;
+      OS.precision(17);
+      OS << "counter " << Name << " differs from leg default\n  default: "
+         << B.*Field << "\n  " << Twin << ": " << T.*Field;
+      return OS.str();
+    }
+  return "";
+}
+
 /// The twin check of \p Twin (run \p T) against leg default (run \p B);
 /// "" or what differs.
 std::string twinDisagreement(const Leg &Twin, const gpusim::CostReport &T,
                              const gpusim::CostReport &B) {
+  using CR = gpusim::CostReport;
   const std::string Base = "default";
-  if (Twin.Check == Leg::Twin::CostLine)
-    return T.str() == B.str() ? ""
-                              : "cost line differs from leg " + Base +
-                                    "\n  " + Base + ": " + B.str() + "\n  " +
-                                    Twin.Name + ": " + T.str();
+  if (Twin.Check == Leg::Twin::CostLine) {
+    if (T.str() != B.str())
+      return "cost line differs from leg " + Base + "\n  " + Base + ": " +
+             B.str() + "\n  " + Twin.Name + ": " + T.str();
+    // Every run prices each launch under both models and profiles its
+    // warps, so the fields a roofline cost line leaves out must agree too.
+    const std::pair<const char *, double CR::*> Cycles[] = {
+        {"RooflineKernelCycles", &CR::RooflineKernelCycles},
+        {"PipelineKernelCycles", &CR::PipelineKernelCycles},
+    };
+    const std::pair<const char *, int64_t CR::*> Profile[] = {
+        {"WarpsSimulated", &CR::WarpsSimulated},
+        {"DivergentWarps", &CR::DivergentWarps},
+        {"CoalescerExcessTx", &CR::CoalescerExcessTx},
+        {"BankConflictExtra", &CR::BankConflictExtra},
+    };
+    std::string What = differingField(Cycles, Twin.Name, T, B);
+    return What.empty() ? differingField(Profile, Twin.Name, T, B) : What;
+  }
   // The cost model prices cycles; it must not change the traffic.
-  const std::pair<const char *, int64_t gpusim::CostReport::*> Counters[] = {
-      {"KernelLaunches", &gpusim::CostReport::KernelLaunches},
-      {"GlobalTransactions", &gpusim::CostReport::GlobalTransactions},
-      {"TransferredBytes", &gpusim::CostReport::TransferredBytes},
-      {"AtomicTransactions", &gpusim::CostReport::AtomicTransactions},
-      {"AtomicConflicts", &gpusim::CostReport::AtomicConflicts},
-      {"LocalAccesses", &gpusim::CostReport::LocalAccesses},
+  const std::pair<const char *, int64_t CR::*> Counters[] = {
+      {"KernelLaunches", &CR::KernelLaunches},
+      {"GlobalTransactions", &CR::GlobalTransactions},
+      {"TransferredBytes", &CR::TransferredBytes},
+      {"AtomicTransactions", &CR::AtomicTransactions},
+      {"AtomicConflicts", &CR::AtomicConflicts},
+      {"LocalAccesses", &CR::LocalAccesses},
   };
-  for (const auto &[Name, Field] : Counters)
-    if (T.*Field != B.*Field)
-      return std::string("counter ") + Name + " differs from leg " + Base +
-             "\n  " + Base + ": " + std::to_string(B.*Field) + "\n  " +
-             Twin.Name + ": " + std::to_string(T.*Field);
-  for (const auto &[Name, CR] :
+  if (std::string What = differingField(Counters, Twin.Name, T, B);
+      !What.empty())
+    return What;
+  for (const auto &[Name, R] :
        {std::pair{&Base, &B}, std::pair{&Twin.Name, &T}})
-    if (CR->CoalescedTransactions + CR->ScatteredTransactions !=
-        CR->GlobalTransactions)
+    if (R->CoalescedTransactions + R->ScatteredTransactions !=
+        R->GlobalTransactions)
       return "coalescing decomposition broken on leg " + *Name + ": " +
-             std::to_string(CR->CoalescedTransactions) + " + " +
-             std::to_string(CR->ScatteredTransactions) +
-             " != " + std::to_string(CR->GlobalTransactions);
+             std::to_string(R->CoalescedTransactions) + " + " +
+             std::to_string(R->ScatteredTransactions) +
+             " != " + std::to_string(R->GlobalTransactions);
   return "";
 }
 
@@ -541,67 +572,18 @@ bool fut::fuzz::parseArgsLine(const std::string &Line,
   const std::string Prefix = "-- args:";
   if (Line.rfind(Prefix, 0) != 0)
     return false;
-  std::string Rest = Line.substr(Prefix.size());
-
-  auto ParseScalar = [](const std::string &T, PrimValue &V) {
-    if (T == "true") {
-      V = PrimValue::makeBool(true);
-      return true;
-    }
-    if (T == "false") {
-      V = PrimValue::makeBool(false);
-      return true;
-    }
-    try {
-      size_t Used = 0;
-      if (T.find('.') != std::string::npos ||
-          T.find("f32") != std::string::npos) {
-        V = PrimValue::makeF32(std::stof(T, &Used));
-        return true;
-      }
-      V = PrimValue::makeI32(static_cast<int32_t>(std::stol(T, &Used)));
-      return Used > 0;
-    } catch (...) {
+  // Values are separated by blanks; an array literal runs to its ']'.
+  for (size_t I = Prefix.size();
+       (I = Line.find_first_not_of(" \t", I)) != std::string::npos;) {
+    size_t End = Line[I] == '[' ? Line.find(']', I)
+                                : Line.find_first_of(" \t", I);
+    if (Line[I] == '[' && End != std::string::npos)
+      ++End;
+    auto V = parseValue(Line.substr(I, End - I));
+    if (!V)
       return false;
-    }
-  };
-
-  size_t I = 0;
-  while (I < Rest.size()) {
-    while (I < Rest.size() && (Rest[I] == ' ' || Rest[I] == '\t'))
-      ++I;
-    if (I >= Rest.size())
-      break;
-    if (Rest[I] == '[') {
-      size_t End = Rest.find(']', I);
-      if (End == std::string::npos)
-        return false;
-      std::string Inner = Rest.substr(I + 1, End - I - 1);
-      std::vector<PrimValue> Elems;
-      std::stringstream SS(Inner);
-      std::string Tok;
-      while (std::getline(SS, Tok, ',')) {
-        PrimValue V;
-        if (!ParseScalar(Tok, V))
-          return false;
-        Elems.push_back(V);
-      }
-      if (Elems.empty())
-        return false;
-      ScalarKind K = Elems[0].kind();
-      int64_t N = static_cast<int64_t>(Elems.size());
-      Out.push_back(Value::array(K, {N}, std::move(Elems)));
-      I = End + 1;
-    } else {
-      size_t End = Rest.find(' ', I);
-      if (End == std::string::npos)
-        End = Rest.size();
-      PrimValue V;
-      if (!ParseScalar(Rest.substr(I, End - I), V))
-        return false;
-      Out.push_back(Value::scalar(V));
-      I = End;
-    }
+    Out.push_back(V.take());
+    I = End;
   }
   return !Out.empty();
 }

@@ -145,7 +145,10 @@ ErrorOr<std::vector<Value>> referenceRun(const std::string &Source,
 struct Leg {
   enum class Twin : uint8_t {
     None,
-    /// The whole CostReport::str() line, byte for byte.
+    /// The whole CostReport::str() line, byte for byte, and the fields
+    /// it prints only under the pipeline model: both models' kernel
+    /// cycles, warps, divergent warps, coalescer excess and bank
+    /// conflicts.
     CostLine,
     /// KernelLaunches, GlobalTransactions, TransferredBytes, the atomic
     /// counters and LocalAccesses; and on both runs, Coalesced +

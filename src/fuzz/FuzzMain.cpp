@@ -19,11 +19,10 @@
 #include "fuzz/Fuzz.h"
 #include "fuzz/GradFuzz.h"
 
-#include "support/Utils.h"
+#include "support/Flags.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -32,31 +31,6 @@ using namespace fut;
 using namespace fut::fuzz;
 
 namespace {
-
-void usage() {
-  fprintf(stderr,
-          "usage: futharkcc-fuzz [options]\n"
-          "Runs each seed's program once on the reference interpreter and\n"
-          "on every leg of the sweep, compared with it:\n");
-  for (const Leg &L : sweepLegs())
-    fprintf(stderr, "  %s\n", L.Name.c_str());
-  fprintf(stderr,
-          "options:\n"
-          "  --seed <n>          fuzz exactly one seed\n"
-          "  --seed-range <a..b> fuzz seeds a through b inclusive "
-          "(default 1..100)\n"
-          "  --count <n>         fuzz seeds 1..n (shorthand)\n"
-          "  --out <dir>         where to write minimized .fut failures\n"
-          "                      (default: fuzz-failures)\n"
-          "  --no-shrink         report raw failures without minimizing\n"
-          "  --vjp               gradient-check sweep: generate smooth f64\n"
-          "                      programs, compile each with --vjp=main,\n"
-          "                      and compare the adjoints on the simulated\n"
-          "                      device against central finite differences\n"
-          "                      through the reference interpreter\n"
-          "  --dump <n>          print the program for seed n and exit\n"
-          "  -v                  print every seed as it runs\n");
-}
 
 bool parseRange(const std::string &S, uint64_t &Lo, uint64_t &Hi) {
   size_t Dots = S.find("..");
@@ -90,64 +64,36 @@ int main(int argc, char **argv) {
   std::string OutDir = "fuzz-failures";
   bool Shrink = true, Verbose = false, VjpMode = false;
   int64_t DumpSeed = -1;
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&]() -> const char * {
-      return ++I < argc ? argv[I] : nullptr;
-    };
-    if (A == "--seed") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, Lo)) {
-        usage();
-        return 2;
-      }
-      Hi = Lo;
-    } else if (A == "--seed-range") {
-      const char *V = Next();
-      if (!V || !parseRange(V, Lo, Hi)) {
-        usage();
-        return 2;
-      }
-    } else if (A.rfind("--seed-range=", 0) == 0) {
-      if (!parseRange(A.substr(strlen("--seed-range=")), Lo, Hi)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--count") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, Hi)) {
-        usage();
-        return 2;
-      }
-      Lo = 1;
-    } else if (A == "--out") {
-      const char *V = Next();
-      if (!V) {
-        usage();
-        return 2;
-      }
-      OutDir = V;
-    } else if (A == "--no-shrink") {
-      Shrink = false;
-    } else if (A == "--vjp") {
-      VjpMode = true;
-    } else if (A == "--dump") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, DumpSeed) || DumpSeed < 0) {
-        usage();
-        return 2;
-      }
-    } else if (A == "-v") {
-      Verbose = true;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return 0;
-    } else {
-      usage();
-      return 2;
-    }
-  }
+  std::string LegNames;
+  for (const Leg &L : sweepLegs())
+    LegNames += " " + L.Name;
+  cli::Command Cmd{
+      .Synopsis = "futharkcc-fuzz [options]",
+      .About = "Runs each seed's program on the reference interpreter and "
+               "on every leg:\n " + LegNames + "\n",
+      .Flags = {
+          {"--seed", "<n>", "fuzz exactly one seed",
+           [&](auto &V) { return parseRange(V + ".." + V, Lo, Hi); }},
+          {"--seed-range", "<a..b>", "fuzz seeds a..b (default 1..100)",
+           [&](auto &V) { return parseRange(V, Lo, Hi); }},
+          {"--count", "<n>", "fuzz seeds 1..n",
+           [&](auto &V) { return parseNumArg(V, Hi) && (Lo = 1); }},
+          cli::text("--out", "<dir>",
+                    "where shrunk failures go (default fuzz-failures)",
+                    OutDir),
+          cli::toggle("--no-shrink", "report failures unshrunk", Shrink,
+                      false),
+          cli::toggle("--vjp",
+                      "gradient-check sweep: compare the compiled --vjp=main "
+                      "adjoints of smooth f64 programs with central finite "
+                      "differences on the reference interpreter",
+                      VjpMode),
+          cli::number("--dump", "<n>", "print seed n's program and exit",
+                      DumpSeed, int64_t(0)),
+          cli::toggle("-v", "print every seed as it runs", Verbose),
+      }};
+  if (auto Exit = Cmd.parse(argc, argv))
+    return *Exit;
 
   if (DumpSeed >= 0) {
     FuzzCase C = VjpMode ? generateGrad(static_cast<uint64_t>(DumpSeed))

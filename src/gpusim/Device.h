@@ -40,6 +40,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -211,15 +212,9 @@ public:
   /// A FirePro W8100-like configuration: comparable bandwidth, slightly
   /// lower effective compute, and much higher launch overhead.
   static DeviceParams w8100();
+  /// The preset named \p Name ("gtx780" or "w8100"), if there is one.
+  static std::optional<DeviceParams> preset(const std::string &Name);
 };
-
-/// The preset a command line's "--device <name>" selects (the last one
-/// before \p StopAt; gtx780 without one), or a Config error naming an
-/// unknown device.  Command-line mains start from it before reading any
-/// other device flag, so a flag refines the preset whichever side of
-/// --device it is on.
-ErrorOr<DeviceParams> devicePresetFromArgs(int Argc, char **Argv,
-                                           const std::string &StopAt = "");
 
 /// Aggregated execution statistics.
 struct CostReport {

@@ -1609,11 +1609,13 @@ bool RangeSim::execStm(const RStm &S) {
       return notScalar(S.Ops[0]);
     if (!isScalar(S.Ops[1]))
       return notScalar(S.Ops[1]);
-    auto R = evalBinOp(expCast<BinOpExp>(&E)->Op, F[S.Ops[0]].S,
-                       F[S.Ops[1]].S);
-    if (!R)
-      return fail(R.getError());
-    Out->setScalar(*R);
+    BinOp Op = expCast<BinOpExp>(&E)->Op;
+    const PrimValue &A = F[S.Ops[0]].S, &B = F[S.Ops[1]].S;
+    PrimValue R;
+    BinOpFault Fault = evalBinOpInto(Op, A, B, R);
+    if (Fault != BinOpFault::None)
+      return fail(binOpError(Fault, Op, A, B));
+    Out->setScalar(R);
     return true;
   }
 

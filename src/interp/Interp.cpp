@@ -1061,10 +1061,10 @@ bool Interpreter::evalScalarOp(const InterpStm &S, InterpFrame &F,
       return false;
     if (!A->isScalar() || !B->isScalar())
       return fail(CompilerError(E.Loc, "binop on non-scalar"));
-    FUT_GET(V, evalBinOp(expCast<BinOpExp>(&E)->Op, A->getScalar(),
-                         B->getScalar()));
-    R = V;
-    return true;
+    BinOp Op = expCast<BinOpExp>(&E)->Op;
+    BinOpFault Fault = evalBinOpInto(Op, A->getScalar(), B->getScalar(), R);
+    return Fault == BinOpFault::None ||
+           fail(binOpError(Fault, Op, A->getScalar(), B->getScalar()));
   }
   case ExpKind::UnOpE: {
     if (!A->isScalar())

@@ -171,6 +171,54 @@ std::string Value::str() const {
   return OS.str();
 }
 
+ErrorOr<Value> fut::parseValue(const std::string &S) {
+  auto ParseScalar = [](const std::string &T) -> ErrorOr<PrimValue> {
+    if (T == "true")
+      return PrimValue::makeBool(true);
+    if (T == "false")
+      return PrimValue::makeBool(false);
+    try {
+      if (T.find_first_of(".e") != std::string::npos ||
+          T.find("f32") != std::string::npos)
+        return PrimValue::makeF32(std::stof(T));
+      return PrimValue::makeI32(static_cast<int32_t>(std::stol(T)));
+    } catch (...) {
+      return CompilerError("cannot parse value '" + T + "'");
+    }
+  };
+
+  if (S.empty())
+    return CompilerError("empty argument");
+  if (S.front() != '[') {
+    auto P = ParseScalar(S);
+    if (!P)
+      return P.getError();
+    return Value::scalar(*P);
+  }
+  if (S.back() != ']')
+    return CompilerError("unterminated array literal");
+  std::vector<PrimValue> Elems;
+  std::stringstream SS(S.substr(1, S.size() - 2));
+  for (std::string Tok; std::getline(SS, Tok, ',');) {
+    size_t B = Tok.find_first_not_of(" \t");
+    size_t E = Tok.find_last_not_of(" \t");
+    if (B == std::string::npos)
+      continue;
+    auto P = ParseScalar(Tok.substr(B, E - B + 1));
+    if (!P)
+      return P.getError();
+    Elems.push_back(*P);
+  }
+  if (Elems.empty())
+    return CompilerError("empty array literals need a kind; not supported");
+  ScalarKind Kind = Elems[0].kind();
+  for (const PrimValue &E : Elems)
+    if (E.kind() != Kind)
+      return CompilerError("mixed element kinds in array literal");
+  int64_t N = static_cast<int64_t>(Elems.size());
+  return Value::array(Kind, {N}, std::move(Elems));
+}
+
 Value fut::makeVectorValue(ScalarKind K, const std::vector<double> &Xs) {
   std::vector<PrimValue> Data;
   Data.reserve(Xs.size());

@@ -199,6 +199,12 @@ std::string firstDifference(const std::vector<Value> &Got,
                             const std::vector<Value> &Want,
                             const std::vector<double> &RelTol = {});
 
+/// Parses a value written as a scalar (3, 2.5, 1f32, true) or a rank-1
+/// array literal ([1,2,3]), as command lines and regression files give
+/// them: a float has a '.', an 'e' or an f32 suffix, any other number is
+/// an i32, and an array's elements share the first one's kind.
+ErrorOr<Value> parseValue(const std::string &S);
+
 /// Builds a rank-1 value from a vector of doubles/ints with a given kind.
 Value makeVectorValue(ScalarKind K, const std::vector<double> &Xs);
 Value makeIntVectorValue(ScalarKind K, const std::vector<int64_t> &Xs);

@@ -443,12 +443,12 @@ BinOpFault fut::evalBinOpInto(BinOp Op, const PrimValue &A,
   return binOpInto(Op, A, B, Out);
 }
 
-ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
-                                  const PrimValue &B) {
-  PrimValue Out;
-  switch (binOpInto(Op, A, B, Out)) {
+CompilerError fut::binOpError(BinOpFault Fault, BinOp Op, const PrimValue &A,
+                              const PrimValue &B) {
+  switch (Fault) {
   case BinOpFault::None:
-    return Out;
+  case BinOpFault::Unevaluable:
+    break;
   case BinOpFault::MismatchedKinds:
     return CompilerError("binop operands have mismatched kinds: " + A.str() +
                          " vs " + B.str());
@@ -465,11 +465,18 @@ ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
     return CompilerError::runtime("integer modulo overflow");
   case BinOpFault::NegativeExponent:
     return CompilerError::runtime("negative integer exponent");
-  case BinOpFault::Unevaluable:
-    break;
   }
   return CompilerError(std::string("cannot evaluate operator ") +
                        binOpName(Op) + " on " + scalarKindName(A.kind()));
+}
+
+ErrorOr<PrimValue> fut::evalBinOp(BinOp Op, const PrimValue &A,
+                                  const PrimValue &B) {
+  PrimValue Out;
+  BinOpFault Fault = binOpInto(Op, A, B, Out);
+  if (Fault != BinOpFault::None)
+    return binOpError(Fault, Op, A, B);
+  return Out;
 }
 
 ErrorOr<PrimValue> fut::evalUnOp(UnOp Op, const PrimValue &A) {

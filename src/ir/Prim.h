@@ -202,6 +202,10 @@ enum class BinOpFault : uint8_t {
 /// which then reruns its lanes one by one) skip building one.
 BinOpFault evalBinOpInto(BinOp Op, const PrimValue &A, const PrimValue &B,
                          PrimValue &Out);
+/// The error evalBinOp reports when \p Op on \p A and \p B fails with
+/// \p Fault; callers of evalBinOpInto build it only on a failure.
+CompilerError binOpError(BinOpFault Fault, BinOp Op, const PrimValue &A,
+                         const PrimValue &B);
 ErrorOr<PrimValue> evalUnOp(UnOp Op, const PrimValue &A);
 PrimValue evalConvOp(ConvOp Op, const PrimValue &A);
 

@@ -90,9 +90,11 @@ private:
     case ExpKind::BinOpE: {
       const auto *X = expCast<BinOpExp>(&E);
       if (X->A.isConst() && X->B.isConst()) {
-        auto R = evalBinOp(X->Op, X->A.getConst(), X->B.getConst());
-        if (R) // Keep failing ops (e.g. div by zero) for runtime semantics.
-          return subExpE(SubExp::constant(R.take()));
+        PrimValue R;
+        // Keep failing ops (e.g. div by zero) for runtime semantics.
+        if (evalBinOpInto(X->Op, X->A.getConst(), X->B.getConst(), R) ==
+            BinOpFault::None)
+          return subExpE(SubExp::constant(R));
         return nullptr;
       }
       // Integer algebraic identities (float identities are unsound for

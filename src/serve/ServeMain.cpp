@@ -22,13 +22,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ToolFlags.h"
 #include "fuzz/Fuzz.h"
 #include "serve/Serve.h"
-#include "support/Utils.h"
-#include "trace/Trace.h"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -36,40 +35,6 @@
 using namespace fut;
 
 namespace {
-
-void usage() {
-  fprintf(stderr,
-          "usage: futharkcc-serve [file.fut ...] [options]\n"
-          "workload:\n"
-          "  --builtin <n>      synthesise n requests over the built-in\n"
-          "                     program mix instead of reading files\n"
-          "  --requests <n>     requests per source file (default 8)\n"
-          "  --arrival-gap <c>  simulated cycles between arrivals\n"
-          "                     (default 20000)\n"
-          "service:\n"
-          "  --queue-depth <n>  bounded queue capacity (default 64)\n"
-          "  --cache-entries <n> artifact cache capacity (default 64)\n"
-          "  --compile-cycles <c> simulated cost of a cache miss\n"
-          "  --device <name>    gtx780 (default) or w8100\n"
-          "  --device-mem <b>   device capacity in bytes (0 = unlimited)\n"
-          "  --artifact-dir <d> persist compiled artifacts to directory d;\n"
-          "                     a restarted server serves them as cache\n"
-          "                     hits without recompiling\n"
-          "per-request limits:\n"
-          "  --deadline <c>     per-request deadline in simulated cycles\n"
-          "  --watchdog <c>     per-kernel watchdog budget\n"
-          "  --max-retries <n>  device retries per kernel (default 3)\n"
-          "  --fault-rate <p>   injected launch-failure probability\n"
-          "  --corrupt-rate <p> injected corruption probability\n"
-          "  --fault-seed <n>   base seed; request i uses seed n + i\n"
-          "  --no-fallback      typed error instead of interpreter fallback\n"
-          "validation and reporting:\n"
-          "  --check            recompute every Ok response on the\n"
-          "                     reference interpreter; exit 1 on mismatch\n"
-          "  --quiet            suppress per-request lines\n"
-          "  --trace            print the span/counter summary to stderr\n"
-          "  --trace-out <file> write Chrome trace_event JSON\n");
-}
 
 /// The built-in workload mix: small programs exercising map/reduce/scan
 /// pipelines, each served with a few argument sizes so the admission
@@ -112,137 +77,66 @@ int main(int argc, char **argv) {
   int BuiltinN = 0;
   int RequestsPerFile = 8;
   double ArrivalGap = 20000;
-  bool Check = false, Quiet = false, TraceSummary = false;
-  std::string TraceOut;
+  bool Check = false, Quiet = false;
+  cli::TraceFlags Trace;
   serve::ServerConfig SC;
-  // The --device preset applies first, wherever it is, so that
-  // --device-mem on either side of it refines it.
-  auto Preset = gpusim::devicePresetFromArgs(argc, argv);
-  if (!Preset) {
-    fprintf(stderr, "%s\n", Preset.getError().Message.c_str());
-    return 2;
-  }
-  SC.Device = *Preset;
   serve::ServeLimits Limits;
   uint64_t BaseSeed = 1;
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--builtin") {
-      if (++I >= argc || !parseNumArg(argv[I], BuiltinN)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--requests") {
-      if (++I >= argc || !parseNumArg(argv[I], RequestsPerFile)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--arrival-gap") {
-      if (++I >= argc || !parseNumArg(argv[I], ArrivalGap)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--queue-depth") {
-      if (++I >= argc || !parseNumArg(argv[I], SC.MaxQueueDepth)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--cache-entries") {
-      if (++I >= argc || !parseNumArg(argv[I], SC.MaxCacheEntries)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--compile-cycles") {
-      if (++I >= argc || !parseNumArg(argv[I], SC.CompileCycles)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--device") {
-      if (++I >= argc) { // the preset is already applied
-        usage();
-        return 2;
-      }
-    } else if (A == "--device-mem") {
-      if (++I >= argc || !parseNumArg(argv[I], SC.Device.DeviceMemBytes)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--artifact-dir") {
-      if (++I >= argc) {
-        usage();
-        return 2;
-      }
-      SC.ArtifactDir = argv[I];
-    } else if (A.rfind("--artifact-dir=", 0) == 0) {
-      SC.ArtifactDir = A.substr(strlen("--artifact-dir="));
-    } else if (A == "--deadline") {
-      if (++I >= argc || !parseNumArg(argv[I], Limits.DeadlineCycles)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--watchdog") {
-      if (++I >= argc || !parseNumArg(argv[I], Limits.WatchdogKernelCycles)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--max-retries") {
-      if (++I >= argc || !parseNumArg(argv[I], Limits.MaxRetries)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--fault-rate") {
-      if (++I >= argc || !parseNumArg(argv[I], Limits.LaunchFailRate)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--corrupt-rate") {
-      if (++I >= argc || !parseNumArg(argv[I], Limits.CorruptRate)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--fault-seed") {
-      if (++I >= argc || !parseNumArg(argv[I], BaseSeed)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--no-fallback") {
-      Limits.AllowFallback = false;
-    } else if (A == "--check") {
-      Check = true;
-    } else if (A == "--quiet") {
-      Quiet = true;
-    } else if (A == "--trace") {
-      TraceSummary = true;
-    } else if (A == "--trace-out") {
-      if (++I >= argc) {
-        usage();
-        return 2;
-      }
-      TraceOut = argv[I];
-    } else if (A.rfind("--trace-out=", 0) == 0) {
-      TraceOut = A.substr(strlen("--trace-out="));
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return 0;
-    } else if (!A.empty() && A[0] == '-') {
-      fprintf(stderr, "unknown option '%s'\n", A.c_str());
-      usage();
-      return 2;
-    } else {
-      Files.push_back(A);
-    }
-  }
-  if (Files.empty() && BuiltinN <= 0) {
-    usage();
-    return 2;
-  }
-
-  bool Tracing = TraceSummary || !TraceOut.empty();
-  if (Tracing) {
-    trace::TraceSession::global().clear();
-    trace::TraceSession::global().setEnabled(true);
-  }
+  using cli::number, cli::toggle;
+  cli::Command Cmd{
+      .Synopsis = "futharkcc-serve [file.fut ...] [options]",
+      .Flags = {
+          number("--builtin", "<n>",
+                 "serve n requests over the built-in program mix instead "
+                 "of files",
+                 BuiltinN),
+          number("--requests", "<n>", "requests per file (default 8)",
+                 RequestsPerFile),
+          number("--arrival-gap", "<c>",
+                 "simulated cycles between arrivals (default 20000)",
+                 ArrivalGap),
+          number("--queue-depth", "<n>", "queue capacity (default 64)",
+                 SC.MaxQueueDepth),
+          number("--cache-entries", "<n>", "artifact cache capacity "
+                 "(default 64)", SC.MaxCacheEntries),
+          number("--compile-cycles", "<c>", "simulated cost of a cache miss",
+                 SC.CompileCycles),
+          cli::devicePreset(SC.Device),
+          number("--device-mem", "<b>", "device bytes (0 = unlimited)",
+                 SC.Device.DeviceMemBytes),
+          cli::text("--artifact-dir", "<d>",
+                    "persist artifacts in d; a restarted server serves them "
+                    "as cache hits",
+                    SC.ArtifactDir),
+          number("--deadline", "<c>", "per-request deadline in cycles",
+                 Limits.DeadlineCycles),
+          number("--watchdog", "<c>", "per-kernel watchdog budget",
+                 Limits.WatchdogKernelCycles),
+          number("--max-retries", "<n>", "retries per kernel (default 3)",
+                 Limits.MaxRetries),
+          number("--fault-rate", "<p>", "launch-failure probability",
+                 Limits.LaunchFailRate),
+          number("--corrupt-rate", "<p>", "corruption probability",
+                 Limits.CorruptRate),
+          number("--fault-seed", "<n>", "base seed; request i uses n + i",
+                 BaseSeed),
+          toggle("--no-fallback", "typed error instead of interpreter "
+                 "fallback", Limits.AllowFallback, false),
+          toggle("--check", "recheck every Ok response on the reference "
+                 "interpreter; exit 1 on a mismatch", Check),
+          toggle("--quiet", "suppress per-request lines", Quiet),
+          Trace.summaryFlag(),
+          Trace.fileFlag(),
+      },
+      .Args = &Files,
+      .MaxArgs = SIZE_MAX};
+  if (auto Exit = Cmd.parse(argc, argv))
+    return *Exit;
+  // The workload is either the files or the built-in mix, never both.
+  if (Files.empty() == (BuiltinN <= 0))
+    return Cmd.usageError(Files.empty() ? "no workload"
+                                        : "--builtin takes no files");
+  Trace.begin();
 
   // Assemble the workload: (label, source, args) per request, round-robin
   // over sources so concurrent tenants genuinely interleave.
@@ -379,18 +273,8 @@ int main(int argc, char **argv) {
     fprintf(stderr, "serve: --check verified %d responses, %d mismatches\n",
             CheckedOk, Mismatches);
 
-  if (Tracing) {
-    if (TraceSummary)
-      fprintf(stderr, "%s", trace::TraceSession::global().summary().c_str());
-    if (!TraceOut.empty()) {
-      if (auto Err =
-              trace::TraceSession::global().writeChromeTrace(TraceOut)) {
-        fprintf(stderr, "trace error: %s\n", Err.getError().Message.c_str());
-        return 1;
-      }
-      fprintf(stderr, "trace written to %s\n", TraceOut.c_str());
-    }
-  }
+  if (Trace.finish())
+    return 1;
 
   // Completeness is the robustness contract: every submission must have
   // produced exactly one response.

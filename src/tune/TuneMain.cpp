@@ -15,11 +15,9 @@
 
 #include "tune/Tune.h"
 
-#include "gpusim/CostModel.h"
-#include "support/Utils.h"
+#include "driver/ToolFlags.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,109 +25,42 @@
 using namespace fut;
 using namespace fut::tune;
 
-namespace {
-
-void usage() {
-  fprintf(stderr,
-          "usage: futharkcc-tune [options]\n"
-          "  --bench <name>       tune one benchmark (repeatable);\n"
-          "                       default: the full suite\n"
-          "  --device <d>         gtx780 (default) or w8100\n"
-          "  --cost-model <m>     oracle cycle model: roofline (default)\n"
-          "                       or pipeline\n"
-          "  --seed <n>           axis-order shuffle seed (default 1)\n"
-          "  --rounds <n>         coordinate-descent rounds (default 2)\n"
-          "  --json <file>        write the results as JSON\n"
-          "  --min-wins <n>       with --min-improvement: fail unless at\n"
-          "                       least n benchmarks improve that much\n"
-          "  --min-improvement <pct>  the improvement bar (percent)\n"
-          "  --list               list benchmark names and exit\n");
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   TuneOptions O;
-  // The --device preset applies first, wherever it is, so that
-  // --cost-model on either side of it refines it.
-  auto Preset = gpusim::devicePresetFromArgs(argc, argv);
-  if (!Preset) {
-    fprintf(stderr, "%s\n", Preset.getError().Message.c_str());
-    return 2;
-  }
-  O.Device = *Preset;
   std::vector<std::string> Benches;
   std::string JsonPath;
   int MinWins = 0;
   double MinImprovement = 0;
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&]() -> const char * {
-      return ++I < argc ? argv[I] : nullptr;
-    };
-    if (A == "--bench") {
-      const char *V = Next();
-      if (!V) {
-        usage();
-        return 2;
-      }
-      Benches.push_back(V);
-    } else if (A == "--device") {
-      if (!Next()) { // the preset is already applied
-        usage();
-        return 2;
-      }
-    } else if (A == "--cost-model" || A.rfind("--cost-model=", 0) == 0) {
-      const char *V =
-          A == "--cost-model" ? Next() : A.c_str() + strlen("--cost-model=");
-      if (!V || !gpusim::CostModel::byName(V)) {
-        usage();
-        return 2;
-      }
-      O.Device.CostModelName = V;
-    } else if (A == "--seed") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, O.Seed)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--rounds") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, O.Rounds) || O.Rounds < 1) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--json") {
-      const char *V = Next();
-      if (!V) {
-        usage();
-        return 2;
-      }
-      JsonPath = V;
-    } else if (A == "--min-wins") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, MinWins)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--min-improvement") {
-      const char *V = Next();
-      if (!V || !parseNumArg(V, MinImprovement)) {
-        usage();
-        return 2;
-      }
-    } else if (A == "--list") {
-      for (const auto &B : bench::allBenchmarks())
-        printf("%s\n", B.Name.c_str());
-      return 0;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return 0;
-    } else {
-      usage();
-      return 2;
-    }
+  bool List = false;
+  cli::Command Cmd{
+      .Synopsis = "futharkcc-tune [options]",
+      .Flags = {
+          {"--bench", "<name>",
+           "tune one benchmark (repeatable); default: the full suite",
+           [&](auto &V) { return Benches.push_back(V), true; }},
+          cli::devicePreset(O.Device),
+          cli::costModel("oracle cycle model: roofline (default) or pipeline",
+                         O.Device),
+          cli::number("--seed", "<n>", "axis-order shuffle seed (default 1)",
+                      O.Seed),
+          cli::number("--rounds", "<n>",
+                      "coordinate-descent rounds (default 2)", O.Rounds, 1),
+          cli::text("--json", "<file>", "write the results as JSON",
+                    JsonPath),
+          cli::number("--min-wins", "<n>",
+                      "with --min-improvement: fail unless at least n "
+                      "benchmarks improve that much",
+                      MinWins),
+          cli::number("--min-improvement", "<pct>",
+                      "the improvement bar (percent)", MinImprovement),
+          cli::toggle("--list", "list benchmark names and exit", List),
+      }};
+  if (auto Exit = Cmd.parse(argc, argv))
+    return *Exit;
+  if (List) {
+    for (const auto &B : bench::allBenchmarks())
+      printf("%s\n", B.Name.c_str());
+    return 0;
   }
 
   std::vector<const bench::BenchmarkDef *> Defs;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sys/wait.h>
@@ -38,14 +39,16 @@ int countKernelsIn(const Body &B) {
   return N;
 }
 
-/// Runs the futharkcc binary with \p Args, discarding its output, and
-/// returns its exit code.
-int runCli(const std::string &Args) {
-  std::string Cmd =
-      std::string(FUTHARKCC_BIN) + " " + Args + " >/dev/null 2>&1";
+/// Runs \p Bin (futharkcc by default) with \p Args in the test's temporary
+/// directory, discarding its output, and returns its exit code.
+int runCli(const std::string &Args, const std::string &Bin = FUTHARKCC_BIN) {
+  std::string Cmd = "cd " + testing::TempDir() + " && " + Bin + " " + Args +
+                    " >/dev/null 2>&1";
   int Status = std::system(Cmd.c_str());
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
+
+bool exists(const std::string &Path) { return std::ifstream(Path).good(); }
 
 } // namespace
 
@@ -77,6 +80,47 @@ TEST(DriverCliTest, DevicePresetKeepsDeviceFlagsOnEitherSide) {
             1);
   EXPECT_EQ(runCli("--device w8100 " + Prog + " --run 1000"), 0);
   EXPECT_EQ(runCli("--device a100 " + Prog + " --run 1000"), 2);
+}
+
+TEST(DriverCliTest, ValueTokensAreNeverReadAsFlags) {
+  // The token after a value flag is its value, even when it looks like a
+  // flag: "--device" is the trace path or artifact directory, and "w8100"
+  // is left over as a stray positional argument.
+  std::string Prog = testing::TempDir() + "cli_inc.fut";
+  std::ofstream(Prog) << "fun main (x: i32): i32 = x + 1\n";
+  std::string Stray = testing::TempDir() + "--device";
+  std::remove(Stray.c_str());
+  EXPECT_EQ(runCli("--trace-out --device w8100 " + Prog + " --run 3"), 2);
+  EXPECT_EQ(runCli("--artifact-dir --device w8100 --builtin 1",
+                   FUTHARKCC_SERVE_BIN),
+            2);
+  EXPECT_FALSE(exists(Stray));
+  // Both spellings of a value flag work.
+  EXPECT_EQ(runCli("--trace-out=cli_trace.json --device=w8100 "
+                   "--cost-model=pipeline --device-mem=1e9 " +
+                   Prog + " --run 3"),
+            0);
+  EXPECT_TRUE(exists(testing::TempDir() + "cli_trace.json"));
+  EXPECT_EQ(runCli("--builtin=2 --quiet", FUTHARKCC_SERVE_BIN), 0);
+  // Unknown options, and switches given a value, are usage errors.
+  EXPECT_EQ(runCli("--bogus " + Prog), 2);
+  EXPECT_EQ(runCli("--no-fusion=1 " + Prog), 2);
+  EXPECT_EQ(runCli("--bogus --builtin 2", FUTHARKCC_SERVE_BIN), 2);
+  EXPECT_EQ(runCli("--help"), 0);
+  EXPECT_EQ(runCli("-h", FUTHARKCC_SERVE_BIN), 0);
+}
+
+TEST(DriverCliTest, TakesExactlyOneProgramFile) {
+  std::string Prog = testing::TempDir() + "cli_inc.fut";
+  std::ofstream(Prog) << "fun main (x: i32): i32 = x + 1\n";
+  EXPECT_EQ(runCli(Prog + " --run 3"), 0);
+  EXPECT_EQ(runCli("/nonexistent.fut " + Prog + " --run 3"), 2);
+  EXPECT_EQ(runCli(Prog + " " + Prog), 2);
+  EXPECT_EQ(runCli("--run 3"), 2);
+  EXPECT_EQ(runCli(""), 2);
+  // Arguments after --run are the program's, even when they look like
+  // flags or files.
+  EXPECT_EQ(runCli(Prog + " --run 3 --bogus"), 1);
 }
 
 TEST(DriverTest, FrontendErrorsPropagate) {
